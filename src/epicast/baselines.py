@@ -2,18 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import neuralnet
 from .neuralnet import TrainConfig, hidden_neurons
-
-
-@dataclass(frozen=True)
-class BaselineForecast:
-    method: str
-    point: np.ndarray
 
 
 def rw_forecast(train, h: int) -> np.ndarray:

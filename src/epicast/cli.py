@@ -11,6 +11,7 @@ Exit codes: 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -46,6 +47,10 @@ class NumericError(click.ClickException):
 def _config_digest(resolved: dict) -> str:
     payload = json.dumps(resolved, sort_keys=True, default=str).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -226,14 +231,7 @@ def _model_to_json(model: ewnet.EwnetModel, seed: int,
         "in_sample_residuals": residuals.tolist(),
         "calibration_abs_residuals":
             None if cal_abs_residuals is None else cal_abs_residuals.tolist(),
-        "train_config": {
-            "learning_rate": model.config.train_cfg.learning_rate,
-            "epochs": model.config.train_cfg.epochs,
-            "restarts": model.config.train_cfg.restarts,
-            "seed": seed,
-            "tolerance": model.config.train_cfg.tolerance,
-            "patience": model.config.train_cfg.patience,
-        },
+        "train_config": {**dataclasses.asdict(model.config.train_cfg), "seed": seed},
     }
 
 
@@ -277,10 +275,10 @@ def fit(config, data, value_column, label_column, frequency, out, seed,
     series = _read_series(cfg, data, value_column, label_column, frequency)
     horizon = int(_resolve(cfg, "horizon", horizon, default=1))
     e_cfg = _ewnet_config(cfg, _resolve(cfg, "levels", levels), p_grid, metric, horizon, seed)
-    digest = _config_digest({"cmd": "fit", "seed": seed, "horizon": horizon,
-                             "p_grid": e_cfg.p_grid, "levels": e_cfg.levels,
-                             "metric": e_cfg.selection_metric,
-                             "data": str(data or cfg.get("data"))})
+    digest = _config_digest({"cmd": "fit", "config": dataclasses.asdict(e_cfg), "p": fixed_p,
+                             "value_column": _resolve(cfg, "value_column", value_column,
+                                                      default="value"),
+                             "data_sha256": _file_sha256(_resolve(cfg, "data", data))})
     values = series.values
     try:
         if fixed_p is not None:
@@ -328,7 +326,7 @@ def forecast(config, model_path, horizon, interval, level, out):
     seed = int(doc.get("seed", 0))
     # Identify the model by content, not path, so identical models yield
     # identical outputs wherever they live on disk.
-    model_sha = hashlib.sha256(Path(model_path).read_bytes()).hexdigest()[:16]
+    model_sha = _file_sha256(model_path)[:16]
     digest = _config_digest({"cmd": "forecast", "model_sha": model_sha,
                              "horizon": horizon, "interval": interval, "level": level})
     try:

@@ -3,11 +3,16 @@
 Sigmoid hidden units, linear output, full-batch gradient descent on the L2
 loss, trained on z-scored data. Several independently seeded restarts are
 trained and their predictions averaged.
+
+Restarts are stacked restart-major: the input layers with their biases form one
+(R*k, p+1) matrix, rows r*k .. r*k+k-1 for restart r, and the output layers an
+(R*k, R) block-diagonal one. The hidden layer of all restarts is then one GEMM,
+(n, p+1) @ (p+1, R*k), and so is its weight gradient, (R*k, n) @ (n, p+1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,6 +97,10 @@ class NeuralNetModel:
             raise ValueError("restarts must be non-empty")
         if self.scaler[1] <= 0:
             raise ValueError("scale must be positive")
+        if not self.constant:
+            w1, b1, w2, b2 = (np.array([getattr(w, f.name) for w in self.restarts])
+                              for f in fields(NetworkWeights))
+            self._stacked = (*_stack(w1, b1, w2), b2)
 
     def to_dict(self) -> dict:
         return {
@@ -125,12 +134,22 @@ def hidden_neurons(p: int) -> int:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-x) overflows to inf below x = -709, which gives exactly 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _stack(w1, b1, w2):
+    """Restart-major (R*k, p+1) input layer and (R*k, R) block-diagonal output layer."""
+    r, k, p = w1.shape
+    w_in = np.concatenate((w1, b1[:, :, None]), axis=2).reshape(r * k, p + 1)
+    return w_in, np.kron(np.eye(r), np.ones((k, 1))) * w2.reshape(r * k, 1)
+
+
+def _forward(x1, w_in, w_out, b2):
+    """Hidden activations (n, R*k) and outputs (n, R); ``x1`` ends in a ones column."""
+    hidden = _sigmoid(x1 @ w_in.T)
+    return hidden, hidden @ w_out + b2
 
 
 def _init_weights(rng: np.random.Generator, p: int, k: int):
@@ -148,21 +167,22 @@ def _loss_and_grad(params, x, y):
     (n, p) design matrix and ``y`` the (n,) target vector.
     """
     w1, b1, w2, b2 = params
+    r, k, p = w1.shape
     n = x.shape[0]
-    pre = np.einsum("rkp,np->rnk", w1, x) + b1[:, None, :]
-    hidden = _sigmoid(pre)
-    out = np.einsum("rnk,rk->rn", hidden, w2) + b2[:, None]
-    err = out - y[None, :]
-    loss = 0.5 * np.mean(err**2, axis=1)
+    x1 = np.column_stack((x, np.ones(n)))
+    w_in, w_out = _stack(w1, b1, w2)
+    hidden, out = _forward(x1, w_in, w_out, b2)
+    err = out - y[:, None]
+    loss = 0.5 * np.einsum("nr,nr->r", err, err) / n
 
     d_out = err / n
-    g_w2 = np.einsum("rn,rnk->rk", d_out, hidden)
-    g_b2 = d_out.sum(axis=1)
-    d_hidden = d_out[:, :, None] * w2[:, None, :]
-    d_pre = d_hidden * hidden * (1.0 - hidden)
-    g_w1 = np.einsum("rnk,np->rkp", d_pre, x)
-    g_b1 = d_pre.sum(axis=1)
-    return loss, (g_w1, g_b1, g_w2, g_b2)
+    d_pre = 1.0 - hidden
+    d_pre *= hidden
+    d_pre *= d_out @ w_out.T
+    g_in = (d_pre.T @ x1).reshape(r, k, p + 1)
+    # Restart r's output weights take only the r-th diagonal block.
+    g_w2 = (hidden.T @ d_out).reshape(r, k, r)[np.arange(r), :, np.arange(r)]
+    return loss, (g_in[:, :, :p], g_in[:, :, p], g_w2, d_out.sum(axis=0))
 
 
 def _supervised_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,16 +216,13 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
 
     inits = [_init_weights(np.random.default_rng([cfg.seed, r]), p, k)
              for r in range(cfg.restarts)]
-    w1 = np.stack([w[0] for w in inits])
-    b1 = np.stack([w[1] for w in inits])
-    w2 = np.stack([w[2] for w in inits])
-    b2 = np.array([w[3] for w in inits])
+    params = tuple(np.array([w[i] for w in inits]) for i in range(4))
 
     prev_loss = np.inf
     stalled = 0
     loss_curve: list[float] = []
     for _ in range(cfg.epochs):
-        loss, grads = _loss_and_grad((w1, b1, w2, b2), x_mat, target)
+        loss, grads = _loss_and_grad(params, x_mat, target)
         total = float(loss.mean())
         loss_curve.append(total)
         if prev_loss - total < cfg.tolerance:
@@ -215,11 +232,10 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
         else:
             stalled = 0
         prev_loss = total
-        w1 -= cfg.learning_rate * grads[0]
-        b1 -= cfg.learning_rate * grads[1]
-        w2 -= cfg.learning_rate * grads[2]
-        b2 -= cfg.learning_rate * grads[3]
+        for weights, grad in zip(params, grads):
+            weights -= cfg.learning_rate * grad
 
+    w1, b1, w2, b2 = params
     restarts = [
         NetworkWeights(input_to_hidden=w1[r], hidden_bias=b1[r],
                        hidden_to_output=w2[r], output_bias=float(b2[r]))
@@ -230,6 +246,14 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
     return model
 
 
+def _predict(model: NeuralNetModel, windows: np.ndarray) -> np.ndarray:
+    """Restart-averaged one-step predictions for an (m, p) array of lag windows."""
+    center, scale = model.scaler
+    x1 = np.column_stack(((windows - center) / scale, np.ones(len(windows))))
+    _, out = _forward(x1, *model._stacked)
+    return center + scale * out.mean(axis=1)
+
+
 def forecast_one(model: NeuralNetModel, recent) -> float:
     """One-step forecast from the p most recent values (most recent last)."""
     recent = np.asarray(recent, dtype=float)
@@ -237,13 +261,7 @@ def forecast_one(model: NeuralNetModel, recent) -> float:
         raise ValueError(f"expected {model.p} lagged values, got {recent.shape}")
     if model.constant:
         return model.constant_value
-    center, scale = model.scaler
-    z = (recent - center) / scale
-    outputs = [
-        w.output_bias + w.hidden_to_output @ _sigmoid(w.hidden_bias + w.input_to_hidden @ z)
-        for w in model.restarts
-    ]
-    return center + scale * float(np.mean(outputs))
+    return float(_predict(model, recent[None, :])[0])
 
 
 def forecast_recursive(model: NeuralNetModel, series, h: int) -> np.ndarray:
@@ -253,14 +271,10 @@ def forecast_recursive(model: NeuralNetModel, series, h: int) -> np.ndarray:
     history = np.asarray(series, dtype=float)
     if history.size < model.p:
         raise ValueError("series shorter than the lag order")
-    window = list(history[-model.p:])
-    out = np.empty(h)
-    for i in range(h):
-        nxt = forecast_one(model, np.array(window))
-        out[i] = nxt
-        window.pop(0)
-        window.append(nxt)
-    return out
+    path = list(history[-model.p:])
+    for _ in range(h):
+        path.append(forecast_one(model, np.array(path[-model.p:])))
+    return np.array(path[model.p:])
 
 
 def fitted_values(model: NeuralNetModel, series) -> np.ndarray:
@@ -270,13 +284,5 @@ def fitted_values(model: NeuralNetModel, series) -> np.ndarray:
         raise ValueError("series too short")
     if model.constant:
         return np.full(y.size - model.p, model.constant_value)
-    center, scale = model.scaler
-    z = (y - center) / scale
-    x_mat, _ = _supervised_pairs(z, model.p)
-    w1 = np.stack([w.input_to_hidden for w in model.restarts])
-    b1 = np.stack([w.hidden_bias for w in model.restarts])
-    w2 = np.stack([w.hidden_to_output for w in model.restarts])
-    b2 = np.array([w.output_bias for w in model.restarts])
-    hidden = _sigmoid(np.einsum("rkp,np->rnk", w1, x_mat) + b1[:, None, :])
-    out = np.einsum("rnk,rk->rn", hidden, w2) + b2[:, None]
-    return center + scale * out.mean(axis=0)
+    windows, _ = _supervised_pairs(y, model.p)
+    return _predict(model, windows)

@@ -1,9 +1,10 @@
 """Maximal overlap discrete wavelet transform with periodic boundary.
 
-Implements the forward transform via circular convolution with level-wise
-equivalent filters, the additive multiresolution analysis (details + smooth),
-exact inverse reconstruction, and an O(N^2) circulant-matrix oracle used to
-cross-check the fast path in tests.
+Implements the forward transform with the MODWT pyramid (Percival & Walden
+2000, section 5.5), O(N J L) for J levels of an L-tap filter pair; the additive
+multiresolution analysis (details + smooth) by the transposed cascade, O(N J^2 L);
+exact inverse reconstruction; and an O(N^2) circulant-matrix oracle built from
+the level-j equivalent filters, used to cross-check the fast path in tests.
 """
 
 from __future__ import annotations
@@ -144,18 +145,15 @@ def modwt_filters(base: FilterPair, level: int) -> ModwtFilterPair:
     )
 
 
-def _circular_filter(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """z_t = sum_m taps[m] * y[(t - m) mod N]."""
-    n = y.size
-    idx = np.mod(np.arange(n)[:, None] - np.arange(taps.size)[None, :], n)
-    return y[idx] @ taps
+def _pyramid_stage(v: np.ndarray, taps: np.ndarray, shift: int) -> np.ndarray:
+    """z_t = sum_l taps[l] * v[(t - shift * l) mod N] along the last axis.
 
-
-def _circular_adjoint(y: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """z_t = sum_m taps[m] * y[(t + m) mod N], the transpose of _circular_filter."""
-    n = y.size
-    idx = np.mod(np.arange(n)[:, None] + np.arange(taps.size)[None, :], n)
-    return y[idx] @ taps
+    A negative ``shift`` applies the transpose of the stage with shift -shift.
+    """
+    out = taps[0] * v
+    for l in range(1, taps.size):
+        out += taps[l] * np.roll(v, shift * l, axis=-1)
+    return out
 
 
 def _as_values(series) -> np.ndarray:
@@ -181,25 +179,30 @@ def _check_levels(n: int, levels: int) -> None:
 
 
 def modwt_forward(series, levels: int, filter_pair: FilterPair | None = None) -> WaveletDecomposition:
-    """Decompose a series into J details and one smooth via circular filtering."""
+    """Decompose a series into J details and one smooth with the MODWT pyramid."""
     y = _as_values(series)
     _check_levels(y.size, levels)
     base = filter_pair if filter_pair is not None else haar_filter()
+    scaling = base.scaling / math.sqrt(2.0)
+    wavelet = base.wavelet / math.sqrt(2.0)
 
-    details: list[np.ndarray] = []
     wave_coeffs: list[np.ndarray] = []
+    scaling_coeff = y
     for j in range(1, levels + 1):
-        f_j = modwt_filters(base, j)
-        coeff = _circular_filter(y, f_j.wavelet)
-        wave_coeffs.append(coeff)
-        details.append(_circular_adjoint(coeff, f_j.wavelet))
-    f_top = modwt_filters(base, levels)
-    scaling_coeff = _circular_filter(y, f_top.scaling)
-    smooth = _circular_adjoint(scaling_coeff, f_top.scaling)
+        wave_coeffs.append(_pyramid_stage(scaling_coeff, wavelet, 2 ** (j - 1)))
+        scaling_coeff = _pyramid_stage(scaling_coeff, scaling, 2 ** (j - 1))
+
+    # Row j-1 ends as detail D_j and row J as the smooth: every component passes
+    # back through the transposed scaling stages of all finer levels.
+    components = np.empty((levels + 1, y.size))
+    components[levels] = scaling_coeff
+    for j in range(levels, 0, -1):
+        components[j:] = _pyramid_stage(components[j:], scaling, -(2 ** (j - 1)))
+        components[j - 1] = _pyramid_stage(wave_coeffs[j - 1], wavelet, -(2 ** (j - 1)))
 
     return WaveletDecomposition(
-        details=tuple(details),
-        smooth=smooth,
+        details=tuple(components[:levels]),
+        smooth=components[levels],
         levels=levels,
         filter=base.name,
         wavelet_coeffs=tuple(wave_coeffs),

@@ -126,6 +126,41 @@ class TestFit:
         self._fit(runner, tmp_path, ["--p", "2"])
         assert (tmp_path / "model.json").read_text() == first
 
+    def test_config_digest_covers_settings_and_data_bytes(self, runner, tmp_path):
+        data = tmp_path / "series.csv"
+        y = write_series_csv(data)
+        data.write_text("value,alt\n" + "".join(f"{v},{v + 1.0}\n" for v in y))
+        base = {"data": str(data), "seed": 7, "levels": 2, "p_grid": "1-3",
+                "metric": "mase", "horizon": 2, "seasonal_lag": 1, "value_column": "value",
+                "train": {"learning_rate": 0.05, "epochs": 2, "restarts": 1,
+                          "tolerance": 1e-8, "patience": 25}}
+
+        def digest(cfg, p="2"):
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            result = runner.invoke(main, ["fit", "--config", str(tmp_path / "cfg.json"),
+                                          "--p", p, "--out", str(tmp_path / "out")])
+            assert result.exit_code == 0, result.output
+            return json.loads((tmp_path / "out" / "model.json").read_text())["config_digest"]
+
+        reference = digest(base)
+        for key, value in {"seed": 8, "levels": 3, "p_grid": "1-4", "metric": "smape",
+                           "horizon": 3, "seasonal_lag": 2, "value_column": "alt"}.items():
+            assert digest({**base, key: value}) != reference, key
+        for key, value in {"learning_rate": 0.04, "epochs": 3, "restarts": 2,
+                           "tolerance": 1e-7, "patience": 26}.items():
+            assert digest({**base, "train": {**base["train"], key: value}}) != reference, key
+        assert digest(base, p="1") != reference
+
+        moved = tmp_path / "elsewhere" / "copy.csv"
+        moved.parent.mkdir()
+        moved.write_bytes(data.read_bytes())
+        assert digest({**base, "data": str(moved)}) == reference
+
+        raw = bytearray(data.read_bytes())
+        raw[-2] = ord("1") if raw[-2] != ord("1") else ord("2")
+        data.write_bytes(bytes(raw))
+        assert digest(base) != reference
+
 
 class TestForecast:
     def _fitted_model(self, runner, tmp_path, extra=()):
