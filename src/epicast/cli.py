@@ -397,20 +397,22 @@ def evaluate(config, data, value_column, label_column, frequency, out, seed,
 
     datasets = cfg.get("datasets")
     if datasets is None:
+        path = _resolve(cfg, "data", data)
         series = _read_series(cfg, data, value_column, label_column, frequency)
-        datasets = [{"name": Path(str(data or cfg.get("data"))).stem, "series": series}]
+        datasets = [{"name": Path(str(path)).stem, "series": series, "data": path,
+                     "value_column": _resolve(cfg, "value_column", value_column,
+                                              default="value")}]
     else:
         loaded = []
         for entry in datasets:
             s = _read_series(entry, entry.get("data"), entry.get("value_column"),
                              entry.get("label_column"), entry.get("frequency"))
-            loaded.append({"name": entry.get("name", Path(entry["data"]).stem), "series": s})
+            loaded.append({"name": entry.get("name", Path(entry["data"]).stem), "series": s,
+                           "data": entry["data"],
+                           "value_column": entry.get("value_column", "value")})
         datasets = loaded
 
-    digest = _config_digest({"cmd": "evaluate", "seed": seed, "horizons": horizons,
-                             "datasets": [d["name"] for d in datasets],
-                             "p_grid": p_grid, "metric": metric})
-
+    resolved_cases = []
     report_cells = []
     case_names: list[str] = []
     metric_scores: dict[str, list[list[float]]] = {}
@@ -421,11 +423,14 @@ def evaluate(config, data, value_column, label_column, frequency, out, seed,
             try:
                 spec = evaluation.HorizonSpec.for_frequency(kind, series.frequency)
             except ValueError:
-                spec = evaluation.HorizonSpec(kind=kind,
-                                              steps={"short": 3, "medium": 6, "long": 12}[kind])
+                if kind not in evaluation.MONTHLY_STEPS:
+                    raise ConfigError(f"unknown horizon {kind!r} (use short, medium or long)")
+                spec = evaluation.HorizonSpec(kind=kind, steps=evaluation.MONTHLY_STEPS[kind])
             externals = {name: _load_external_forecast(path, spec.steps)
                          for name, path in external_map.items()}
             e_cfg = _ewnet_config(cfg, cfg.get("levels"), p_grid, metric, spec.steps, seed)
+            case = f"{entry['name']}:{kind}"
+            resolved_cases.append({"case": case, "config": dataclasses.asdict(e_cfg)})
             try:
                 report = evaluation.rolling_evaluate(series, spec, cfg=e_cfg, seed=seed,
                                                      external=externals)
@@ -433,7 +438,6 @@ def evaluate(config, data, value_column, label_column, frequency, out, seed,
                 raise NumericError(str(exc))
             except ValueError as exc:
                 raise CliDataError(f"{entry['name']}/{kind}: {exc}")
-            case = f"{entry['name']}:{kind}"
             case_names.append(case)
             names = [c.forecaster for c in report.cells]
             if model_names is None:
@@ -453,6 +457,15 @@ def evaluate(config, data, value_column, label_column, frequency, out, seed,
                 },
             })
 
+    # The loop above has read every input file, so a missing one was already reported.
+    digest = _config_digest({
+        "cmd": "evaluate",
+        "datasets": [{"name": d["name"], "value_column": d["value_column"],
+                      "frequency": d["series"].frequency,
+                      "data_sha256": _file_sha256(d["data"])} for d in datasets],
+        "cases": resolved_cases,
+        "external_sha256": {name: _file_sha256(path) for name, path in external_map.items()},
+    })
     out_dir = _out_dir(cfg, out)
     _write_json(out_dir / "evaluation.json", {"cases": report_cells}, seed=seed, digest=digest)
     for metric_name, scores in metric_scores.items():
@@ -506,18 +519,23 @@ def stats(config, ranks_path, alpha, out):
     digest = _config_digest({"cmd": "stats", "ranks": str(ranks_path), "alpha": alpha})
     try:
         friedman = evaluation.friedman_chi2(table, alpha)
-        iman = evaluation.iman_f(friedman.statistic, len(table.models),
-                                 len(table.datasets), alpha)
         mcb = evaluation.mcb_analysis(table, alpha)
     except ValueError as exc:
         raise NumericError(str(exc))
+    try:
+        iman = evaluation.iman_f(friedman.statistic, len(table.models),
+                                 len(table.datasets), alpha)
+    except ValueError:
+        # Undefined when every case ranks the models the same way (chi2 = D(M-1)).
+        iman = None
 
     payload = {
         "alpha": alpha,
         "friedman": {"statistic": friedman.statistic, "df": friedman.df,
                      "p_value": friedman.p_value, "decision": friedman.decision},
-        "iman_f": {"statistic": iman.statistic, "df": iman.df,
-                   "p_value": iman.p_value, "decision": iman.decision},
+        "iman_f": None if iman is None else {"statistic": iman.statistic, "df": iman.df,
+                                             "p_value": iman.p_value,
+                                             "decision": iman.decision},
         "mcb": [{"model": e.model, "mean_rank": e.mean_rank, "lower": e.lower,
                  "upper": e.upper, "significantly_worse": e.significantly_worse}
                 for e in mcb],

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -12,8 +12,8 @@ from . import baselines, core, ewnet
 from .core import MetricSet, SplitSpec, TimeSeries
 from .ewnet import EwnetConfig
 
-_WEEKLY_STEPS = {"short": 13, "medium": 26, "long": 52}
-_MONTHLY_STEPS = {"short": 3, "medium": 6, "long": 12}
+WEEKLY_STEPS = {"short": 13, "medium": 26, "long": 52}
+MONTHLY_STEPS = {"short": 3, "medium": 6, "long": 12}
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class HorizonSpec:
     @classmethod
     def for_frequency(cls, kind: str, frequency: int) -> "HorizonSpec":
         """Short/medium/long spans: 13/26/52 weekly, 3/6/12 monthly."""
-        table = _WEEKLY_STEPS if frequency == 52 else _MONTHLY_STEPS
+        table = WEEKLY_STEPS if frequency == 52 else MONTHLY_STEPS
         if kind not in table:
             raise ValueError(f"unknown horizon kind {kind!r}")
         if frequency not in (12, 52):
@@ -130,11 +130,7 @@ def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec,
 
     if cfg is None:
         cfg = EwnetConfig(horizon=horizon.steps)
-    cfg = EwnetConfig(
-        levels=cfg.levels, p_grid=cfg.p_grid, selection_metric=cfg.selection_metric,
-        horizon=horizon.steps, seasonal_lag=cfg.seasonal_lag,
-        train_cfg=cfg.train_cfg.replace(seed=seed),
-    )
+    cfg = replace(cfg, horizon=horizon.steps, train_cfg=replace(cfg.train_cfg, seed=seed))
 
     cells: list[EvaluationCell] = []
     forecasts: dict[str, np.ndarray] = {}

@@ -10,7 +10,7 @@ calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,7 +76,7 @@ def default_levels(n: int) -> int:
 def _component_cfg(cfg: TrainConfig, component: int) -> TrainConfig:
     # Independent deterministic seed stream per component.
     seed = int(np.random.SeedSequence([cfg.seed, component]).generate_state(1)[0])
-    return cfg.replace(seed=seed)
+    return replace(cfg, seed=seed)
 
 
 def _fit_components(train: np.ndarray, p: int, cfg: EwnetConfig) -> EwnetModel:

@@ -8,6 +8,13 @@ Restarts are stacked restart-major: the input layers with their biases form one
 (R*k, p+1) matrix, rows r*k .. r*k+k-1 for restart r, and the output layers an
 (R*k, R) block-diagonal one. The hidden layer of all restarts is then one GEMM,
 (n, p+1) @ (p+1, R*k), and so is its weight gradient, (R*k, n) @ (n, p+1).
+
+``fit_network`` keeps the weights in this layout, with the (R,) output biases,
+for all epochs. The design matrix with its ones column, a 0/1 block mask that
+keeps the off-diagonal output weights exactly 0, and the activation, error and
+gradient buffers (``_workspace``) are made once per fit; each epoch
+``_stacked_loss_and_grad`` overwrites the buffers in place. The weights are
+split into one ``NetworkWeights`` per restart after the last epoch.
 """
 
 from __future__ import annotations
@@ -31,10 +38,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1 or self.restarts < 1:
             raise ValueError("epochs and restarts must be >= 1")
-
-    def replace(self, **kwargs) -> "TrainConfig":
-        merged = {**self.__dict__, **kwargs}
-        return TrainConfig(**merged)
 
 
 @dataclass
@@ -133,17 +136,34 @@ def hidden_neurons(p: int) -> int:
     return (p + 1) // 2
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)), written into ``out`` when given (``out`` may be ``x``)."""
     # exp(-x) overflows to inf below x = -709, which gives exactly 0.
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        out = np.negative(x, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
+
+
+def _block_mask(r: int, k: int) -> np.ndarray:
+    """(R*k, R) 0/1 mask of the block-diagonal output layer."""
+    return np.kron(np.eye(r), np.ones((k, 1)))
 
 
 def _stack(w1, b1, w2):
     """Restart-major (R*k, p+1) input layer and (R*k, R) block-diagonal output layer."""
     r, k, p = w1.shape
     w_in = np.concatenate((w1, b1[:, :, None]), axis=2).reshape(r * k, p + 1)
-    return w_in, np.kron(np.eye(r), np.ones((k, 1))) * w2.reshape(r * k, 1)
+    return w_in, _block_mask(r, k) * w2.reshape(r * k, 1)
+
+
+def _unstack(w_in, w_out, k):
+    """Inverse of ``_stack``: (R, k, p) input weights, (R, k) biases, (R, k) output weights."""
+    r = w_out.shape[1]
+    p = w_in.shape[1] - 1
+    diagonal = w_out.reshape(r, k, r)[np.arange(r), :, np.arange(r)]
+    return w_in[:, :p].reshape(r, k, p), w_in[:, p].reshape(r, k), diagonal
 
 
 def _forward(x1, w_in, w_out, b2):
@@ -160,29 +180,53 @@ def _init_weights(rng: np.random.Generator, p: int, k: int):
     return w1, b1, w2, b2
 
 
-def _loss_and_grad(params, x, y):
-    """L2 loss 0.5 * mean(err^2) and its gradient, batched over restarts.
+def _workspace(n: int, r: int, k: int, p: int) -> tuple[np.ndarray, ...]:
+    """Buffers of one fit: hidden, d_pre, back-propagated term, err, g_in, g_out, g_b2."""
+    return (np.empty((n, r * k)), np.empty((n, r * k)), np.empty((n, r * k)),
+            np.empty((n, r)), np.empty((r * k, p + 1)), np.empty((r * k, r)), np.empty(r))
 
-    ``params`` is (W1, b1, w2, b2) with a leading restart axis; ``x`` is the
-    (n, p) design matrix and ``y`` the (n,) target vector.
+
+def _stacked_loss_and_grad(state, x1, y, mask, buf):
+    """Per-restart L2 loss 0.5 * mean(err^2) and its gradient, on the stacked state.
+
+    ``state`` is (w_in, w_out, b2) as built by ``_stack``, ``x1`` the (n, p+1)
+    design matrix ending in a ones column, ``mask`` the ``_block_mask`` and
+    ``buf`` a ``_workspace``. Returns the loss and the (g_in, g_out, g_b2)
+    gradients, which are views of ``buf`` and overwritten by the next call.
+    """
+    w_in, w_out, b2 = state
+    hidden, d_pre, back, err, g_in, g_out, g_b2 = buf
+    n = x1.shape[0]
+    _sigmoid(np.matmul(x1, w_in.T, out=hidden), out=hidden)
+    np.matmul(hidden, w_out, out=err)
+    err += b2
+    err -= y[:, None]
+    loss = 0.5 * np.einsum("nr,nr->r", err, err) / n
+
+    d_out = np.divide(err, n, out=err)
+    np.subtract(1.0, hidden, out=d_pre)
+    d_pre *= hidden
+    d_pre *= np.matmul(d_out, w_out.T, out=back)
+    np.matmul(d_pre.T, x1, out=g_in)
+    # Restart r's output weights take only the r-th diagonal block.
+    np.matmul(hidden.T, d_out, out=g_out)
+    g_out *= mask
+    np.sum(d_out, axis=0, out=g_b2)
+    return loss, (g_in, g_out, g_b2)
+
+
+def _loss_and_grad(params, x, y):
+    """Loss and (W1, b1, w2, b2) gradients for restart-axis weights ``params``.
+
+    ``x`` is the (n, p) design matrix and ``y`` the (n,) target vector.
     """
     w1, b1, w2, b2 = params
     r, k, p = w1.shape
     n = x.shape[0]
     x1 = np.column_stack((x, np.ones(n)))
-    w_in, w_out = _stack(w1, b1, w2)
-    hidden, out = _forward(x1, w_in, w_out, b2)
-    err = out - y[:, None]
-    loss = 0.5 * np.einsum("nr,nr->r", err, err) / n
-
-    d_out = err / n
-    d_pre = 1.0 - hidden
-    d_pre *= hidden
-    d_pre *= d_out @ w_out.T
-    g_in = (d_pre.T @ x1).reshape(r, k, p + 1)
-    # Restart r's output weights take only the r-th diagonal block.
-    g_w2 = (hidden.T @ d_out).reshape(r, k, r)[np.arange(r), :, np.arange(r)]
-    return loss, (g_in[:, :, :p], g_in[:, :, p], g_w2, d_out.sum(axis=0))
+    loss, (g_in, g_out, g_b2) = _stacked_loss_and_grad(
+        (*_stack(w1, b1, w2), b2), x1, y, _block_mask(r, k), _workspace(n, r, k, p))
+    return loss, (*_unstack(g_in, g_out, k), g_b2)
 
 
 def _supervised_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,13 +260,17 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
 
     inits = [_init_weights(np.random.default_rng([cfg.seed, r]), p, k)
              for r in range(cfg.restarts)]
-    params = tuple(np.array([w[i] for w in inits]) for i in range(4))
+    w1, b1, w2, b2 = (np.array([w[i] for w in inits]) for i in range(4))
+    state = (*_stack(w1, b1, w2), b2)
+    x1 = np.column_stack((x_mat, np.ones(len(target))))
+    mask = _block_mask(cfg.restarts, k)
+    buf = _workspace(len(target), cfg.restarts, k, p)
 
     prev_loss = np.inf
     stalled = 0
     loss_curve: list[float] = []
     for _ in range(cfg.epochs):
-        loss, grads = _loss_and_grad(params, x_mat, target)
+        loss, grads = _stacked_loss_and_grad(state, x1, target, mask, buf)
         total = float(loss.mean())
         loss_curve.append(total)
         if prev_loss - total < cfg.tolerance:
@@ -232,10 +280,12 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
         else:
             stalled = 0
         prev_loss = total
-        for weights, grad in zip(params, grads):
-            weights -= cfg.learning_rate * grad
+        for weights, grad in zip(state, grads):
+            grad *= cfg.learning_rate
+            weights -= grad
 
-    w1, b1, w2, b2 = params
+    w_in, w_out, b2 = state
+    w1, b1, w2 = _unstack(w_in, w_out, k)
     restarts = [
         NetworkWeights(input_to_hidden=w1[r], hidden_bias=b1[r],
                        hidden_to_output=w2[r], output_bias=float(b2[r]))

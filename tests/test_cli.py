@@ -293,6 +293,47 @@ class TestEvaluate:
         doc = json.loads((tmp_path / "evaluation.json").read_text())
         assert "other" in doc["cases"][0]["results"]
 
+    def test_config_digest_covers_settings_and_input_bytes(self, runner, tmp_path):
+        data = tmp_path / "cases.csv"
+        y = write_series_csv(data, n=100, seed=5)
+        data.write_text("value,alt\n" + "".join(f"{v},{v + 1.0}\n" for v in y))
+        ext = tmp_path / "ext.csv"
+        ext.write_text("step,point\n" + "".join(f"{i},30.0\n" for i in range(1, 14)))
+        base = {"data": str(data), "seed": 6, "frequency": 12, "horizons": ["short"],
+                "levels": 2, "p_grid": "1-2", "metric": "mase", "seasonal_lag": 1,
+                "value_column": "value", "external_forecasts": {"other": str(ext)},
+                "train": {"learning_rate": 0.05, "epochs": 2, "restarts": 1,
+                          "tolerance": 1e-8, "patience": 25}}
+
+        def digest(cfg):
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            result = runner.invoke(main, ["evaluate", "--config", str(tmp_path / "cfg.json"),
+                                          "--out", str(tmp_path / "out")])
+            assert result.exit_code == 0, result.output
+            return json.loads((tmp_path / "out" / "evaluation.json").read_text())["config_digest"]
+
+        reference = digest(base)
+        for key, value in {"seed": 7, "frequency": 52, "horizons": ["medium"], "levels": 3,
+                           "p_grid": "1-3", "metric": "smape", "seasonal_lag": 2,
+                           "value_column": "alt"}.items():
+            assert digest({**base, key: value}) != reference, key
+        for key, value in {"learning_rate": 0.04, "epochs": 3, "restarts": 2,
+                           "tolerance": 1e-7, "patience": 26}.items():
+            assert digest({**base, "train": {**base["train"], key: value}}) != reference, key
+
+        moved = tmp_path / "elsewhere" / "cases.csv"
+        moved.parent.mkdir()
+        moved.write_bytes(data.read_bytes())
+        assert digest({**base, "data": str(moved)}) == reference
+
+        ext.write_text(ext.read_text().replace("3,30.0", "3,31.0"))
+        changed_external = digest(base)
+        assert changed_external != reference
+        raw = bytearray(data.read_bytes())
+        raw[-2] = ord("1") if raw[-2] != ord("1") else ord("2")
+        data.write_bytes(bytes(raw))
+        assert digest(base) not in (reference, changed_external)
+
 
 class TestStats:
     def test_rejects_mean_ranks_only(self, runner, tmp_path):
@@ -328,6 +369,20 @@ class TestStats:
         worst = max(doc["mcb"], key=lambda e: e["mean_rank"])
         assert not best["significantly_worse"]
         assert worst["significantly_worse"]
+
+    def test_concordant_ranks_leave_iman_f_undefined(self, runner, tmp_path):
+        # Every case ranks the models alike: chi2 = D(M-1) = 30 and the Iman F
+        # denominator is 0, but Friedman and MCB are still defined.
+        ranks = tmp_path / "ranks.csv"
+        ranks.write_text("case,a,b,c,d\n" + "".join(f"c{i},1,2,3,4\n" for i in range(10)))
+        result = runner.invoke(main, ["stats", "--ranks", str(ranks), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "stats.json").read_text())
+        assert doc["iman_f"] is None
+        assert doc["friedman"]["statistic"] == pytest.approx(30.0)
+        assert doc["friedman"]["p_value"] == pytest.approx(1.4e-6, rel=0.05)
+        assert doc["friedman"]["decision"] == "reject"
+        assert [e["mean_rank"] for e in doc["mcb"]] == [1.0, 2.0, 3.0, 4.0]
 
 
 class TestProfile:
@@ -370,6 +425,16 @@ class TestConfigHandling:
         assert result.exit_code == 0, result.output
         doc = json.loads((tmp_path / "decomposition_summary.json").read_text())
         assert doc["levels"] == 2
+
+    def test_unknown_horizon_in_config(self, runner, tmp_path):
+        data = tmp_path / "cases.csv"
+        write_series_csv(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"horizons": ["weekly"], "frequency": 12}))
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg), "--data", str(data),
+                                      "--seed", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "unknown horizon 'weekly'" in result.output
 
     def test_bad_grid_spec(self, runner, tmp_path):
         data = tmp_path / "series.csv"

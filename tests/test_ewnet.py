@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -105,7 +106,7 @@ class TestLagSelection:
         for s in range(10):
             y = lag4_series(seed=100 + s)
             cfg = EwnetConfig(levels=2, p_grid=(1, 2, 3, 4),
-                              train_cfg=cfg_base.replace(seed=s))
+                              train_cfg=dataclasses.replace(cfg_base, seed=s))
             p = select_p(y[:-12], y[-12:], cfg)
             if p == 4:
                 hits += 1

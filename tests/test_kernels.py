@@ -1,9 +1,14 @@
-"""The restart-major trainer and the MODWT pyramid against their direct forms.
+"""The stacked trainer and the MODWT pyramid against their direct forms.
 
 The references below are the straightforward implementations: an einsum
 training kernel with a sign-masked sigmoid, a per-restart forward pass, and a
 MODWT that gathers N x width windows for each level-j equivalent filter. The
 fast paths only reorder floating-point sums, so they must agree to rounding.
+
+A second training reference re-stacks the (W1, b1, w2, b2) weights for every
+epoch and allocates its temporaries afresh. The trainer keeps the stacked
+layout and reuses its buffers but performs the same floating-point operations
+on the same operands, so it must agree with that reference bit for bit.
 """
 
 import math
@@ -11,15 +16,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from epicast.neuralnet import (
     TrainConfig,
+    _block_mask,
     _init_weights,
-    _loss_and_grad,
     _sigmoid,
+    _stacked_loss_and_grad,
     _supervised_pairs,
+    _workspace,
     fit_network,
     fitted_values,
     forecast_one,
@@ -48,8 +55,35 @@ def reference_loss_and_grad(params, x, y):
                   np.einsum("rn,rnk->rk", d_out, hidden), d_out.sum(axis=1))
 
 
-def reference_fit(series, p, k, cfg):
-    """Full-batch descent with the plateau/patience rule, on the reference kernel."""
+def restart_major_stack(w1, b1, w2):
+    """(R*k, p+1) input layer with its bias column and (R*k, R) block-diagonal output layer."""
+    r, k, p = w1.shape
+    w_in = np.concatenate((w1, b1[:, :, None]), axis=2).reshape(r * k, p + 1)
+    return w_in, np.kron(np.eye(r), np.ones((k, 1))) * w2.reshape(r * k, 1)
+
+
+def restart_major_loss_and_grad(params, x, y):
+    """Re-stacks the weights and allocates every temporary on each call."""
+    w1, b1, w2, b2 = params
+    r, k, p = w1.shape
+    n = x.shape[0]
+    x1 = np.column_stack((x, np.ones(n)))
+    w_in, w_out = restart_major_stack(w1, b1, w2)
+    with np.errstate(over="ignore"):
+        hidden = 1.0 / (1.0 + np.exp(-(x1 @ w_in.T)))
+    err = hidden @ w_out + b2 - y[:, None]
+    loss = 0.5 * np.einsum("nr,nr->r", err, err) / n
+    d_out = err / n
+    d_pre = 1.0 - hidden
+    d_pre *= hidden
+    d_pre *= d_out @ w_out.T
+    g_in = (d_pre.T @ x1).reshape(r, k, p + 1)
+    g_w2 = (hidden.T @ d_out).reshape(r, k, r)[np.arange(r), :, np.arange(r)]
+    return loss, (g_in[:, :, :p], g_in[:, :, p], g_w2, d_out.sum(axis=0))
+
+
+def reference_fit(series, p, k, cfg, kernel=reference_loss_and_grad):
+    """Full-batch descent with the plateau/patience rule, on a reference kernel."""
     y = np.asarray(series, dtype=float)
     z = (y - np.mean(y)) / np.std(y)
     x, target = _supervised_pairs(z, p)
@@ -59,7 +93,7 @@ def reference_fit(series, p, k, cfg):
     params.append(np.array([w[3] for w in inits]))
     prev_loss, stalled, curve = np.inf, 0, []
     for _ in range(cfg.epochs):
-        loss, grads = reference_loss_and_grad(params, x, target)
+        loss, grads = kernel(params, x, target)
         total = float(loss.mean())
         curve.append(total)
         if prev_loss - total < cfg.tolerance:
@@ -118,14 +152,44 @@ def test_kernel_matches_reference(r, k, p, n, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, p))
     y = rng.normal(size=n)
-    params = (rng.normal(scale=0.5, size=(r, k, p)), rng.normal(scale=0.5, size=(r, k)),
-              rng.normal(scale=0.5, size=(r, k)), rng.normal(scale=0.5, size=r))
-    loss, grads = _loss_and_grad(params, x, y)
-    ref_loss, ref_grads = reference_loss_and_grad(params, x, y)
+    w1, b1, w2, b2 = params = (
+        rng.normal(scale=0.5, size=(r, k, p)), rng.normal(scale=0.5, size=(r, k)),
+        rng.normal(scale=0.5, size=(r, k)), rng.normal(scale=0.5, size=r))
+    x1 = np.column_stack((x, np.ones(n)))
+    mask = _block_mask(r, k)
+    loss, grads = _stacked_loss_and_grad((*restart_major_stack(w1, b1, w2), b2), x1, y,
+                                         mask, _workspace(n, r, k, p))
+    ref_loss, (g_w1, g_b1, g_w2, g_b2) = reference_loss_and_grad(params, x, y)
     assert_close(loss, ref_loss, 1e-12)
-    for grad, ref in zip(grads, ref_grads):
+    for grad, ref in zip(grads, (*restart_major_stack(g_w1, g_b1, g_w2), g_b2)):
         assert grad.shape == ref.shape
         assert_close(grad, ref, 1e-12)
+    assert np.all(grads[1][mask == 0] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.integers(1, 20), k=st.integers(1, 10), p=st.integers(1, 20),
+       extra=st.integers(0, 280), lr=st.floats(0.005, 0.5), epochs=st.integers(1, 150),
+       tolerance=st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-4, 1e-3]),
+       patience=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+@example(r=20, k=4, p=8, extra=190, lr=0.2, epochs=150, tolerance=1e-3, patience=5, seed=4)
+def test_fit_bitwise_equals_restart_major_loop(r, k, p, extra, lr, epochs, tolerance,
+                                               patience, seed):
+    rng = np.random.default_rng(seed)
+    series = np.cumsum(rng.normal(size=p + 2 + extra)) + rng.normal(size=p + 2 + extra)
+    cfg = TrainConfig(learning_rate=lr, epochs=epochs, restarts=r, seed=seed,
+                      tolerance=tolerance, patience=patience)
+    (w1, b1, w2, b2), curve = reference_fit(series, p, k, cfg, restart_major_loss_and_grad)
+    event("early stop" if len(curve) < epochs else "all epochs")
+    try:
+        model = fit_network(series, p, k, cfg)
+    except ValueError:  # diverged: the weights are rejected as non-finite
+        assert not all(np.all(np.isfinite(w)) for w in (w1, b1, w2, b2))
+        return
+    assert model.training_loss == curve
+    for got, want in [("input_to_hidden", w1), ("hidden_bias", b1),
+                      ("hidden_to_output", w2), ("output_bias", b2)]:
+        assert np.array_equal([getattr(w, got) for w in model.restarts], want), got
 
 
 @pytest.mark.parametrize("base", [haar_filter(), d4_filter()], ids=["haar", "d4"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,8 +43,12 @@ class TestTrainConfig:
         assert cfg.restarts == 20
 
     def test_replace(self):
-        cfg = TrainConfig().replace(epochs=10, seed=3)
+        cfg = dataclasses.replace(TrainConfig(), epochs=10, seed=3)
         assert (cfg.epochs, cfg.seed, cfg.restarts) == (10, 3, 20)
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, learning_rate=-1.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, restarts=0)
 
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
