@@ -24,7 +24,6 @@ from .wavelet import (
     mra_reconstruct,
 )
 from .neuralnet import (
-    NetworkWeights,
     NeuralNetModel,
     TrainConfig,
     fit_network,

@@ -29,9 +29,8 @@ def rwd_forecast(train, h: int) -> np.ndarray:
     return train[-1] + drift * np.arange(1, h + 1)
 
 
-def arnn_forecast(train, h: int, cfg: TrainConfig,
-                  p_grid=tuple(range(1, 21)), val_fraction: float = 0.2) -> np.ndarray:
-    """Non-wavelet ARNN: lag order picked on a short validation tail, then refit.
+def arnn_forecast(train, h: int, cfg: TrainConfig, p_grid=tuple(range(1, 21))) -> np.ndarray:
+    """Non-wavelet ARNN: lag order picked on the last 20% of the series, then refit.
 
     Mirrors the grid search used by the ensemble model rather than AR order
     selection, keeping the baseline self-contained.
@@ -39,7 +38,7 @@ def arnn_forecast(train, h: int, cfg: TrainConfig,
     train = np.asarray(train, dtype=float)
     if h < 1:
         raise ValueError("h must be >= 1")
-    val_len = max(1, int(round(val_fraction * train.size)))
+    val_len = max(1, int(round(0.2 * train.size)))
     head, tail = train[:-val_len], train[-val_len:]
 
     best_p = None

@@ -31,6 +31,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+TRAIN_KEYS = ("learning_rate", "epochs", "restarts", "tolerance", "patience")
+
 
 class ConfigError(click.ClickException):
     exit_code = EXIT_CONFIG
@@ -51,6 +53,12 @@ def _config_digest(resolved: dict) -> str:
 
 def _file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _input_keys(cfg: dict, data, value_column) -> dict:
+    """Digest keys of the input series: its value column and the sha256 of its bytes."""
+    return {"value_column": _resolve(cfg, "value_column", value_column, default="value"),
+            "data_sha256": _file_sha256(_resolve(cfg, "data", data))}
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -141,15 +149,16 @@ def _read_series(cfg: dict, data, value_column, label_column, frequency) -> Time
 def _ewnet_config(cfg: dict, levels, p_grid, metric, horizon, seed) -> ewnet.EwnetConfig:
     grid = _parse_grid(_resolve(cfg, "p_grid", p_grid, default="1-20"))
     metric = _resolve(cfg, "metric", metric, default="mase")
-    train_keys = cfg.get("train", {})
-    train_cfg = neuralnet.TrainConfig(
-        learning_rate=float(train_keys.get("learning_rate", 0.005)),
-        epochs=int(train_keys.get("epochs", 500)),
-        restarts=int(train_keys.get("restarts", 20)),
-        seed=seed,
-        tolerance=float(train_keys.get("tolerance", 1e-8)),
-        patience=int(train_keys.get("patience", 25)),
-    )
+    train = cfg.get("train", {})
+    try:
+        if not isinstance(train, dict) or not set(train) <= set(TRAIN_KEYS):
+            raise ValueError(f"keys must be among {', '.join(TRAIN_KEYS)}")
+        base = neuralnet.TrainConfig(seed=seed)
+        # Each value takes the type of its default.
+        train_cfg = dataclasses.replace(
+            base, **{key: type(getattr(base, key))(value) for key, value in train.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad 'train' config {train!r}: {exc}")
     try:
         return ewnet.EwnetConfig(
             levels=levels if levels is None else int(levels),
@@ -197,7 +206,8 @@ def decompose(config, data, value_column, label_column, frequency, out, levels):
     series = _read_series(cfg, data, value_column, label_column, frequency)
     levels = _resolve(cfg, "levels", levels)
     j = int(levels) if levels is not None else ewnet.default_levels(len(series))
-    digest = _config_digest({"cmd": "decompose", "levels": j, "data": str(data or cfg.get("data"))})
+    digest = _config_digest({"cmd": "decompose", "levels": j,
+                             **_input_keys(cfg, data, value_column)})
     try:
         decomp = wavelet.modwt_forward(series, j)
     except ValueError as exc:
@@ -236,23 +246,24 @@ def _model_to_json(model: ewnet.EwnetModel, seed: int,
 
 
 def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarray | None]:
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise CliDataError(f"unsupported model schema version {doc.get('schema_version')!r}")
-    train = np.array(doc["train_series"], dtype=float)
-    decomp = wavelet.modwt_forward(train, int(doc["levels"]))
-    cfg = ewnet.EwnetConfig(levels=int(doc["levels"]), p_grid=(int(doc["chosen_p"]),))
-    model = ewnet.EwnetModel(
-        decomposition=decomp,
-        component_models=[neuralnet.NeuralNetModel.from_dict(d)
-                          for d in doc["component_models"]],
-        chosen_p=int(doc["chosen_p"]),
-        chosen_k=int(doc["chosen_k"]),
-        config=cfg,
-        train_series=train,
-    )
-    residuals = np.array(doc["in_sample_residuals"], dtype=float)
-    cal = doc.get("calibration_abs_residuals")
-    cal_arr = None if cal is None else np.array(cal, dtype=float)
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != MODEL_SCHEMA_VERSION:
+        raise CliDataError(f"unsupported model schema version {version!r}")
+    try:
+        train = np.array(doc["train_series"], dtype=float)
+        model = ewnet.EwnetModel(
+            decomposition=wavelet.modwt_forward(train, int(doc["levels"])),
+            component_models=[neuralnet.NeuralNetModel.from_dict(d)
+                              for d in doc["component_models"]],
+            chosen_p=int(doc["chosen_p"]),
+            config=ewnet.EwnetConfig(levels=int(doc["levels"]), p_grid=(int(doc["chosen_p"]),)),
+            train_series=train,
+        )
+        residuals = np.array(doc["in_sample_residuals"], dtype=float)
+        cal = doc.get("calibration_abs_residuals")
+        cal_arr = None if cal is None else np.array(cal, dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliDataError(f"malformed model file: {type(exc).__name__}: {exc}")
     return model, residuals, cal_arr
 
 
@@ -276,9 +287,7 @@ def fit(config, data, value_column, label_column, frequency, out, seed,
     horizon = int(_resolve(cfg, "horizon", horizon, default=1))
     e_cfg = _ewnet_config(cfg, _resolve(cfg, "levels", levels), p_grid, metric, horizon, seed)
     digest = _config_digest({"cmd": "fit", "config": dataclasses.asdict(e_cfg), "p": fixed_p,
-                             "value_column": _resolve(cfg, "value_column", value_column,
-                                                      default="value"),
-                             "data_sha256": _file_sha256(_resolve(cfg, "data", data))})
+                             **_input_keys(cfg, data, value_column)})
     values = series.values
     try:
         if fixed_p is not None:
@@ -516,7 +525,8 @@ def stats(config, ranks_path, alpha, out):
     ranks_path = _resolve(cfg, "ranks", ranks_path, required=True)
     alpha = float(_resolve(cfg, "alpha", alpha, default=0.05))
     table = _read_rank_csv(ranks_path)
-    digest = _config_digest({"cmd": "stats", "ranks": str(ranks_path), "alpha": alpha})
+    digest = _config_digest({"cmd": "stats", "ranks_sha256": _file_sha256(ranks_path),
+                             "alpha": alpha})
     try:
         friedman = evaluation.friedman_chi2(table, alpha)
         mcb = evaluation.mcb_analysis(table, alpha)
@@ -551,7 +561,7 @@ def profile(config, data, value_column, label_column, frequency, out):
     """Hurst-exponent profile of the input series."""
     cfg = _load_config(config)
     series = _read_series(cfg, data, value_column, label_column, frequency)
-    digest = _config_digest({"cmd": "profile", "data": str(data or cfg.get("data"))})
+    digest = _config_digest({"cmd": "profile", **_input_keys(cfg, data, value_column)})
     try:
         h = evaluation.hurst_exponent(series)
     except ValueError as exc:

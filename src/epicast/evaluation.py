@@ -299,16 +299,16 @@ def mcb_analysis(table: RankTable, alpha: float = 0.05,
     return entries
 
 
-def hurst_exponent(series, min_window: int = 32) -> float:
+def hurst_exponent(series) -> float:
     """Rescaled-range Hurst estimate: slope of log(R/S) on log(window size)
-    over dyadic windows; zero-variance blocks are skipped."""
+    over dyadic windows from 32 points; zero-variance blocks are skipped."""
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
     n = values.size
     if n < 32:
         raise ValueError("need at least 32 observations")
     sizes = []
     # Short series start from smaller windows so at least two sizes exist.
-    w = min(min_window, max(8, n // 4))
+    w = min(32, max(8, n // 4))
     while w <= n // 2:
         sizes.append(w)
         w *= 2

@@ -42,15 +42,16 @@ class EwnetModel:
     decomposition: WaveletDecomposition
     component_models: list[NeuralNetModel]
     chosen_p: int
-    chosen_k: int
     config: EwnetConfig
     train_series: np.ndarray
 
     def __post_init__(self):
         if len(self.component_models) != self.decomposition.levels + 1:
             raise ValueError("one model required per detail plus the smooth")
-        if self.chosen_k != hidden_neurons(self.chosen_p):
-            raise ValueError("chosen_k must equal floor((chosen_p + 1) / 2)")
+
+    @property
+    def chosen_k(self) -> int:
+        return hidden_neurons(self.chosen_p)
 
 
 @dataclass(frozen=True)
@@ -82,16 +83,14 @@ def _component_cfg(cfg: TrainConfig, component: int) -> TrainConfig:
 def _fit_components(train: np.ndarray, p: int, cfg: EwnetConfig) -> EwnetModel:
     levels = cfg.levels if cfg.levels is not None else default_levels(train.size)
     decomp = modwt_forward(train, levels, haar_filter())
-    k = hidden_neurons(p)
     models = [
-        neuralnet.fit_network(comp, p, k, _component_cfg(cfg.train_cfg, idx))
+        neuralnet.fit_network(comp, p, hidden_neurons(p), _component_cfg(cfg.train_cfg, idx))
         for idx, comp in enumerate(decomp.components())
     ]
     return EwnetModel(
         decomposition=decomp,
         component_models=models,
         chosen_p=p,
-        chosen_k=k,
         config=cfg,
         train_series=np.asarray(train, dtype=float),
     )
@@ -149,17 +148,16 @@ def fit_ewnet(train, cfg: EwnetConfig, p: int | None = None) -> EwnetModel:
     return _fit_components(train, chosen, cfg)
 
 
-def fit_ewnet_selected(train, val, cfg: EwnetConfig, refit_on_both: bool = True) -> EwnetModel:
+def fit_ewnet_selected(train, val, cfg: EwnetConfig) -> EwnetModel:
     """Select the lag order on the validation window, then refit.
 
-    The final refit uses train + validation when ``refit_on_both`` so the
-    model sees the most recent observations before forecasting the test span.
+    The final refit uses train + validation so the model sees the most recent
+    observations before forecasting the test span.
     """
     train = np.asarray(train, dtype=float)
     val = np.asarray(val, dtype=float)
     p = select_p(train, val, cfg)
-    refit_series = np.concatenate([train, val]) if refit_on_both else train
-    return _fit_components(refit_series, p, cfg)
+    return _fit_components(np.concatenate([train, val]), p, cfg)
 
 
 def in_sample_residuals(model: EwnetModel) -> np.ndarray:

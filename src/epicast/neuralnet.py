@@ -13,13 +13,13 @@ Restarts are stacked restart-major: the input layers with their biases form one
 for all epochs. The design matrix with its ones column, a 0/1 block mask that
 keeps the off-diagonal output weights exactly 0, and the activation, error and
 gradient buffers (``_workspace``) are made once per fit; each epoch
-``_stacked_loss_and_grad`` overwrites the buffers in place. The weights are
-split into one ``NetworkWeights`` per restart after the last epoch.
+``_stacked_loss_and_grad`` overwrites the buffers in place. The fitted model
+keeps this state as its weights; it is unstacked per restart only for model.json.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,53 +41,16 @@ class TrainConfig:
 
 
 @dataclass
-class NetworkWeights:
-    """Weights of one network: k x p input layer, k hidden biases and output weights."""
-
-    input_to_hidden: np.ndarray
-    hidden_bias: np.ndarray
-    hidden_to_output: np.ndarray
-    output_bias: float
-
-    def __post_init__(self):
-        self.input_to_hidden = np.asarray(self.input_to_hidden, dtype=float)
-        self.hidden_bias = np.asarray(self.hidden_bias, dtype=float)
-        self.hidden_to_output = np.asarray(self.hidden_to_output, dtype=float)
-        k, p = self.input_to_hidden.shape
-        if self.hidden_bias.shape != (k,) or self.hidden_to_output.shape != (k,):
-            raise ValueError("inconsistent weight dimensions")
-        if not (np.all(np.isfinite(self.input_to_hidden))
-                and np.all(np.isfinite(self.hidden_bias))
-                and np.all(np.isfinite(self.hidden_to_output))
-                and np.isfinite(self.output_bias)):
-            raise ValueError("non-finite weights")
-
-    def to_dict(self) -> dict:
-        return {
-            "input_to_hidden": self.input_to_hidden.tolist(),
-            "hidden_bias": self.hidden_bias.tolist(),
-            "hidden_to_output": self.hidden_to_output.tolist(),
-            "output_bias": float(self.output_bias),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkWeights":
-        return cls(
-            input_to_hidden=np.array(d["input_to_hidden"], dtype=float),
-            hidden_bias=np.array(d["hidden_bias"], dtype=float),
-            hidden_to_output=np.array(d["hidden_to_output"], dtype=float),
-            output_bias=float(d["output_bias"]),
-        )
-
-
-@dataclass
 class NeuralNetModel:
     """Averaged ensemble of restart networks plus the training-series scaler.
 
-    A zero-variance training series yields a flagged constant predictor.
+    ``weights`` is the trainer's stacked state (w_in, w_out, b2): the (R*k, p+1)
+    input layer with its bias column, the (R*k, R) block-diagonal output layer
+    and the (R,) output biases. A zero-variance training series yields a
+    flagged constant predictor with ``weights`` None.
     """
 
-    restarts: list[NetworkWeights]
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     p: int
     k: int
     scaler: tuple[float, float]
@@ -96,16 +59,26 @@ class NeuralNetModel:
     constant_value: float = 0.0
 
     def __post_init__(self):
-        if not self.constant and not self.restarts:
-            raise ValueError("restarts must be non-empty")
         if self.scaler[1] <= 0:
             raise ValueError("scale must be positive")
-        if not self.constant:
-            w1, b1, w2, b2 = (np.array([getattr(w, f.name) for w in self.restarts])
-                              for f in fields(NetworkWeights))
-            self._stacked = (*_stack(w1, b1, w2), b2)
+        if self.weights is None:
+            if not self.constant:
+                raise ValueError("a non-constant model needs weights")
+            return
+        w_in, w_out, b2 = self.weights
+        r, rk = b2.size, b2.size * self.k
+        if r < 1 or (w_in.shape, w_out.shape, b2.shape) != ((rk, self.p + 1), (rk, r), (r,)):
+            raise ValueError("inconsistent weight dimensions")
+        if not all(np.all(np.isfinite(w)) for w in self.weights):
+            raise ValueError("non-finite weights")
 
     def to_dict(self) -> dict:
+        restarts = []
+        if self.weights is not None:
+            w_in, w_out, b2 = self.weights
+            restarts = [{"input_to_hidden": w1.tolist(), "hidden_bias": b1.tolist(),
+                         "hidden_to_output": w2.tolist(), "output_bias": float(b)}
+                        for w1, b1, w2, b in zip(*_unstack(w_in, w_out, self.k), b2)]
         return {
             "p": self.p,
             "k": self.k,
@@ -113,15 +86,22 @@ class NeuralNetModel:
             "seed": self.seed,
             "constant": self.constant,
             "constant_value": float(self.constant_value),
-            "restarts": [w.to_dict() for w in self.restarts],
+            "restarts": restarts,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NeuralNetModel":
+        p, k, r = int(d["p"]), int(d["k"]), len(d["restarts"])
+        weights = None
+        if r:
+            w1, b1, w2, b2 = (np.array([w[key] for w in d["restarts"]], dtype=float)
+                              for key in ("input_to_hidden", "hidden_bias",
+                                          "hidden_to_output", "output_bias"))
+            if (w1.shape, b1.shape, w2.shape, b2.shape) != ((r, k, p), (r, k), (r, k), (r,)):
+                raise ValueError("inconsistent restart weight shapes")
+            weights = (*_stack(w1, b1, w2), b2)
         return cls(
-            restarts=[NetworkWeights.from_dict(w) for w in d["restarts"]],
-            p=int(d["p"]),
-            k=int(d["k"]),
+            weights=weights, p=p, k=k,
             scaler=(float(d["scaler"][0]), float(d["scaler"][1])),
             seed=int(d["seed"]),
             constant=bool(d["constant"]),
@@ -252,7 +232,7 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
     center = float(np.mean(y))
     scale = float(np.std(y))
     if scale <= 1e-12 * max(1.0, abs(center)):
-        return NeuralNetModel(restarts=[], p=p, k=k, scaler=(center, 1.0),
+        return NeuralNetModel(weights=None, p=p, k=k, scaler=(center, 1.0),
                               seed=cfg.seed, constant=True, constant_value=center)
 
     z = (y - center) / scale
@@ -284,14 +264,7 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
             grad *= cfg.learning_rate
             weights -= grad
 
-    w_in, w_out, b2 = state
-    w1, b1, w2 = _unstack(w_in, w_out, k)
-    restarts = [
-        NetworkWeights(input_to_hidden=w1[r], hidden_bias=b1[r],
-                       hidden_to_output=w2[r], output_bias=float(b2[r]))
-        for r in range(cfg.restarts)
-    ]
-    model = NeuralNetModel(restarts=restarts, p=p, k=k, scaler=(center, scale), seed=cfg.seed)
+    model = NeuralNetModel(weights=state, p=p, k=k, scaler=(center, scale), seed=cfg.seed)
     model.training_loss = loss_curve  # mean full-batch loss per epoch, for diagnostics
     return model
 
@@ -300,7 +273,7 @@ def _predict(model: NeuralNetModel, windows: np.ndarray) -> np.ndarray:
     """Restart-averaged one-step predictions for an (m, p) array of lag windows."""
     center, scale = model.scaler
     x1 = np.column_stack(((windows - center) / scale, np.ones(len(windows))))
-    _, out = _forward(x1, *model._stacked)
+    _, out = _forward(x1, *model.weights)
     return center + scale * out.mean(axis=1)
 
 

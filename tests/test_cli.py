@@ -35,6 +35,31 @@ def read_output_csv(path):
     return lines[0], header, rows
 
 
+def assert_digest_follows_input_bytes(runner, tmp_path, argv, write, output):
+    """New bytes at the same path change the digest; moving the file keeps it."""
+    def digest(path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*argv(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return json.loads((out / output).read_text())["config_digest"]
+
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    path = tmp_path / "a" / "input.csv"
+    write(path, 0)
+    reference = digest(path)
+    write(path, 1)
+    assert digest(path) != reference
+    write(path, 0)
+    moved = path.rename(tmp_path / "b" / "renamed.csv")
+    assert digest(moved) == reference
+
+
+def write_ranks_csv(path, variant):
+    last = "c2,1,3,2" if variant else "c2,3,1,2"
+    path.write_text(f"case,a,b,c\nc0,1,2,3\nc1,2,1,3\n{last}\n")
+
+
 class TestDecompose:
     def test_columns_sum_to_original(self, runner, tmp_path):
         data = tmp_path / "series.csv"
@@ -74,6 +99,11 @@ class TestDecompose:
         result = runner.invoke(main, ["decompose", "--data",
                                       str(tmp_path / "absent.csv")])
         assert result.exit_code == 2
+
+    def test_config_digest_covers_data_bytes(self, runner, tmp_path):
+        assert_digest_follows_input_bytes(
+            runner, tmp_path, lambda path: ["decompose", "--data", str(path), "--levels", "2"],
+            lambda path, seed: write_series_csv(path, seed=seed), "decomposition_summary.json")
 
     def test_malformed_data_is_data_error(self, runner, tmp_path):
         data = tmp_path / "bad.csv"
@@ -223,6 +253,27 @@ class TestForecast:
         result = runner.invoke(main, ["forecast", "--model", str(bad)])
         assert result.exit_code == 3
 
+    def test_non_object_model_is_data_error(self, runner, tmp_path):
+        bad = tmp_path / "model.json"
+        bad.write_text("[1]")
+        result = runner.invoke(main, ["forecast", "--model", str(bad)])
+        assert result.exit_code == 3
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: doc["component_models"][0]["restarts"][0]["hidden_bias"].append(0.5),
+        lambda doc: doc["component_models"][0]["restarts"][1].pop("hidden_bias"),
+        lambda doc: doc["component_models"].pop(),
+    ], ids=["wrong-length-hidden-bias", "missing-hidden-bias", "dropped-component"])
+    def test_malformed_model_is_data_error(self, runner, tmp_path, damage):
+        model = self._fitted_model(runner, tmp_path, ["--p", "2"])
+        doc = json.loads(model.read_text())
+        damage(doc)
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["forecast", "--model", str(model), "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert "malformed model file" in result.output
+        assert not (tmp_path / "forecast.csv").exists()
+
 
 class TestEvaluate:
     def test_single_dataset_short_horizon(self, runner, tmp_path):
@@ -336,6 +387,11 @@ class TestEvaluate:
 
 
 class TestStats:
+    def test_config_digest_covers_rank_bytes(self, runner, tmp_path):
+        assert_digest_follows_input_bytes(
+            runner, tmp_path, lambda path: ["stats", "--ranks", str(path)],
+            write_ranks_csv, "stats.json")
+
     def test_rejects_mean_ranks_only(self, runner, tmp_path):
         ranks = tmp_path / "ranks.csv"
         ranks.write_text("case,a,b\nmean,1.4,1.6\n")
@@ -400,6 +456,11 @@ class TestProfile:
         assert doc["hurst_exponent"] > 0.55
         assert doc["long_range_dependent"] is True
 
+    def test_config_digest_covers_data_bytes(self, runner, tmp_path):
+        assert_digest_follows_input_bytes(
+            runner, tmp_path, lambda path: ["profile", "--data", str(path)],
+            lambda path, seed: write_series_csv(path, seed=seed), "profile.json")
+
     def test_short_series_numeric_error(self, runner, tmp_path):
         data = tmp_path / "series.csv"
         data.write_text("value\n" + "\n".join("1.0" for _ in range(20)) + "\n")
@@ -435,6 +496,36 @@ class TestConfigHandling:
                                       "--seed", "1", "--out", str(tmp_path)])
         assert result.exit_code == 2
         assert "unknown horizon 'weekly'" in result.output
+
+    @pytest.mark.parametrize("cmd", ["fit", "evaluate"])
+    @pytest.mark.parametrize("train", [
+        {"learnin_rate": 0.5}, {"seed": 3}, {"learning_rate": -1}, {"epochs": "abc"},
+        {"restarts": 0}, {"patience": None},
+    ], ids=["typo", "seed", "negative-rate", "non-numeric-epochs", "zero-restarts", "null"])
+    def test_bad_train_keys_are_config_errors(self, runner, tmp_path, cmd, train):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {**FAST_TRAIN["train"], **train}}))
+        extra = ["--levels", "1"] if cmd == "fit" else ["--horizon", "short"]
+        result = runner.invoke(main, [cmd, "--config", str(cfg), "--data", str(data),
+                                      "--seed", "1", "--p-grid", "1-2", *extra,
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "bad 'train' config" in result.output
+
+    def test_train_values_take_their_default_types(self, runner, tmp_path):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"learning_rate": "0.05", "epochs": "3",
+                                             "restarts": 2.0, "patience": 4}}))
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--data", str(data),
+                                      "--seed", "1", "--p", "2", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "model.json").read_text())
+        assert doc["train_config"] == {"learning_rate": 0.05, "epochs": 3, "restarts": 2,
+                                       "seed": 1, "tolerance": 1e-8, "patience": 4}
 
     def test_bad_grid_spec(self, runner, tmp_path):
         data = tmp_path / "series.csv"

@@ -117,8 +117,6 @@ class TestLagSelection:
         cfg = EwnetConfig(levels=2, p_grid=(2,), train_cfg=FAST)
         model = fit_ewnet_selected(y[:-10], y[-10:], cfg)
         assert model.train_series.size == y.size
-        model_no = fit_ewnet_selected(y[:-10], y[-10:], cfg, refit_on_both=False)
-        assert model_no.train_series.size == y.size - 10
 
 
 class TestPrecontrolInterval:

@@ -26,6 +26,7 @@ from epicast.neuralnet import (
     _sigmoid,
     _stacked_loss_and_grad,
     _supervised_pairs,
+    _unstack,
     _workspace,
     fit_network,
     fitted_values,
@@ -187,9 +188,9 @@ def test_fit_bitwise_equals_restart_major_loop(r, k, p, extra, lr, epochs, toler
         assert not all(np.all(np.isfinite(w)) for w in (w1, b1, w2, b2))
         return
     assert model.training_loss == curve
-    for got, want in [("input_to_hidden", w1), ("hidden_bias", b1),
-                      ("hidden_to_output", w2), ("output_bias", b2)]:
-        assert np.array_equal([getattr(w, got) for w in model.restarts], want), got
+    w_in, w_out, out_bias = model.weights
+    for got, want in zip([*_unstack(w_in, w_out, k), out_bias], [w1, b1, w2, b2]):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("base", [haar_filter(), d4_filter()], ids=["haar", "d4"])
@@ -220,10 +221,10 @@ def test_fixed_seed_fit_matches_reference(cfg, stops_early):
     (w1, b1, w2, b2), curve = reference_fit(series, 8, 4, cfg)
     assert len(model.training_loss) == len(curve)
     assert (len(curve) < cfg.epochs) == stops_early
-    for r, weights in enumerate(model.restarts):
-        for got, want in [(weights.input_to_hidden, w1[r]), (weights.hidden_bias, b1[r]),
-                          (weights.hidden_to_output, w2[r]), (weights.output_bias, b2[r])]:
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    w_in, w_out, out_bias = model.weights
+    for got, want in zip([*_unstack(w_in, w_out, 4), out_bias], [w1, b1, w2, b2]):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_forward_matches_per_restart_loop():
@@ -231,12 +232,12 @@ def test_forward_matches_per_restart_loop():
     series = np.cumsum(rng.normal(size=120))
     model = fit_network(series, 5, 3, TrainConfig(epochs=40, restarts=4, seed=1))
     center, scale = model.scaler
+    w_in, w_out, out_bias = model.weights
+    restarts = list(zip(*_unstack(w_in, w_out, 3), out_bias))
 
     def one_step(window):
         z = (window - center) / scale
-        outs = [w.output_bias + w.hidden_to_output
-                @ reference_sigmoid(w.hidden_bias + w.input_to_hidden @ z)
-                for w in model.restarts]
+        outs = [b2 + w2 @ reference_sigmoid(b1 + w1 @ z) for w1, b1, w2, b2 in restarts]
         return center + scale * float(np.mean(outs))
 
     expected = [one_step(series[t - 5:t]) for t in range(5, series.size)]

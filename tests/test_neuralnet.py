@@ -1,13 +1,17 @@
+import copy
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
 
 from epicast.neuralnet import (
-    NetworkWeights,
     NeuralNetModel,
     TrainConfig,
+    _block_mask,
     _loss_and_grad,
+    _unstack,
     fit_network,
     fitted_values,
     forecast_one,
@@ -89,16 +93,23 @@ class TestFitNetwork:
         cfg = TrainConfig(epochs=50, restarts=3, seed=9)
         m1 = fit_network(y, p=2, k=1, cfg=cfg)
         m2 = fit_network(y, p=2, k=1, cfg=cfg)
-        for a, b in zip(m1.restarts, m2.restarts):
-            np.testing.assert_array_equal(a.input_to_hidden, b.input_to_hidden)
-            np.testing.assert_array_equal(a.hidden_to_output, b.hidden_to_output)
+        for a, b in zip(m1.weights, m2.weights):
+            np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_result(self):
         y = ar1_series(seed=1)
         m1 = fit_network(y, 2, 1, TrainConfig(epochs=50, restarts=2, seed=0))
         m2 = fit_network(y, 2, 1, TrainConfig(epochs=50, restarts=2, seed=1))
-        assert not np.array_equal(m1.restarts[0].input_to_hidden,
-                                  m2.restarts[0].input_to_hidden)
+        first_input_layer = [_unstack(*m.weights[:2], 1)[0][0] for m in (m1, m2)]
+        assert not np.array_equal(*first_input_layer)
+
+    def test_output_layer_is_block_diagonal(self):
+        y = ar1_series(seed=2)
+        model = fit_network(y, 4, 2, TrainConfig(epochs=40, restarts=5, seed=3))
+        w_out = model.weights[1]
+        assert w_out.shape == (10, 5)
+        assert np.all(w_out[_block_mask(5, 2) == 0] == 0.0)
+        assert np.all(w_out[_block_mask(5, 2) == 1] != 0.0)
 
     def test_loss_curve_mostly_decreasing(self):
         # At a conservative step size full-batch descent should rarely overshoot.
@@ -166,6 +177,36 @@ class TestForecasting:
         assert fitted[-1] == pytest.approx(forecast_one(model, y[-3:-1]))
 
 
+# One model.json component, p = 2 lags, k = 2 hidden units, two restarts.
+COMPONENT_V1 = {
+    "p": 2,
+    "k": 2,
+    "scaler": [10.0, 2.0],
+    "seed": 7,
+    "constant": False,
+    "constant_value": 0.0,
+    "restarts": [
+        {"input_to_hidden": [[0.5, -0.25], [1.0, 0.5]], "hidden_bias": [0.1, -0.2],
+         "hidden_to_output": [1.5, -0.75], "output_bias": -0.2},
+        {"input_to_hidden": [[-1.0, 0.75], [0.25, 0.0]], "hidden_bias": [0.0, 0.3],
+         "hidden_to_output": [-0.5, 2.0], "output_bias": 0.3},
+    ],
+}
+
+
+def hand_forecast(doc, window):
+    """center + scale * mean over restarts of b2 + sum_j w2_j * sigmoid(b1_j + w1_j . z)."""
+    center, scale = doc["scaler"]
+    z = [(v - center) / scale for v in window]
+    outs = []
+    for net in doc["restarts"]:
+        pre = [b + sum(w * x for w, x in zip(row, z))
+               for row, b in zip(net["input_to_hidden"], net["hidden_bias"])]
+        outs.append(net["output_bias"] + sum(w / (1.0 + math.exp(-a))
+                                             for w, a in zip(net["hidden_to_output"], pre)))
+    return center + scale * sum(outs) / len(outs)
+
+
 class TestSerialization:
     def test_round_trip(self):
         y = ar1_series(seed=6)
@@ -174,9 +215,34 @@ class TestSerialization:
         np.testing.assert_allclose(forecast_recursive(clone, y, 5),
                                    forecast_recursive(model, y, 5))
 
+    def test_round_trip_keeps_weights_bitwise(self):
+        y = ar1_series(seed=6)
+        model = fit_network(y, 5, 3, TrainConfig(epochs=30, restarts=4, seed=8))
+        clone = NeuralNetModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        for got, want in zip(clone.weights, model.weights):
+            assert np.array_equal(got, want)
+
+    def test_v1_component_format(self):
+        model = NeuralNetModel.from_dict(COMPONENT_V1)
+        assert model.to_dict() == COMPONENT_V1
+        assert (json.dumps(model.to_dict(), sort_keys=True)
+                == json.dumps(COMPONENT_V1, sort_keys=True))
+        assert hand_forecast(COMPONENT_V1, [11.0, 9.0]) == pytest.approx(
+            11.702727392765345, abs=1e-12)
+        assert forecast_one(model, [11.0, 9.0]) == pytest.approx(
+            hand_forecast(COMPONENT_V1, [11.0, 9.0]), rel=1e-14)
+
     def test_weight_shape_validation(self):
+        bad_shape = copy.deepcopy(COMPONENT_V1)
+        bad_shape["restarts"][1]["hidden_bias"] = [0.0, 0.3, 0.1]
+        non_finite = copy.deepcopy(COMPONENT_V1)
+        non_finite["restarts"][0]["input_to_hidden"][1][0] = float("nan")
+        for doc in (bad_shape, {**COMPONENT_V1, "p": 3}, non_finite):
+            with pytest.raises(ValueError):
+                NeuralNetModel.from_dict(doc)
+        w_in, w_out, b2 = NeuralNetModel.from_dict(COMPONENT_V1).weights
         with pytest.raises(ValueError):
-            NetworkWeights(input_to_hidden=np.zeros((2, 3)),
-                           hidden_bias=np.zeros(3),
-                           hidden_to_output=np.zeros(2),
-                           output_bias=0.0)
+            NeuralNetModel(weights=(w_in[:, :2], w_out, b2), p=2, k=2,
+                           scaler=(0.0, 1.0), seed=0)
+        with pytest.raises(ValueError):
+            NeuralNetModel(weights=None, p=2, k=2, scaler=(0.0, 1.0), seed=0)
