@@ -1,11 +1,11 @@
-"""Reference forecasters: random walk, random walk with drift, standalone ARNN."""
+"""Reference forecasters: random walk, random walk with drift, and ARNN (EWNet with J = 0)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import neuralnet
-from .neuralnet import TrainConfig, hidden_neurons
+from . import ewnet
+from .neuralnet import TrainConfig
 
 
 def rw_forecast(train, h: int) -> np.ndarray:
@@ -30,30 +30,16 @@ def rwd_forecast(train, h: int) -> np.ndarray:
 
 
 def arnn_forecast(train, h: int, cfg: TrainConfig, p_grid=tuple(range(1, 21))) -> np.ndarray:
-    """Non-wavelet ARNN: lag order picked on the last 20% of the series, then refit.
+    """Non-wavelet ARNN: EWNet with zero wavelet levels, one network on the raw series.
 
-    Mirrors the grid search used by the ensemble model rather than AR order
-    selection, keeping the baseline self-contained.
+    The lag order is selected on the last 20% of the series by ``ewnet.select_p``,
+    then the network is refit on the whole series. Its restarts draw from EWNet's
+    component-0 seed stream.
     """
     train = np.asarray(train, dtype=float)
     if h < 1:
         raise ValueError("h must be >= 1")
     val_len = max(1, int(round(0.2 * train.size)))
-    head, tail = train[:-val_len], train[-val_len:]
-
-    best_p = None
-    best_err = np.inf
-    for p in sorted(p_grid):
-        if head.size < p + 2:
-            continue
-        model = neuralnet.fit_network(head, p, hidden_neurons(p), cfg)
-        forecast = neuralnet.forecast_recursive(model, head, val_len)
-        err = float(np.mean(np.abs(forecast - tail)))
-        if err < best_err:
-            best_err = err
-            best_p = p
-    if best_p is None:
-        raise ValueError("no feasible lag order for the given series")
-
-    model = neuralnet.fit_network(train, best_p, hidden_neurons(best_p), cfg)
-    return neuralnet.forecast_recursive(model, train, h)
+    e_cfg = ewnet.EwnetConfig(levels=0, p_grid=tuple(p_grid), train_cfg=cfg)
+    p = ewnet.select_p(train[:-val_len], train[-val_len:], e_cfg)
+    return ewnet.forecast_ewnet(ewnet.fit_ewnet(train, e_cfg, p), h)

@@ -107,14 +107,24 @@ def _load_config(config_path) -> dict:
     return cfg
 
 
-def _resolve(cfg: dict, key: str, flag_value, default=None, required=False):
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cfg[key]
-    if required and default is None:
-        raise ConfigError(f"missing required option --{key.replace('_', '-')} (config key {key!r})")
-    return default
+def _resolve(cfg: dict, key: str, flag_value, default=None, required=False, kind=None):
+    """The flag, else the config key (JSON null counts as unset), else ``default``.
+
+    ``kind`` (e.g. ``int``) converts a flag or config value; a value it rejects
+    is a config error.
+    """
+    value = flag_value if flag_value is not None else cfg.get(key)
+    if value is None:
+        if required:
+            raise ConfigError(f"missing required option --{key.replace('_', '-')} "
+                              f"(config key {key!r})")
+        return default
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for {key!r}: {value!r} (expected {kind.__name__})")
 
 
 def _parse_grid(spec: str) -> tuple[int, ...]:
@@ -136,7 +146,7 @@ def _read_series(cfg: dict, data, value_column, label_column, frequency) -> Time
     path = _resolve(cfg, "data", data, required=True)
     value_column = _resolve(cfg, "value_column", value_column, default="value")
     label_column = _resolve(cfg, "label_column", label_column)
-    frequency = int(_resolve(cfg, "frequency", frequency, default=1))
+    frequency = _resolve(cfg, "frequency", frequency, default=1, kind=int)
     if not os.path.exists(path):
         # A wrong path is a configuration mistake, not bad data.
         raise ConfigError(f"no such data file: {path}")
@@ -147,6 +157,7 @@ def _read_series(cfg: dict, data, value_column, label_column, frequency) -> Time
 
 
 def _ewnet_config(cfg: dict, levels, p_grid, metric, horizon, seed) -> ewnet.EwnetConfig:
+    levels = _resolve(cfg, "levels", levels, kind=int)
     grid = _parse_grid(_resolve(cfg, "p_grid", p_grid, default="1-20"))
     metric = _resolve(cfg, "metric", metric, default="mase")
     train = cfg.get("train", {})
@@ -161,11 +172,11 @@ def _ewnet_config(cfg: dict, levels, p_grid, metric, horizon, seed) -> ewnet.Ewn
         raise ConfigError(f"bad 'train' config {train!r}: {exc}")
     try:
         return ewnet.EwnetConfig(
-            levels=levels if levels is None else int(levels),
+            levels=levels,
             p_grid=grid,
             selection_metric=metric,
-            horizon=int(horizon),
-            seasonal_lag=int(cfg.get("seasonal_lag", 1)),
+            horizon=horizon,
+            seasonal_lag=_resolve(cfg, "seasonal_lag", None, default=1, kind=int),
             train_cfg=train_cfg,
         )
     except ValueError as exc:
@@ -204,8 +215,9 @@ def decompose(config, data, value_column, label_column, frequency, out, levels):
     """Write the MODWT decomposition as CSV columns t, D1..DJ, SJ, original."""
     cfg = _load_config(config)
     series = _read_series(cfg, data, value_column, label_column, frequency)
-    levels = _resolve(cfg, "levels", levels)
-    j = int(levels) if levels is not None else ewnet.default_levels(len(series))
+    j = _resolve(cfg, "levels", levels, kind=int)
+    if j is None:
+        j = ewnet.default_levels(len(series))
     digest = _config_digest({"cmd": "decompose", "levels": j,
                              **_input_keys(cfg, data, value_column)})
     try:
@@ -227,7 +239,7 @@ def decompose(config, data, value_column, label_column, frequency, out, levels):
     click.echo(f"wrote {out_dir / 'decomposition.csv'}")
 
 
-def _model_to_json(model: ewnet.EwnetModel, seed: int,
+def _model_to_json(model: ewnet.EwnetModel, train_cfg: neuralnet.TrainConfig,
                    residuals: np.ndarray, cal_abs_residuals: np.ndarray | None) -> dict:
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
@@ -241,7 +253,7 @@ def _model_to_json(model: ewnet.EwnetModel, seed: int,
         "in_sample_residuals": residuals.tolist(),
         "calibration_abs_residuals":
             None if cal_abs_residuals is None else cal_abs_residuals.tolist(),
-        "train_config": {**dataclasses.asdict(model.config.train_cfg), "seed": seed},
+        "train_config": dataclasses.asdict(train_cfg),
     }
 
 
@@ -256,7 +268,6 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
             component_models=[neuralnet.NeuralNetModel.from_dict(d)
                               for d in doc["component_models"]],
             chosen_p=int(doc["chosen_p"]),
-            config=ewnet.EwnetConfig(levels=int(doc["levels"]), p_grid=(int(doc["chosen_p"]),)),
             train_series=train,
         )
         residuals = np.array(doc["in_sample_residuals"], dtype=float)
@@ -272,33 +283,33 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
 @click.option("--seed", type=int, default=None, help="Run seed (required).")
 @click.option("--levels", type=int, default=None)
 @click.option("--p-grid", default=None, help="Lag grid, e.g. '1-20' or '1,5,9'.")
-@click.option("--p", "fixed_p", type=int, default=None, help="Skip selection; use this lag order.")
+@click.option("--p", "fixed_p", type=click.IntRange(min=1), default=None,
+              help="Skip selection; use this lag order.")
 @click.option("--metric", type=click.Choice(["mase", "smape"]), default=None)
 @click.option("--horizon", type=int, default=None, help="Horizon used to size the validation tail.")
 def fit(config, data, value_column, label_column, frequency, out, seed,
         levels, p_grid, fixed_p, metric, horizon):
     """Fit an EWNet model and write it as JSON."""
     cfg = _load_config(config)
-    seed = _resolve(cfg, "seed", seed)
+    seed = _resolve(cfg, "seed", seed, kind=int)
     if seed is None:
         raise ConfigError("a seed is mandatory for fit (--seed)")
-    seed = int(seed)
     series = _read_series(cfg, data, value_column, label_column, frequency)
-    horizon = int(_resolve(cfg, "horizon", horizon, default=1))
-    e_cfg = _ewnet_config(cfg, _resolve(cfg, "levels", levels), p_grid, metric, horizon, seed)
+    horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int)
+    e_cfg = _ewnet_config(cfg, levels, p_grid, metric, horizon, seed)
     digest = _config_digest({"cmd": "fit", "config": dataclasses.asdict(e_cfg), "p": fixed_p,
                              **_input_keys(cfg, data, value_column)})
     values = series.values
     try:
         if fixed_p is not None:
-            model = ewnet.fit_ewnet(values, e_cfg, p=int(fixed_p))
+            model = ewnet.fit_ewnet(values, e_cfg, fixed_p)
             cal = None
         else:
             val_len = min(2 * horizon, max(1, values.size // 4))
             train, val = values[:-val_len], values[-val_len:]
             p = ewnet.select_p(train, val, e_cfg)
-            model = ewnet.fit_ewnet(values, e_cfg, p=p)
-            head = ewnet.fit_ewnet(train, e_cfg, p=p)
+            model = ewnet.fit_ewnet(values, e_cfg, p)
+            head = ewnet.fit_ewnet(train, e_cfg, p)
             cal = ewnet.validation_abs_residuals(head, val)
         residuals = ewnet.in_sample_residuals(model)
     except ValueError as exc:
@@ -306,7 +317,7 @@ def fit(config, data, value_column, label_column, frequency, out, seed,
 
     out_dir = _out_dir(cfg, out)
     _write_json(out_dir / "model.json",
-                _model_to_json(model, seed, residuals, cal), seed=seed, digest=digest)
+                _model_to_json(model, e_cfg.train_cfg, residuals, cal), seed=seed, digest=digest)
     click.echo(f"wrote {out_dir / 'model.json'} (p={model.chosen_p}, k={model.chosen_k})")
 
 
@@ -321,9 +332,9 @@ def forecast(config, model_path, horizon, interval, level, out):
     """Forecast from a fitted model JSON; writes step,point,lower,upper,method CSV."""
     cfg = _load_config(config)
     model_path = _resolve(cfg, "model", model_path, required=True)
-    horizon = int(_resolve(cfg, "horizon", horizon, default=1))
+    horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int)
     interval = _resolve(cfg, "interval", interval, default="precontrol")
-    level = float(_resolve(cfg, "level", level, default=0.9))
+    level = _resolve(cfg, "level", level, default=0.9, kind=float)
     try:
         with open(model_path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -376,12 +387,14 @@ def _load_external_forecast(path: str, steps: int) -> np.ndarray:
             reader = csv.DictReader(row for row in handle if not row.startswith("#"))
             if reader.fieldnames is None or "point" not in reader.fieldnames:
                 raise CliDataError(f"external forecast {path} needs a 'point' column")
-            values = [float(row["point"]) for row in reader]
+            values = np.array([float(row["point"]) for row in reader][:steps])
     except FileNotFoundError:
         raise CliDataError(f"no such file: {path}")
     except ValueError as exc:
         raise CliDataError(f"bad value in {path}: {exc}")
-    return np.array(values[:steps], dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise CliDataError(f"non-finite 'point' value in {path}")
+    return values
 
 
 @main.command()
@@ -397,29 +410,27 @@ def evaluate(config, data, value_column, label_column, frequency, out, seed,
              horizons, p_grid, metric, external):
     """Rolling-window evaluation; emits a JSON report plus rank CSVs."""
     cfg = _load_config(config)
-    seed = _resolve(cfg, "seed", seed)
+    seed = _resolve(cfg, "seed", seed, kind=int)
     if seed is None:
         raise ConfigError("a seed is mandatory for evaluate (--seed)")
-    seed = int(seed)
     horizons = list(horizons) or list(cfg.get("horizons", ["short", "medium", "long"]))
     external_map = {**cfg.get("external_forecasts", {}), **_parse_external(external)}
 
-    datasets = cfg.get("datasets")
-    if datasets is None:
-        path = _resolve(cfg, "data", data)
-        series = _read_series(cfg, data, value_column, label_column, frequency)
-        datasets = [{"name": Path(str(path)).stem, "series": series, "data": path,
-                     "value_column": _resolve(cfg, "value_column", value_column,
-                                              default="value")}]
-    else:
-        loaded = []
-        for entry in datasets:
-            s = _read_series(entry, entry.get("data"), entry.get("value_column"),
-                             entry.get("label_column"), entry.get("frequency"))
-            loaded.append({"name": entry.get("name", Path(entry["data"]).stem), "series": s,
-                           "data": entry["data"],
-                           "value_column": entry.get("value_column", "value")})
-        datasets = loaded
+    entries = cfg.get("datasets")
+    if entries is None:
+        # A single --data series is a one-entry dataset list; flags override config keys.
+        flags = {"data": data, "value_column": value_column, "label_column": label_column,
+                 "frequency": frequency}
+        entries = [{key: _resolve(cfg, key, flag) for key, flag in flags.items()}]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError("'datasets' must be a list of objects")
+    datasets = []
+    for entry in entries:
+        series = _read_series(entry, None, None, None, None)
+        datasets.append({"name": entry.get("name") or Path(entry["data"]).stem,
+                         "series": series, "data": entry["data"],
+                         "value_column": _resolve(entry, "value_column", None,
+                                                  default="value")})
 
     resolved_cases = []
     report_cells = []
@@ -437,7 +448,7 @@ def evaluate(config, data, value_column, label_column, frequency, out, seed,
                 spec = evaluation.HorizonSpec(kind=kind, steps=evaluation.MONTHLY_STEPS[kind])
             externals = {name: _load_external_forecast(path, spec.steps)
                          for name, path in external_map.items()}
-            e_cfg = _ewnet_config(cfg, cfg.get("levels"), p_grid, metric, spec.steps, seed)
+            e_cfg = _ewnet_config(cfg, None, p_grid, metric, spec.steps, seed)
             case = f"{entry['name']}:{kind}"
             resolved_cases.append({"case": case, "config": dataclasses.asdict(e_cfg)})
             try:
@@ -523,7 +534,7 @@ def stats(config, ranks_path, alpha, out):
     """Friedman/Iman and MCB analysis from a per-case rank CSV."""
     cfg = _load_config(config)
     ranks_path = _resolve(cfg, "ranks", ranks_path, required=True)
-    alpha = float(_resolve(cfg, "alpha", alpha, default=0.05))
+    alpha = _resolve(cfg, "alpha", alpha, default=0.05, kind=float)
     table = _read_rank_csv(ranks_path)
     digest = _config_digest({"cmd": "stats", "ranks_sha256": _file_sha256(ranks_path),
                              "alpha": alpha})

@@ -21,6 +21,8 @@ from .wavelet import WaveletDecomposition, haar_filter, modwt_forward
 
 @dataclass(frozen=True)
 class EwnetConfig:
+    """``levels`` None picks ``default_levels``; 0 fits one network on the raw series (ARNN)."""
+
     levels: int | None = None
     p_grid: tuple[int, ...] = tuple(range(1, 21))
     selection_metric: str = "mase"
@@ -31,6 +33,8 @@ class EwnetConfig:
     def __post_init__(self):
         if not self.p_grid:
             raise ValueError("p_grid must be non-empty")
+        if self.levels is not None and self.levels < 0:
+            raise ValueError("levels must be >= 0")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.selection_metric not in ("mase", "smape"):
@@ -42,7 +46,6 @@ class EwnetModel:
     decomposition: WaveletDecomposition
     component_models: list[NeuralNetModel]
     chosen_p: int
-    config: EwnetConfig
     train_series: np.ndarray
 
     def __post_init__(self):
@@ -80,20 +83,17 @@ def _component_cfg(cfg: TrainConfig, component: int) -> TrainConfig:
     return replace(cfg, seed=seed)
 
 
-def _fit_components(train: np.ndarray, p: int, cfg: EwnetConfig) -> EwnetModel:
+def fit_ewnet(train, cfg: EwnetConfig, p: int) -> EwnetModel:
+    """Fit one network of lag order ``p`` per MRA component (no selection step)."""
+    train = np.asarray(train, dtype=float)
     levels = cfg.levels if cfg.levels is not None else default_levels(train.size)
     decomp = modwt_forward(train, levels, haar_filter())
     models = [
         neuralnet.fit_network(comp, p, hidden_neurons(p), _component_cfg(cfg.train_cfg, idx))
         for idx, comp in enumerate(decomp.components())
     ]
-    return EwnetModel(
-        decomposition=decomp,
-        component_models=models,
-        chosen_p=p,
-        config=cfg,
-        train_series=np.asarray(train, dtype=float),
-    )
+    return EwnetModel(decomposition=decomp, component_models=models, chosen_p=p,
+                      train_series=train)
 
 
 def forecast_ewnet(model: EwnetModel, h: int) -> np.ndarray:
@@ -127,7 +127,7 @@ def select_p(train, val, cfg: EwnetConfig) -> int:
     errors: list[str] = []
     for p in sorted(cfg.p_grid):
         try:
-            candidate = _fit_components(train, p, cfg)
+            candidate = fit_ewnet(train, cfg, p)
             forecast = forecast_ewnet(candidate, val.size)
             score = _score(val, forecast, train, cfg)
         except ValueError as exc:
@@ -141,13 +141,6 @@ def select_p(train, val, cfg: EwnetConfig) -> int:
     return best_p
 
 
-def fit_ewnet(train, cfg: EwnetConfig, p: int | None = None) -> EwnetModel:
-    """Fit the ensemble with a fixed lag order (no selection step)."""
-    train = np.asarray(train, dtype=float)
-    chosen = p if p is not None else min(cfg.p_grid)
-    return _fit_components(train, chosen, cfg)
-
-
 def fit_ewnet_selected(train, val, cfg: EwnetConfig) -> EwnetModel:
     """Select the lag order on the validation window, then refit.
 
@@ -157,7 +150,7 @@ def fit_ewnet_selected(train, val, cfg: EwnetConfig) -> EwnetModel:
     train = np.asarray(train, dtype=float)
     val = np.asarray(val, dtype=float)
     p = select_p(train, val, cfg)
-    return _fit_components(np.concatenate([train, val]), p, cfg)
+    return fit_ewnet(np.concatenate([train, val]), cfg, p)
 
 
 def in_sample_residuals(model: EwnetModel) -> np.ndarray:

@@ -168,8 +168,8 @@ def _as_values(series) -> np.ndarray:
 def _check_levels(n: int, levels: int) -> None:
     if n < 2:
         raise ValueError("series must have at least 2 observations")
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
     if levels > int(math.log2(n)):
         warnings.warn(
             f"decomposition level {levels} exceeds floor(log2(N))={int(math.log2(n))}; "
@@ -179,7 +179,10 @@ def _check_levels(n: int, levels: int) -> None:
 
 
 def modwt_forward(series, levels: int, filter_pair: FilterPair | None = None) -> WaveletDecomposition:
-    """Decompose a series into J details and one smooth with the MODWT pyramid."""
+    """Decompose a series into J details and one smooth with the MODWT pyramid.
+
+    ``levels=0`` is the identity MRA: no details, and the smooth is the series.
+    """
     y = _as_values(series)
     _check_levels(y.size, levels)
     base = filter_pair if filter_pair is not None else haar_filter()

@@ -95,6 +95,16 @@ class TestDecompose:
         # floor(ln 92) - 1 = 3 detail levels
         assert doc["levels"] == 3
 
+    def test_zero_levels_writes_the_series_as_the_smooth(self, runner, tmp_path):
+        data = tmp_path / "series.csv"
+        write_series_csv(data, n=40)
+        result = runner.invoke(main, ["decompose", "--data", str(data), "--levels", "0",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        _, header, rows = read_output_csv(tmp_path / "decomposition.csv")
+        assert header == ["t", "SJ", "original"]
+        assert all(row[1] == row[2] for row in rows)
+
     def test_missing_data_file_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["decompose", "--data",
                                       str(tmp_path / "absent.csv")])
@@ -128,6 +138,30 @@ class TestFit:
         args = ["fit", "--config", str(cfg), "--data", str(data), "--seed", "7",
                 "--levels", "2", "--out", str(tmp_path), *extra]
         return runner.invoke(main, args)
+
+    @pytest.mark.parametrize("flags", [["--p", "0"], ["--levels", "-1"]], ids=["p", "levels"])
+    def test_out_of_range_flags_are_config_errors(self, runner, tmp_path, flags):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        result = runner.invoke(main, ["fit", "--data", str(data), "--seed", "1",
+                                      "--p-grid", "1", *flags, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "model.json").exists()
+
+    def test_zero_levels_fits_one_network_on_the_series(self, runner, tmp_path):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FAST_TRAIN))
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--data", str(data),
+                                      "--seed", "1", "--levels", "0", "--p", "2",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "model.json").read_text())
+        assert doc["levels"] == 0 and len(doc["component_models"]) == 1
+        result = runner.invoke(main, ["forecast", "--model", str(tmp_path / "model.json"),
+                                      "--horizon", "3", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
 
     def test_fixed_p_writes_model(self, runner, tmp_path):
         result = self._fit(runner, tmp_path, ["--p", "3"])
@@ -344,6 +378,48 @@ class TestEvaluate:
         doc = json.loads((tmp_path / "evaluation.json").read_text())
         assert "other" in doc["cases"][0]["results"]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_external_forecast_is_data_error(self, runner, tmp_path, bad):
+        data = tmp_path / "cases.csv"
+        write_series_csv(data, n=100, seed=5)
+        ext = tmp_path / "ext.csv"
+        ext.write_text(f"step,point\n1,30.0\n2,{bad}\n3,30.0\n")
+        result = runner.invoke(main, ["evaluate", "--data", str(data), "--frequency", "12",
+                                      "--seed", "6", "--horizon", "short", "--p-grid", "1",
+                                      "--external", f"other={ext}", "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert "non-finite" in result.output
+        assert not (tmp_path / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("datasets", ["d.csv", ["d.csv"], {"data": "d.csv"}],
+                             ids=["string", "list-of-strings", "object"])
+    def test_datasets_must_be_a_list_of_objects(self, runner, tmp_path, datasets):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"datasets": datasets}))
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg), "--seed", "1",
+                                      "--horizon", "short", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "'datasets' must be a list of objects" in result.output
+
+    def test_single_series_is_a_one_entry_dataset_list(self, runner, tmp_path):
+        data = tmp_path / "cases.csv"
+        write_series_csv(data, n=90, seed=4)
+        train = {"train": {"learning_rate": 0.05, "epochs": 2, "restarts": 1}}
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps({**train, "data": str(data), "frequency": 12}))
+        listed = tmp_path / "listed.json"
+        listed.write_text(json.dumps({**train, "datasets": [{"data": str(data),
+                                                             "frequency": 12}]}))
+        outputs = []
+        for cfg in (single, listed):
+            out = tmp_path / cfg.stem
+            result = runner.invoke(main, ["evaluate", "--config", str(cfg), "--seed", "2",
+                                          "--horizon", "short", "--p-grid", "1",
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append((out / "evaluation.json").read_text())
+        assert outputs[0] == outputs[1]
+
     def test_config_digest_covers_settings_and_input_bytes(self, runner, tmp_path):
         data = tmp_path / "cases.csv"
         y = write_series_csv(data, n=100, seed=5)
@@ -526,6 +602,32 @@ class TestConfigHandling:
         doc = json.loads((tmp_path / "model.json").read_text())
         assert doc["train_config"] == {"learning_rate": 0.05, "epochs": 3, "restarts": 2,
                                        "seed": 1, "tolerance": 1e-8, "patience": 4}
+
+    @pytest.mark.parametrize("cmd,key", [
+        ("fit", "horizon"), ("forecast", "horizon"), ("decompose", "frequency"),
+        ("decompose", "levels"), ("forecast", "level"), ("stats", "alpha"),
+        ("fit", "seed"), ("evaluate", "seed"),
+    ])
+    def test_non_numeric_values_are_config_errors(self, runner, tmp_path, cmd, key):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        inputs = {**FAST_TRAIN, "data": str(data), "seed": 1, "p_grid": "1", "levels": 1,
+                  "frequency": 12, "horizons": ["short"]}
+        cfg = tmp_path / "cfg.json"
+        if cmd == "forecast":
+            cfg.write_text(json.dumps(FAST_TRAIN))
+            fitted = runner.invoke(main, ["fit", "--config", str(cfg), "--data", str(data),
+                                          "--seed", "1", "--p", "1", "--levels", "1",
+                                          "--out", str(tmp_path)])
+            assert fitted.exit_code == 0, fitted.output
+            inputs = {"model": str(tmp_path / "model.json")}
+        elif cmd == "stats":
+            write_ranks_csv(tmp_path / "ranks.csv", 0)
+            inputs = {"ranks": str(tmp_path / "ranks.csv")}
+        cfg.write_text(json.dumps({**inputs, key: "x"}))
+        result = runner.invoke(main, [cmd, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"bad value for {key!r}" in result.output
 
     def test_bad_grid_spec(self, runner, tmp_path):
         data = tmp_path / "series.csv"

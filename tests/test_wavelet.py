@@ -112,7 +112,14 @@ class TestForwardTransform:
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ValueError):
-            modwt_forward(np.arange(8.0), levels=0)
+            modwt_forward(np.arange(8.0), levels=-1)
+
+    def test_zero_levels_is_the_identity(self):
+        y = np.random.default_rng(3).normal(size=21)
+        decomp = modwt_forward(y, levels=0)
+        assert decomp.levels == 0 and decomp.details == ()
+        assert len(decomp.components()) == 1
+        np.testing.assert_array_equal(decomp.smooth, y)
 
 
 class TestReconstruction:
