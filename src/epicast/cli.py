@@ -32,6 +32,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 TRAIN_KEYS = ("learning_rate", "epochs", "restarts", "tolerance", "patience")
+AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 
 
 class ConfigError(click.ClickException):
@@ -53,12 +54,6 @@ def _config_digest(resolved: dict) -> str:
 
 def _file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _input_keys(cfg: dict, data, value_column) -> dict:
-    """Digest keys of the input series: its value column and the sha256 of its bytes."""
-    return {"value_column": _resolve(cfg, "value_column", value_column, default="value"),
-            "data_sha256": _file_sha256(_resolve(cfg, "data", data))}
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -107,11 +102,13 @@ def _load_config(config_path) -> dict:
     return cfg
 
 
-def _resolve(cfg: dict, key: str, flag_value, default=None, required=False, kind=None):
+def _resolve(cfg: dict, key: str, flag_value, default=None, required=False, kind=None,
+             check=None):
     """The flag, else the config key (JSON null counts as unset), else ``default``.
 
-    ``kind`` (e.g. ``int``) converts a flag or config value; a value it rejects
-    is a config error.
+    ``kind`` (e.g. ``int``) converts a flag or config value, and ``check``, a
+    (predicate, description) pair, bounds the converted value; a value either
+    rejects is a config error.
     """
     value = flag_value if flag_value is not None else cfg.get(key)
     if value is None:
@@ -122,9 +119,12 @@ def _resolve(cfg: dict, key: str, flag_value, default=None, required=False, kind
     if kind is None:
         return value
     try:
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"bad value for {key!r}: {value!r} (expected {kind.__name__})")
+    if check is not None and not check[0](value):
+        raise ConfigError(f"bad value for {key!r}: {value!r} (expected {check[1]})")
+    return value
 
 
 def _parse_grid(spec: str) -> tuple[int, ...]:
@@ -142,7 +142,9 @@ def _parse_grid(spec: str) -> tuple[int, ...]:
     return grid
 
 
-def _read_series(cfg: dict, data, value_column, label_column, frequency) -> TimeSeries:
+def _read_series(cfg: dict, data, value_column, label_column,
+                 frequency) -> tuple[TimeSeries, dict]:
+    """The input series and its digest keys: the value column and the sha256 of the file."""
     path = _resolve(cfg, "data", data, required=True)
     value_column = _resolve(cfg, "value_column", value_column, default="value")
     label_column = _resolve(cfg, "label_column", label_column)
@@ -151,12 +153,13 @@ def _read_series(cfg: dict, data, value_column, label_column, frequency) -> Time
         # A wrong path is a configuration mistake, not bad data.
         raise ConfigError(f"no such data file: {path}")
     try:
-        return core.load_csv(path, value_column, label_column, frequency)
+        series = core.load_csv(path, value_column, label_column, frequency)
     except DataError as exc:
         raise CliDataError(str(exc))
+    return series, {"value_column": value_column, "data_sha256": _file_sha256(path)}
 
 
-def _ewnet_config(cfg: dict, levels, p_grid, metric, horizon, seed) -> ewnet.EwnetConfig:
+def _ewnet_config(cfg: dict, levels, p_grid, metric, seed) -> ewnet.EwnetConfig:
     levels = _resolve(cfg, "levels", levels, kind=int)
     grid = _parse_grid(_resolve(cfg, "p_grid", p_grid, default="1-20"))
     metric = _resolve(cfg, "metric", metric, default="mase")
@@ -175,7 +178,6 @@ def _ewnet_config(cfg: dict, levels, p_grid, metric, horizon, seed) -> ewnet.Ewn
             levels=levels,
             p_grid=grid,
             selection_metric=metric,
-            horizon=horizon,
             seasonal_lag=_resolve(cfg, "seasonal_lag", None, default=1, kind=int),
             train_cfg=train_cfg,
         )
@@ -214,12 +216,11 @@ def _out_dir(cfg: dict, out) -> Path:
 def decompose(config, data, value_column, label_column, frequency, out, levels):
     """Write the MODWT decomposition as CSV columns t, D1..DJ, SJ, original."""
     cfg = _load_config(config)
-    series = _read_series(cfg, data, value_column, label_column, frequency)
-    j = _resolve(cfg, "levels", levels, kind=int)
+    series, keys = _read_series(cfg, data, value_column, label_column, frequency)
+    j = _resolve(cfg, "levels", levels, kind=int, check=(lambda v: v >= 0, ">= 0"))
     if j is None:
         j = ewnet.default_levels(len(series))
-    digest = _config_digest({"cmd": "decompose", "levels": j,
-                             **_input_keys(cfg, data, value_column)})
+    digest = _config_digest({"cmd": "decompose", "levels": j, **keys})
     try:
         decomp = wavelet.modwt_forward(series, j)
     except ValueError as exc:
@@ -257,7 +258,8 @@ def _model_to_json(model: ewnet.EwnetModel, train_cfg: neuralnet.TrainConfig,
     }
 
 
-def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarray | None]:
+def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarray | None, int]:
+    """The model, its in-sample and calibration residuals, and the seed it was fitted with."""
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != MODEL_SCHEMA_VERSION:
         raise CliDataError(f"unsupported model schema version {version!r}")
@@ -273,9 +275,10 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
         residuals = np.array(doc["in_sample_residuals"], dtype=float)
         cal = doc.get("calibration_abs_residuals")
         cal_arr = None if cal is None else np.array(cal, dtype=float)
+        seed = int(doc.get("seed", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliDataError(f"malformed model file: {type(exc).__name__}: {exc}")
-    return model, residuals, cal_arr
+    return model, residuals, cal_arr, seed
 
 
 @main.command()
@@ -291,21 +294,21 @@ def fit(config, data, value_column, label_column, frequency, out, seed,
         levels, p_grid, fixed_p, metric, horizon):
     """Fit an EWNet model and write it as JSON."""
     cfg = _load_config(config)
-    seed = _resolve(cfg, "seed", seed, kind=int)
-    if seed is None:
-        raise ConfigError("a seed is mandatory for fit (--seed)")
-    series = _read_series(cfg, data, value_column, label_column, frequency)
-    horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int)
-    e_cfg = _ewnet_config(cfg, levels, p_grid, metric, horizon, seed)
-    digest = _config_digest({"cmd": "fit", "config": dataclasses.asdict(e_cfg), "p": fixed_p,
-                             **_input_keys(cfg, data, value_column)})
+    seed = _resolve(cfg, "seed", seed, required=True, kind=int)
+    series, keys = _read_series(cfg, data, value_column, label_column, frequency)
+    horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int, check=AT_LEAST_ONE)
+    e_cfg = _ewnet_config(cfg, levels, p_grid, metric, seed)
+    # The digest keeps the horizon among the fit settings: it sizes the validation window.
+    digest = _config_digest({"cmd": "fit", "config": {**dataclasses.asdict(e_cfg),
+                                                      "horizon": horizon},
+                             "p": fixed_p, **keys})
     values = series.values
     try:
         if fixed_p is not None:
             model = ewnet.fit_ewnet(values, e_cfg, fixed_p)
             cal = None
         else:
-            val_len = min(2 * horizon, max(1, values.size // 4))
+            val_len = core.validation_len(values.size, horizon)
             train, val = values[:-val_len], values[-val_len:]
             p = ewnet.select_p(train, val, e_cfg)
             model = ewnet.fit_ewnet(values, e_cfg, p)
@@ -332,9 +335,10 @@ def forecast(config, model_path, horizon, interval, level, out):
     """Forecast from a fitted model JSON; writes step,point,lower,upper,method CSV."""
     cfg = _load_config(config)
     model_path = _resolve(cfg, "model", model_path, required=True)
-    horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int)
+    horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int, check=AT_LEAST_ONE)
     interval = _resolve(cfg, "interval", interval, default="precontrol")
-    level = _resolve(cfg, "level", level, default=0.9, kind=float)
+    level = _resolve(cfg, "level", level, default=0.9, kind=float,
+                     check=(lambda v: 0.0 < v < 1.0, "a value in (0, 1)"))
     try:
         with open(model_path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -342,8 +346,7 @@ def forecast(config, model_path, horizon, interval, level, out):
         raise CliDataError(f"no such model file: {model_path}")
     except json.JSONDecodeError as exc:
         raise CliDataError(f"model file is not valid JSON: {exc}")
-    model, residuals, cal = _model_from_json(doc)
-    seed = int(doc.get("seed", 0))
+    model, residuals, cal, seed = _model_from_json(doc)
     # Identify the model by content, not path, so identical models yield
     # identical outputs wherever they live on disk.
     model_sha = _file_sha256(model_path)[:16]
@@ -410,11 +413,15 @@ def evaluate(config, data, value_column, label_column, frequency, out, seed,
              horizons, p_grid, metric, external):
     """Rolling-window evaluation; emits a JSON report plus rank CSVs."""
     cfg = _load_config(config)
-    seed = _resolve(cfg, "seed", seed, kind=int)
-    if seed is None:
-        raise ConfigError("a seed is mandatory for evaluate (--seed)")
+    seed = _resolve(cfg, "seed", seed, required=True, kind=int)
+    e_cfg = _ewnet_config(cfg, None, p_grid, metric, seed)
+    settings = dataclasses.asdict(e_cfg)
     horizons = list(horizons) or list(cfg.get("horizons", ["short", "medium", "long"]))
-    external_map = {**cfg.get("external_forecasts", {}), **_parse_external(external)}
+    external_cfg = _resolve(cfg, "external_forecasts", None, default={})
+    if not isinstance(external_cfg, dict) or not all(
+            isinstance(path, str) for path in external_cfg.values()):
+        raise ConfigError("'external_forecasts' must be an object mapping names to paths")
+    external_map = {**external_cfg, **_parse_external(external)}
 
     entries = cfg.get("datasets")
     if entries is None:
@@ -426,38 +433,33 @@ def evaluate(config, data, value_column, label_column, frequency, out, seed,
         raise ConfigError("'datasets' must be a list of objects")
     datasets = []
     for entry in entries:
-        series = _read_series(entry, None, None, None, None)
-        datasets.append({"name": entry.get("name") or Path(entry["data"]).stem,
-                         "series": series, "data": entry["data"],
-                         "value_column": _resolve(entry, "value_column", None,
-                                                  default="value")})
+        series, keys = _read_series(entry, None, None, None, None)
+        name = entry.get("name") or Path(entry["data"]).stem
+        datasets.append((series, {"name": name, "frequency": series.frequency, **keys}))
 
     resolved_cases = []
     report_cells = []
     case_names: list[str] = []
     metric_scores: dict[str, list[list[float]]] = {}
     model_names: list[str] | None = None
-    for entry in datasets:
+    for series, keys in datasets:
         for kind in horizons:
-            series = entry["series"]
             try:
-                spec = evaluation.HorizonSpec.for_frequency(kind, series.frequency)
+                spec = evaluation.HorizonSpec.for_frequency(
+                    kind, 52 if series.frequency == 52 else 12)
             except ValueError:
-                if kind not in evaluation.MONTHLY_STEPS:
-                    raise ConfigError(f"unknown horizon {kind!r} (use short, medium or long)")
-                spec = evaluation.HorizonSpec(kind=kind, steps=evaluation.MONTHLY_STEPS[kind])
+                raise ConfigError(f"unknown horizon {kind!r} (use short, medium or long)")
             externals = {name: _load_external_forecast(path, spec.steps)
                          for name, path in external_map.items()}
-            e_cfg = _ewnet_config(cfg, None, p_grid, metric, spec.steps, seed)
-            case = f"{entry['name']}:{kind}"
-            resolved_cases.append({"case": case, "config": dataclasses.asdict(e_cfg)})
+            case = f"{keys['name']}:{kind}"
+            # Each case's digest entry keeps its horizon, the steps that size its windows.
+            resolved_cases.append({"case": case, "config": {**settings, "horizon": spec.steps}})
             try:
-                report = evaluation.rolling_evaluate(series, spec, cfg=e_cfg, seed=seed,
-                                                     external=externals)
+                report = evaluation.rolling_evaluate(series, spec, e_cfg, external=externals)
             except UndefinedMetricError as exc:
                 raise NumericError(str(exc))
             except ValueError as exc:
-                raise CliDataError(f"{entry['name']}/{kind}: {exc}")
+                raise CliDataError(f"{keys['name']}/{kind}: {exc}")
             case_names.append(case)
             names = [c.forecaster for c in report.cells]
             if model_names is None:
@@ -480,9 +482,7 @@ def evaluate(config, data, value_column, label_column, frequency, out, seed,
     # The loop above has read every input file, so a missing one was already reported.
     digest = _config_digest({
         "cmd": "evaluate",
-        "datasets": [{"name": d["name"], "value_column": d["value_column"],
-                      "frequency": d["series"].frequency,
-                      "data_sha256": _file_sha256(d["data"])} for d in datasets],
+        "datasets": [keys for _, keys in datasets],
         "cases": resolved_cases,
         "external_sha256": {name: _file_sha256(path) for name, path in external_map.items()},
     })
@@ -571,8 +571,8 @@ def stats(config, ranks_path, alpha, out):
 def profile(config, data, value_column, label_column, frequency, out):
     """Hurst-exponent profile of the input series."""
     cfg = _load_config(config)
-    series = _read_series(cfg, data, value_column, label_column, frequency)
-    digest = _config_digest({"cmd": "profile", **_input_keys(cfg, data, value_column)})
+    series, keys = _read_series(cfg, data, value_column, label_column, frequency)
+    digest = _config_digest({"cmd": "profile", **keys})
     try:
         h = evaluation.hurst_exponent(series)
     except ValueError as exc:

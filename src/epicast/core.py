@@ -55,9 +55,15 @@ class MetricSet:
         return {"rmse": self.rmse, "mae": self.mae, "mase": self.mase, "smape": self.smape}
 
 
+def validation_len(n: int, h: int) -> int:
+    """Validation-window length for lag selection on ``n`` points at horizon ``h``:
+    twice the horizon, capped at a quarter of the series, and at least one point."""
+    return min(2 * h, max(1, n // 4))
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/validation/test partition sizes; validation defaults to twice the test."""
+    """Train/validation/test partition sizes."""
 
     train_len: int
     val_len: int
@@ -70,11 +76,10 @@ class SplitSpec:
             raise ValueError("invalid split sizes")
 
     @classmethod
-    def for_series(cls, n: int, test_len: int, val_len: int | None = None) -> "SplitSpec":
-        if val_len is None:
-            val_len = 2 * test_len
-        train_len = n - val_len - test_len
-        return cls(train_len=train_len, val_len=val_len, test_len=test_len)
+    def for_series(cls, n: int, test_len: int) -> "SplitSpec":
+        """Hold out the last ``test_len`` points; validation is ``validation_len`` of the rest."""
+        val_len = validation_len(n - test_len, test_len)
+        return cls(train_len=n - val_len - test_len, val_len=val_len, test_len=test_len)
 
     @property
     def total(self) -> int:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -96,26 +96,21 @@ class EvaluationReport:
     split: SplitSpec
     cells: tuple[EvaluationCell, ...]
     forecasts: dict
-    seed: int
 
     def metric_table(self, metric: str) -> dict[str, float]:
         return {c.forecaster: getattr(c.metrics, metric) for c in self.cells}
 
 
-DEFAULT_FORECASTERS = ("EWNet", "RW", "RWD", "ARNN")
-
-
-def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec,
-                     forecasters=DEFAULT_FORECASTERS,
-                     cfg: EwnetConfig | None = None,
-                     seed: int = 0,
+def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,
                      external: dict | None = None) -> EvaluationReport:
-    """Hold out the last ``steps`` points as test with a validation window
-    twice as long, fit each forecaster on the prefix, and score the test span.
+    """Hold out the last ``steps`` points as test and the ``core.validation_len``
+    points before them as validation, fit EWNet, RW, RWD and ARNN on the prefix,
+    and score the test span.
 
     The EWNet forecaster selects its lag order on the validation window, is
     refit on train + validation, and additionally reports pre-control interval
-    coverage. ``external`` maps names to precomputed h-step forecasts.
+    coverage. ``external`` maps names to precomputed h-step forecasts; their
+    lengths are checked before any model is trained.
     """
     values = series.values
     split = SplitSpec.for_series(values.size, test_len=horizon.steps)
@@ -123,53 +118,34 @@ def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec,
         raise ValueError(
             f"series of length {values.size} too short for horizon {horizon.steps}"
         )
+    external = {name: np.asarray(point, dtype=float) for name, point in (external or {}).items()}
+    for name, point in external.items():
+        if point.size != horizon.steps:
+            raise ValueError(f"external forecast {name!r} has length {point.size}, "
+                             f"expected {horizon.steps}")
     train = values[: split.train_len]
     val = values[split.train_len: split.train_len + split.val_len]
     test = values[split.train_len + split.val_len:]
     fit_span = np.concatenate([train, val])
 
-    if cfg is None:
-        cfg = EwnetConfig(horizon=horizon.steps)
-    cfg = replace(cfg, horizon=horizon.steps, train_cfg=replace(cfg.train_cfg, seed=seed))
-
-    cells: list[EvaluationCell] = []
-    forecasts: dict[str, np.ndarray] = {}
-    for name in forecasters:
-        coverage = None
-        if name == "EWNet":
-            model = ewnet.fit_ewnet_selected(train, val, cfg)
-            point = ewnet.forecast_ewnet(model, horizon.steps)
-            interval = ewnet.precontrol_interval(point, ewnet.in_sample_residuals(model))
-            coverage = float(np.mean((test >= interval.lower) & (test <= interval.upper)))
-        elif name == "RW":
-            point = baselines.rw_forecast(fit_span, horizon.steps)
-        elif name == "RWD":
-            point = baselines.rwd_forecast(fit_span, horizon.steps)
-        elif name == "ARNN":
-            point = baselines.arnn_forecast(fit_span, horizon.steps, cfg.train_cfg,
-                                            p_grid=cfg.p_grid)
-        else:
-            raise ValueError(f"unknown forecaster {name!r}")
-        forecasts[name] = point
-        cells.append(EvaluationCell(
-            forecaster=name,
-            metrics=core.metric_set(test, point, fit_span, cfg.seasonal_lag),
-            coverage=coverage,
-        ))
-
-    for name, point in (external or {}).items():
-        point = np.asarray(point, dtype=float)
-        if point.size != horizon.steps:
-            raise ValueError(f"external forecast {name!r} has length {point.size}, "
-                             f"expected {horizon.steps}")
-        forecasts[name] = point
-        cells.append(EvaluationCell(
-            forecaster=name,
-            metrics=core.metric_set(test, point, fit_span, cfg.seasonal_lag),
-        ))
-
-    return EvaluationReport(horizon=horizon, split=split, cells=tuple(cells),
-                            forecasts=forecasts, seed=seed)
+    model = ewnet.fit_ewnet_selected(train, val, cfg)
+    point = ewnet.forecast_ewnet(model, horizon.steps)
+    band = ewnet.precontrol_interval(point, ewnet.in_sample_residuals(model))
+    coverage = float(np.mean((test >= band.lower) & (test <= band.upper)))
+    builtin = [
+        ("EWNet", point),
+        ("RW", baselines.rw_forecast(fit_span, horizon.steps)),
+        ("RWD", baselines.rwd_forecast(fit_span, horizon.steps)),
+        ("ARNN", baselines.arnn_forecast(fit_span, horizon.steps, cfg.train_cfg,
+                                         p_grid=cfg.p_grid)),
+    ]
+    cells = tuple(
+        EvaluationCell(forecaster=name,
+                       metrics=core.metric_set(test, point, fit_span, cfg.seasonal_lag),
+                       coverage=coverage if i == 0 else None)  # EWNet is first
+        for i, (name, point) in enumerate([*builtin, *external.items()]))
+    return EvaluationReport(horizon=horizon, split=split, cells=cells,
+                            forecasts={**dict(builtin), **external})
 
 
 def friedman_chi2(table: RankTable, alpha: float = 0.05) -> TestResult:

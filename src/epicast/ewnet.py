@@ -26,7 +26,6 @@ class EwnetConfig:
     levels: int | None = None
     p_grid: tuple[int, ...] = tuple(range(1, 21))
     selection_metric: str = "mase"
-    horizon: int = 1
     seasonal_lag: int = 1
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
 
@@ -35,8 +34,6 @@ class EwnetConfig:
             raise ValueError("p_grid must be non-empty")
         if self.levels is not None and self.levels < 0:
             raise ValueError("levels must be >= 0")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         if self.selection_metric not in ("mase", "smape"):
             raise ValueError("selection_metric must be 'mase' or 'smape'")
 

@@ -121,6 +121,19 @@ class TestDecompose:
         result = runner.invoke(main, ["decompose", "--data", str(data)])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_levels_is_config_error(self, runner, tmp_path, source):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({} if source == "flag" else {"levels": -1}))
+        flag = ["--levels", "-1"] if source == "flag" else []
+        result = runner.invoke(main, ["decompose", "--config", str(cfg), "--data", str(data),
+                                      *flag, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "bad value for 'levels'" in result.output
+        assert not (tmp_path / "decomposition.csv").exists()
+
 
 class TestFit:
     def test_seed_is_mandatory(self, runner, tmp_path):
@@ -297,7 +310,9 @@ class TestForecast:
         lambda doc: doc["component_models"][0]["restarts"][0]["hidden_bias"].append(0.5),
         lambda doc: doc["component_models"][0]["restarts"][1].pop("hidden_bias"),
         lambda doc: doc["component_models"].pop(),
-    ], ids=["wrong-length-hidden-bias", "missing-hidden-bias", "dropped-component"])
+        lambda doc: doc.update(seed="x"),
+    ], ids=["wrong-length-hidden-bias", "missing-hidden-bias", "dropped-component",
+            "non-integer-seed"])
     def test_malformed_model_is_data_error(self, runner, tmp_path, damage):
         model = self._fitted_model(runner, tmp_path, ["--p", "2"])
         doc = json.loads(model.read_text())
@@ -389,6 +404,20 @@ class TestEvaluate:
                                       "--external", f"other={ext}", "--out", str(tmp_path)])
         assert result.exit_code == 3, result.output
         assert "non-finite" in result.output
+        assert not (tmp_path / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("external", [["e.csv"], "e.csv", {"e": 5}],
+                             ids=["list", "string", "non-string-path"])
+    def test_external_forecasts_must_map_names_to_paths(self, runner, tmp_path, external):
+        data = tmp_path / "cases.csv"
+        write_series_csv(data, n=100, seed=5)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"external_forecasts": external}))
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg), "--data", str(data),
+                                      "--seed", "1", "--horizon", "short",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "'external_forecasts' must be an object" in result.output
         assert not (tmp_path / "evaluation.json").exists()
 
     @pytest.mark.parametrize("datasets", ["d.csv", ["d.csv"], {"data": "d.csv"}],
@@ -628,6 +657,32 @@ class TestConfigHandling:
         result = runner.invoke(main, [cmd, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert f"bad value for {key!r}" in result.output
+
+    @pytest.mark.parametrize("cmd,key,value", [
+        ("fit", "horizon", 0), ("forecast", "horizon", 0), ("forecast", "horizon", -2),
+        ("forecast", "level", 1.5), ("forecast", "level", 0), ("forecast", "level", 1),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_of_range_values_are_config_errors(self, runner, tmp_path, cmd, key, value,
+                                                   source):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        inputs = {**FAST_TRAIN, "data": str(data), "seed": 1, "p_grid": "1", "levels": 1}
+        cfg = tmp_path / "cfg.json"
+        if cmd == "forecast":
+            cfg.write_text(json.dumps(FAST_TRAIN))
+            fitted = runner.invoke(main, ["fit", "--config", str(cfg), "--data", str(data),
+                                          "--seed", "1", "--p-grid", "1", "--levels", "1",
+                                          "--out", str(tmp_path)])
+            assert fitted.exit_code == 0, fitted.output
+            inputs = {"model": str(tmp_path / "model.json"), "interval": "conformal"}
+        flag = ["--" + key, str(value)] if source == "flag" else []
+        cfg.write_text(json.dumps(inputs if flag else {**inputs, key: value}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [cmd, "--config", str(cfg), *flag, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"bad value for {key!r}" in result.output
+        assert not out.exists()
 
     def test_bad_grid_spec(self, runner, tmp_path):
         data = tmp_path / "series.csv"

@@ -272,8 +272,8 @@ def report():
     series = TimeSeries(values=y, frequency=12)
     cfg = EwnetConfig(levels=2, p_grid=(1, 2),
                       train_cfg=TrainConfig(learning_rate=0.05, epochs=80,
-                                            restarts=2))
-    return rolling_evaluate(series, HorizonSpec("short", 3), cfg=cfg, seed=5,
+                                            restarts=2, seed=5))
+    return rolling_evaluate(series, HorizonSpec("short", 3), cfg=cfg,
                             external={"flat30": np.full(3, 30.0)})
 
 
@@ -300,11 +300,10 @@ class TestRollingEvaluate:
     def test_external_length_validated(self):
         series = TimeSeries(values=np.random.default_rng(0).normal(size=60) + 10)
         with pytest.raises(ValueError, match="external"):
-            rolling_evaluate(series, HorizonSpec("short", 3),
-                             forecasters=("RW",),
+            rolling_evaluate(series, HorizonSpec("short", 3), EwnetConfig(),
                              external={"bad": np.zeros(2)})
 
     def test_series_too_short(self):
         series = TimeSeries(values=np.arange(12.0))
         with pytest.raises(ValueError, match="too short"):
-            rolling_evaluate(series, HorizonSpec("short", 3))
+            rolling_evaluate(series, HorizonSpec("short", 3), EwnetConfig())
