@@ -32,7 +32,10 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 TRAIN_KEYS = ("learning_rate", "epochs", "restarts", "tolerance", "patience")
+HORIZON_KINDS = ("short", "medium", "long")
 AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+# Checked with isinstance: open() and os.path.exists() read an int as a file descriptor.
+PATH = (lambda v: isinstance(v, str), "a path string")
 
 
 class ConfigError(click.ClickException):
@@ -116,12 +119,11 @@ def _resolve(cfg: dict, key: str, flag_value, default=None, required=False, kind
             raise ConfigError(f"missing required option --{key.replace('_', '-')} "
                               f"(config key {key!r})")
         return default
-    if kind is None:
-        return value
-    try:
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for {key!r}: {value!r} (expected {kind.__name__})")
+    if kind is not None:
+        try:
+            value = kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad value for {key!r}: {value!r} (expected {kind.__name__})")
     if check is not None and not check[0](value):
         raise ConfigError(f"bad value for {key!r}: {value!r} (expected {check[1]})")
     return value
@@ -142,18 +144,16 @@ def _parse_grid(spec: str) -> tuple[int, ...]:
     return grid
 
 
-def _read_series(cfg: dict, data, value_column, label_column,
-                 frequency) -> tuple[TimeSeries, dict]:
+def _read_series(cfg: dict, data, value_column, frequency) -> tuple[TimeSeries, dict]:
     """The input series and its digest keys: the value column and the sha256 of the file."""
-    path = _resolve(cfg, "data", data, required=True)
+    path = _resolve(cfg, "data", data, required=True, check=PATH)
     value_column = _resolve(cfg, "value_column", value_column, default="value")
-    label_column = _resolve(cfg, "label_column", label_column)
     frequency = _resolve(cfg, "frequency", frequency, default=1, kind=int)
     if not os.path.exists(path):
         # A wrong path is a configuration mistake, not bad data.
         raise ConfigError(f"no such data file: {path}")
     try:
-        series = core.load_csv(path, value_column, label_column, frequency)
+        series = core.load_csv(path, value_column, frequency)
     except DataError as exc:
         raise CliDataError(str(exc))
     return series, {"value_column": value_column, "data_sha256": _file_sha256(path)}
@@ -194,7 +194,6 @@ _shared = [
     click.option("--config", type=click.Path(), default=None, help="JSON config file."),
     click.option("--data", type=click.Path(), default=None, help="Input CSV path."),
     click.option("--value-column", default=None),
-    click.option("--label-column", default=None),
     click.option("--frequency", type=int, default=None),
     click.option("--out", type=click.Path(), default=None, help="Output directory."),
 ]
@@ -207,16 +206,16 @@ def shared_options(fn):
 
 
 def _out_dir(cfg: dict, out) -> Path:
-    return Path(_resolve(cfg, "output_dir", out, default="."))
+    return Path(_resolve(cfg, "output_dir", out, default=".", check=PATH))
 
 
 @main.command()
 @shared_options
 @click.option("--levels", type=int, default=None, help="Detail levels J (default floor(ln N) - 1).")
-def decompose(config, data, value_column, label_column, frequency, out, levels):
+def decompose(config, data, value_column, frequency, out, levels):
     """Write the MODWT decomposition as CSV columns t, D1..DJ, SJ, original."""
     cfg = _load_config(config)
-    series, keys = _read_series(cfg, data, value_column, label_column, frequency)
+    series, keys = _read_series(cfg, data, value_column, frequency)
     j = _resolve(cfg, "levels", levels, kind=int, check=(lambda v: v >= 0, ">= 0"))
     if j is None:
         j = ewnet.default_levels(len(series))
@@ -290,12 +289,13 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
               help="Skip selection; use this lag order.")
 @click.option("--metric", type=click.Choice(["mase", "smape"]), default=None)
 @click.option("--horizon", type=int, default=None, help="Horizon used to size the validation tail.")
-def fit(config, data, value_column, label_column, frequency, out, seed,
+def fit(config, data, value_column, frequency, out, seed,
         levels, p_grid, fixed_p, metric, horizon):
     """Fit an EWNet model and write it as JSON."""
     cfg = _load_config(config)
     seed = _resolve(cfg, "seed", seed, required=True, kind=int)
-    series, keys = _read_series(cfg, data, value_column, label_column, frequency)
+    out_dir = _out_dir(cfg, out)
+    series, keys = _read_series(cfg, data, value_column, frequency)
     horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int, check=AT_LEAST_ONE)
     e_cfg = _ewnet_config(cfg, levels, p_grid, metric, seed)
     # The digest keeps the horizon among the fit settings: it sizes the validation window.
@@ -318,7 +318,6 @@ def fit(config, data, value_column, label_column, frequency, out, seed,
     except ValueError as exc:
         raise NumericError(str(exc))
 
-    out_dir = _out_dir(cfg, out)
     _write_json(out_dir / "model.json",
                 _model_to_json(model, e_cfg.train_cfg, residuals, cal), seed=seed, digest=digest)
     click.echo(f"wrote {out_dir / 'model.json'} (p={model.chosen_p}, k={model.chosen_k})")
@@ -334,7 +333,7 @@ def fit(config, data, value_column, label_column, frequency, out, seed,
 def forecast(config, model_path, horizon, interval, level, out):
     """Forecast from a fitted model JSON; writes step,point,lower,upper,method CSV."""
     cfg = _load_config(config)
-    model_path = _resolve(cfg, "model", model_path, required=True)
+    model_path = _resolve(cfg, "model", model_path, required=True, check=PATH)
     horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int, check=AT_LEAST_ONE)
     interval = _resolve(cfg, "interval", interval, default="precontrol")
     level = _resolve(cfg, "level", level, default=0.9, kind=float,
@@ -361,8 +360,6 @@ def forecast(config, model_path, horizon, interval, level, out):
             band = ewnet.conformal_interval(point, cal, level)
         else:
             band = ewnet.precontrol_interval(point, residuals)
-    except NumericError:
-        raise
     except ValueError as exc:
         raise NumericError(str(exc))
 
@@ -384,7 +381,7 @@ def _parse_external(pairs) -> dict[str, str]:
     return mapping
 
 
-def _load_external_forecast(path: str, steps: int) -> np.ndarray:
+def _load_external_forecast(case: str, name: str, path: str, steps: int) -> np.ndarray:
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(row for row in handle if not row.startswith("#"))
@@ -397,102 +394,106 @@ def _load_external_forecast(path: str, steps: int) -> np.ndarray:
         raise CliDataError(f"bad value in {path}: {exc}")
     if not np.all(np.isfinite(values)):
         raise CliDataError(f"non-finite 'point' value in {path}")
+    if values.size < steps:
+        raise CliDataError(f"{case}: external forecast {name!r} has {values.size} rows, "
+                           f"{steps} needed")
     return values
 
 
 @main.command()
 @shared_options
 @click.option("--seed", type=int, default=None)
-@click.option("--horizon", "horizons", multiple=True,
-              type=click.Choice(["short", "medium", "long"]),
+@click.option("--horizon", "horizons", multiple=True, type=click.Choice(HORIZON_KINDS),
               help="May repeat; default all three.")
 @click.option("--p-grid", default=None)
 @click.option("--metric", type=click.Choice(["mase", "smape"]), default=None)
 @click.option("--external", multiple=True, help="name=path.csv third-party forecast.")
-def evaluate(config, data, value_column, label_column, frequency, out, seed,
+def evaluate(config, data, value_column, frequency, out, seed,
              horizons, p_grid, metric, external):
     """Rolling-window evaluation; emits a JSON report plus rank CSVs."""
     cfg = _load_config(config)
     seed = _resolve(cfg, "seed", seed, required=True, kind=int)
+    out_dir = _out_dir(cfg, out)
     e_cfg = _ewnet_config(cfg, None, p_grid, metric, seed)
     settings = dataclasses.asdict(e_cfg)
-    horizons = list(horizons) or list(cfg.get("horizons", ["short", "medium", "long"]))
+    horizons = list(horizons) or _resolve(cfg, "horizons", None, default=list(HORIZON_KINDS))
+    if not isinstance(horizons, list) or not horizons:
+        raise ConfigError("'horizons' must be a non-empty list")
     external_cfg = _resolve(cfg, "external_forecasts", None, default={})
     if not isinstance(external_cfg, dict) or not all(
             isinstance(path, str) for path in external_cfg.values()):
         raise ConfigError("'external_forecasts' must be an object mapping names to paths")
     external_map = {**external_cfg, **_parse_external(external)}
+    for name in external_map:
+        if name in evaluation.BUILTIN_FORECASTERS:
+            raise ConfigError(f"external forecast name {name!r} is a built-in forecaster's")
 
     entries = cfg.get("datasets")
     if entries is None:
         # A single --data series is a one-entry dataset list; flags override config keys.
-        flags = {"data": data, "value_column": value_column, "label_column": label_column,
-                 "frequency": frequency}
+        flags = {"data": data, "value_column": value_column, "frequency": frequency}
         entries = [{key: _resolve(cfg, key, flag) for key, flag in flags.items()}]
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ConfigError("'datasets' must be a list of objects")
+    if not isinstance(entries, list) or not entries or not all(
+            isinstance(e, dict) for e in entries):
+        raise ConfigError("'datasets' must be a list of objects, and not empty")
     datasets = []
     for entry in entries:
-        series, keys = _read_series(entry, None, None, None, None)
+        series, keys = _read_series(entry, None, None, None)
         name = entry.get("name") or Path(entry["data"]).stem
         datasets.append((series, {"name": name, "frequency": series.frequency, **keys}))
 
-    resolved_cases = []
-    report_cells = []
-    case_names: list[str] = []
-    metric_scores: dict[str, list[list[float]]] = {}
-    model_names: list[str] | None = None
+    # Plan every case (dataset x horizon) before any network is trained.
+    plan = []
     for series, keys in datasets:
         for kind in horizons:
+            case = f"{keys['name']}:{kind}"
             try:
                 spec = evaluation.HorizonSpec.for_frequency(
                     kind, 52 if series.frequency == 52 else 12)
-            except ValueError:
+            except (TypeError, ValueError):
                 raise ConfigError(f"unknown horizon {kind!r} (use short, medium or long)")
-            externals = {name: _load_external_forecast(path, spec.steps)
-                         for name, path in external_map.items()}
-            case = f"{keys['name']}:{kind}"
-            # Each case's digest entry keeps its horizon, the steps that size its windows.
-            resolved_cases.append({"case": case, "config": {**settings, "horizon": spec.steps}})
             try:
-                report = evaluation.rolling_evaluate(series, spec, e_cfg, external=externals)
-            except UndefinedMetricError as exc:
-                raise NumericError(str(exc))
+                evaluation.backtest_split(len(series), spec)
             except ValueError as exc:
-                raise CliDataError(f"{keys['name']}/{kind}: {exc}")
-            case_names.append(case)
-            names = [c.forecaster for c in report.cells]
-            if model_names is None:
-                model_names = names
-            for metric_name in ("rmse", "mae", "mase", "smape"):
-                metric_scores.setdefault(metric_name, []).append(
-                    [getattr(c.metrics, metric_name) for c in report.cells])
-            report_cells.append({
-                "case": case,
-                "horizon": {"kind": spec.kind, "steps": spec.steps},
-                "split": {"train": report.split.train_len, "val": report.split.val_len,
-                          "test": report.split.test_len},
-                "results": {
-                    c.forecaster: {**c.metrics.as_dict(),
-                                   **({"coverage": c.coverage} if c.coverage is not None else {})}
-                    for c in report.cells
-                },
-            })
+                raise CliDataError(f"{case}: {exc}")
+            plan.append((case, series, spec,
+                         {name: _load_external_forecast(case, name, path, spec.steps)
+                          for name, path in external_map.items()}))
 
-    # The loop above has read every input file, so a missing one was already reported.
+    reports = []
+    for case, series, spec, externals in plan:
+        try:
+            reports.append((case, evaluation.rolling_evaluate(series, spec, e_cfg,
+                                                              external=externals)))
+        except UndefinedMetricError as exc:
+            raise NumericError(str(exc))
+        except ValueError as exc:
+            raise CliDataError(f"{case}: {exc}")
+
     digest = _config_digest({
         "cmd": "evaluate",
         "datasets": [keys for _, keys in datasets],
-        "cases": resolved_cases,
+        # Each case's entry keeps its horizon, the steps that size its windows.
+        "cases": [{"case": case, "config": {**settings, "horizon": report.horizon.steps}}
+                  for case, report in reports],
         "external_sha256": {name: _file_sha256(path) for name, path in external_map.items()},
     })
-    out_dir = _out_dir(cfg, out)
-    _write_json(out_dir / "evaluation.json", {"cases": report_cells}, seed=seed, digest=digest)
-    for metric_name, scores in metric_scores.items():
-        table = evaluation.RankTable.from_scores(model_names, case_names,
-                                                 np.array(scores), metric_name)
-        rows = [[case, *rank_row] for case, rank_row in zip(case_names, table.ranks)]
-        _write_csv(out_dir / f"ranks_{metric_name}.csv", ["case", *model_names],
+    _write_json(out_dir / "evaluation.json", {"cases": [{
+        "case": case,
+        "horizon": dataclasses.asdict(report.horizon),
+        "split": {"train": report.split.train_len, "val": report.split.val_len,
+                  "test": report.split.test_len},
+        "results": {c.forecaster: {**c.metrics.as_dict(),
+                                   **({"coverage": c.coverage} if c.coverage is not None else {})}
+                    for c in report.cells},
+    } for case, report in reports]}, seed=seed, digest=digest)
+    cases = [case for case, _ in reports]
+    for metric_name in ("rmse", "mae", "mase", "smape"):
+        scores = [report.metric_table(metric_name) for _, report in reports]
+        table = evaluation.RankTable.from_scores(
+            scores[0], cases, [list(row.values()) for row in scores], metric_name)
+        rows = [[case, *rank_row] for case, rank_row in zip(cases, table.ranks)]
+        _write_csv(out_dir / f"ranks_{metric_name}.csv", ["case", *table.models],
                    rows, seed=seed, digest=digest)
     click.echo(f"wrote {out_dir / 'evaluation.json'}")
 
@@ -533,7 +534,7 @@ def _read_rank_csv(path: str) -> evaluation.RankTable:
 def stats(config, ranks_path, alpha, out):
     """Friedman/Iman and MCB analysis from a per-case rank CSV."""
     cfg = _load_config(config)
-    ranks_path = _resolve(cfg, "ranks", ranks_path, required=True)
+    ranks_path = _resolve(cfg, "ranks", ranks_path, required=True, check=PATH)
     alpha = _resolve(cfg, "alpha", alpha, default=0.05, kind=float)
     table = _read_rank_csv(ranks_path)
     digest = _config_digest({"cmd": "stats", "ranks_sha256": _file_sha256(ranks_path),
@@ -568,10 +569,10 @@ def stats(config, ranks_path, alpha, out):
 
 @main.command()
 @shared_options
-def profile(config, data, value_column, label_column, frequency, out):
+def profile(config, data, value_column, frequency, out):
     """Hurst-exponent profile of the input series."""
     cfg = _load_config(config)
-    series, keys = _read_series(cfg, data, value_column, label_column, frequency)
+    series, keys = _read_series(cfg, data, value_column, frequency)
     digest = _config_digest({"cmd": "profile", **keys})
     try:
         h = evaluation.hurst_exponent(series)

@@ -21,12 +21,10 @@ class TimeSeries:
     """Ordered real-valued observations with an observations-per-cycle tag.
 
     ``frequency`` is 52 for weekly, 12 for monthly, 1 when unspecified.
-    ``labels`` are opaque timestamp strings carried through but never parsed.
     """
 
     values: np.ndarray
     frequency: int = 1
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -35,8 +33,6 @@ class TimeSeries:
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise DataError(f"non-finite value at position {bad}")
-        if self.labels is not None and len(self.labels) != values.size:
-            raise DataError("labels length does not match values length")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -86,14 +82,12 @@ class SplitSpec:
         return self.train_len + self.val_len + self.test_len
 
 
-def load_csv(path, value_column: str, label_column: str | None = None,
-             frequency: int = 1) -> TimeSeries:
+def load_csv(path, value_column: str, frequency: int = 1) -> TimeSeries:
     """Read one observation per row from a UTF-8 CSV with a header row.
 
     Rows are assumed to already be in temporal order.
     """
     values: list[float] = []
-    labels: list[str] = []
     try:
         handle = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -102,8 +96,6 @@ def load_csv(path, value_column: str, label_column: str | None = None,
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or value_column not in reader.fieldnames:
             raise DataError(f"column {value_column!r} not found in {path}")
-        if label_column is not None and label_column not in reader.fieldnames:
-            raise DataError(f"column {label_column!r} not found in {path}")
         for i, row in enumerate(reader, start=2):  # header is line 1
             raw = row[value_column]
             try:
@@ -113,15 +105,9 @@ def load_csv(path, value_column: str, label_column: str | None = None,
             if not np.isfinite(value):
                 raise DataError(f"row {i}: non-finite value {raw!r}")
             values.append(value)
-            if label_column is not None:
-                labels.append(row[label_column])
     if not values:
         raise DataError(f"no data rows in {path}")
-    return TimeSeries(
-        values=np.array(values),
-        frequency=frequency,
-        labels=tuple(labels) if label_column is not None else None,
-    )
+    return TimeSeries(values=np.array(values), frequency=frequency)
 
 
 def _paired(actual, forecast) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,8 @@ from .ewnet import EwnetConfig
 
 WEEKLY_STEPS = {"short": 13, "medium": 26, "long": 52}
 MONTHLY_STEPS = {"short": 3, "medium": 6, "long": 12}
+# The forecasters ``rolling_evaluate`` always scores, in report order; EWNet is first.
+BUILTIN_FORECASTERS = ("EWNet", "RW", "RWD", "ARNN")
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,15 @@ class EvaluationReport:
         return {c.forecaster: getattr(c.metrics, metric) for c in self.cells}
 
 
+def backtest_split(n: int, horizon: HorizonSpec) -> SplitSpec:
+    """The train/validation/test split of an ``n``-point backtest at ``horizon``;
+    a series that leaves fewer than 8 training points is a ValueError."""
+    split = SplitSpec.for_series(n, test_len=horizon.steps)
+    if split.train_len < 8:
+        raise ValueError(f"series of length {n} too short for horizon {horizon.steps}")
+    return split
+
+
 def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,
                      external: dict | None = None) -> EvaluationReport:
     """Hold out the last ``steps`` points as test and the ``core.validation_len``
@@ -110,16 +121,15 @@ def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,
     The EWNet forecaster selects its lag order on the validation window, is
     refit on train + validation, and additionally reports pre-control interval
     coverage. ``external`` maps names to precomputed h-step forecasts; their
-    lengths are checked before any model is trained.
+    names (none may be a built-in's) and lengths are checked before any model
+    is trained.
     """
     values = series.values
-    split = SplitSpec.for_series(values.size, test_len=horizon.steps)
-    if split.train_len < 8:
-        raise ValueError(
-            f"series of length {values.size} too short for horizon {horizon.steps}"
-        )
+    split = backtest_split(values.size, horizon)
     external = {name: np.asarray(point, dtype=float) for name, point in (external or {}).items()}
     for name, point in external.items():
+        if name in BUILTIN_FORECASTERS:
+            raise ValueError(f"external forecast name {name!r} is a built-in forecaster's")
         if point.size != horizon.steps:
             raise ValueError(f"external forecast {name!r} has length {point.size}, "
                              f"expected {horizon.steps}")
@@ -132,20 +142,19 @@ def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,
     point = ewnet.forecast_ewnet(model, horizon.steps)
     band = ewnet.precontrol_interval(point, ewnet.in_sample_residuals(model))
     coverage = float(np.mean((test >= band.lower) & (test <= band.upper)))
-    builtin = [
-        ("EWNet", point),
-        ("RW", baselines.rw_forecast(fit_span, horizon.steps)),
-        ("RWD", baselines.rwd_forecast(fit_span, horizon.steps)),
-        ("ARNN", baselines.arnn_forecast(fit_span, horizon.steps, cfg.train_cfg,
-                                         p_grid=cfg.p_grid)),
-    ]
+    forecasts = dict(zip(BUILTIN_FORECASTERS, (
+        point,
+        baselines.rw_forecast(fit_span, horizon.steps),
+        baselines.rwd_forecast(fit_span, horizon.steps),
+        baselines.arnn_forecast(fit_span, horizon.steps, cfg.train_cfg, p_grid=cfg.p_grid),
+    )))
+    forecasts.update(external)
     cells = tuple(
         EvaluationCell(forecaster=name,
                        metrics=core.metric_set(test, point, fit_span, cfg.seasonal_lag),
-                       coverage=coverage if i == 0 else None)  # EWNet is first
-        for i, (name, point) in enumerate([*builtin, *external.items()]))
-    return EvaluationReport(horizon=horizon, split=split, cells=cells,
-                            forecasts={**dict(builtin), **external})
+                       coverage=coverage if i == 0 else None)
+        for i, (name, point) in enumerate(forecasts.items()))
+    return EvaluationReport(horizon=horizon, split=split, cells=cells, forecasts=forecasts)
 
 
 def friedman_chi2(table: RankTable, alpha: float = 0.05) -> TestResult:

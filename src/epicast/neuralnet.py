@@ -47,7 +47,7 @@ class NeuralNetModel:
     ``weights`` is the trainer's stacked state (w_in, w_out, b2): the (R*k, p+1)
     input layer with its bias column, the (R*k, R) block-diagonal output layer
     and the (R,) output biases. A zero-variance training series yields a
-    flagged constant predictor with ``weights`` None.
+    constant predictor: ``weights`` None, forecasting the scaler's center.
     """
 
     weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None
@@ -55,15 +55,11 @@ class NeuralNetModel:
     k: int
     scaler: tuple[float, float]
     seed: int
-    constant: bool = False
-    constant_value: float = 0.0
 
     def __post_init__(self):
         if self.scaler[1] <= 0:
             raise ValueError("scale must be positive")
         if self.weights is None:
-            if not self.constant:
-                raise ValueError("a non-constant model needs weights")
             return
         w_in, w_out, b2 = self.weights
         r, rk = b2.size, b2.size * self.k
@@ -71,6 +67,14 @@ class NeuralNetModel:
             raise ValueError("inconsistent weight dimensions")
         if not all(np.all(np.isfinite(w)) for w in self.weights):
             raise ValueError("non-finite weights")
+
+    @property
+    def constant(self) -> bool:
+        return self.weights is None
+
+    @property
+    def constant_value(self) -> float:
+        return self.scaler[0] if self.constant else 0.0
 
     def to_dict(self) -> dict:
         restarts = []
@@ -100,13 +104,12 @@ class NeuralNetModel:
             if (w1.shape, b1.shape, w2.shape, b2.shape) != ((r, k, p), (r, k), (r, k), (r,)):
                 raise ValueError("inconsistent restart weight shapes")
             weights = (*_stack(w1, b1, w2), b2)
-        return cls(
-            weights=weights, p=p, k=k,
-            scaler=(float(d["scaler"][0]), float(d["scaler"][1])),
-            seed=int(d["seed"]),
-            constant=bool(d["constant"]),
-            constant_value=float(d["constant_value"]),
-        )
+        model = cls(weights=weights, p=p, k=k,
+                    scaler=(float(d["scaler"][0]), float(d["scaler"][1])), seed=int(d["seed"]))
+        if (d["constant"], float(d["constant_value"])) != (model.constant, model.constant_value):
+            raise ValueError("'constant' and 'constant_value' disagree with the restarts "
+                             "and scaler")
+        return model
 
 
 def hidden_neurons(p: int) -> int:
@@ -232,8 +235,7 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
     center = float(np.mean(y))
     scale = float(np.std(y))
     if scale <= 1e-12 * max(1.0, abs(center)):
-        return NeuralNetModel(weights=None, p=p, k=k, scaler=(center, 1.0),
-                              seed=cfg.seed, constant=True, constant_value=center)
+        return NeuralNetModel(weights=None, p=p, k=k, scaler=(center, 1.0), seed=cfg.seed)
 
     z = (y - center) / scale
     x_mat, target = _supervised_pairs(z, p)

@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from epicast import neuralnet
 from epicast.cli import main
 
 FAST_TRAIN = {"train": {"learning_rate": 0.05, "epochs": 60, "restarts": 2}}
@@ -12,6 +14,20 @@ FAST_TRAIN = {"train": {"learning_rate": 0.05, "epochs": 60, "restarts": 2}}
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def networks_trained(monkeypatch):
+    """A list that gets one entry per ``neuralnet.fit_network`` call."""
+    calls = []
+    fit_network = neuralnet.fit_network
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fit_network(*args, **kwargs)
+
+    monkeypatch.setattr(neuralnet, "fit_network", counting)
+    return calls
 
 
 def write_series_csv(path, n=120, seed=0, level=30.0):
@@ -306,6 +322,18 @@ class TestForecast:
         result = runner.invoke(main, ["forecast", "--model", str(bad)])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("stored", [{"constant": True}, {"constant_value": 123.0}])
+    def test_constant_keys_that_disagree_with_the_weights_are_data_errors(self, runner,
+                                                                          tmp_path, stored):
+        model = self._fitted_model(runner, tmp_path, ["--p", "2"])
+        doc = json.loads(model.read_text())
+        doc["component_models"][0].update(stored)
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["forecast", "--model", str(model), "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert "disagree" in result.output
+        assert not (tmp_path / "forecast.csv").exists()
+
     @pytest.mark.parametrize("damage", [
         lambda doc: doc["component_models"][0]["restarts"][0]["hidden_bias"].append(0.5),
         lambda doc: doc["component_models"][0]["restarts"][1].pop("hidden_bias"),
@@ -429,6 +457,66 @@ class TestEvaluate:
                                       "--horizon", "short", "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert "'datasets' must be a list of objects" in result.output
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_external_named_like_a_builtin_is_config_error(self, runner, tmp_path, source):
+        data = tmp_path / "cases.csv"
+        write_series_csv(data, n=100, seed=5)
+        ext = tmp_path / "ext.csv"
+        ext.write_text("step,point\n1,30.0\n2,30.0\n3,30.0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST_TRAIN, "frequency": 12, **(
+            {"external_forecasts": {"RW": str(ext)}} if source == "config" else {})}))
+        flag = ["--external", f"RW={ext}"] if source == "flag" else []
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg), "--data", str(data),
+                                      "--seed", "6", "--horizon", "short", "--p-grid", "1",
+                                      *flag, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "external forecast name 'RW'" in result.output
+        assert not (tmp_path / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("bad", ["unknown-horizon", "short-external", "short-series"])
+    def test_a_bad_later_case_fails_before_any_network_is_trained(
+            self, runner, tmp_path, networks_trained, bad):
+        data = tmp_path / "cases.csv"
+        write_series_csv(data, n=100, seed=5)
+        datasets = [{"data": str(data), "frequency": 12}]
+        cfg = {**FAST_TRAIN, "seed": 1, "p_grid": "1", "horizons": ["short", "long"],
+               "datasets": datasets}
+        if bad == "unknown-horizon":
+            cfg["horizons"] = ["short", "weekly"]
+        elif bad == "short-external":
+            ext = tmp_path / "ext.csv"
+            ext.write_text("step,point\n1,30.0\n2,30.0\n3,30.0\n")
+            cfg["external_forecasts"] = {"other": str(ext)}
+        else:
+            # 12 points leave 7 to train on at the short horizon; at least 8 are needed.
+            write_series_csv(tmp_path / "tiny.csv", n=12, seed=5)
+            datasets.append({"data": str(tmp_path / "tiny.csv"), "frequency": 12})
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["evaluate", "--config", str(tmp_path / "cfg.json"),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == (2 if bad == "unknown-horizon" else 3), result.output
+        assert networks_trained == []
+        assert not (tmp_path / "out").exists()
+        if bad == "short-external":
+            assert "cases:long: external forecast 'other' has 3 rows, 12 needed" in result.output
+
+    @pytest.mark.parametrize("key,value", [
+        ("horizons", [["short"]]), ("horizons", []), ("horizons", "short"), ("datasets", []),
+    ], ids=["nested-horizon", "no-horizons", "string-horizons", "no-datasets"])
+    def test_bad_case_lists_are_config_errors(self, runner, tmp_path, networks_trained,
+                                              key, value):
+        data = tmp_path / "cases.csv"
+        write_series_csv(data, n=100, seed=5)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST_TRAIN, "data": str(data), "frequency": 12,
+                                   "p_grid": "1", key: value}))
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg), "--seed", "1",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert networks_trained == []
+        assert not (tmp_path / "out").exists()
 
     def test_single_series_is_a_one_entry_dataset_list(self, runner, tmp_path):
         data = tmp_path / "cases.csv"
@@ -683,6 +771,51 @@ class TestConfigHandling:
         assert result.exit_code == 2, result.output
         assert f"bad value for {key!r}" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd,key", [
+        ("decompose", "data"), ("fit", "data"), ("profile", "data"), ("evaluate", "data"),
+        ("evaluate", "datasets"), ("forecast", "model"), ("stats", "ranks"),
+        ("fit", "output_dir"), ("evaluate", "output_dir"),
+    ])
+    def test_path_keys_must_be_strings(self, runner, tmp_path, cmd, key):
+        # open() and os.path.exists() take an int as a file descriptor.
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        target = data
+        inputs = {**FAST_TRAIN, "data": str(data), "seed": 1, "p_grid": "1", "levels": 1,
+                  "frequency": 12, "horizons": ["short"]}
+        cfg = tmp_path / "cfg.json"
+        if cmd == "forecast":
+            cfg.write_text(json.dumps(FAST_TRAIN))
+            fitted = runner.invoke(main, ["fit", "--config", str(cfg), "--data", str(data),
+                                          "--seed", "1", "--p", "1", "--levels", "1",
+                                          "--out", str(tmp_path)])
+            assert fitted.exit_code == 0, fitted.output
+            target = tmp_path / "model.json"
+            inputs = {}
+        elif cmd == "stats":
+            target = tmp_path / "ranks.csv"
+            write_ranks_csv(target, 0)
+            inputs = {}
+        fd = os.open(target, os.O_RDONLY)
+        try:
+            assert fd > 2
+            if key == "datasets":
+                inputs["datasets"] = [{"data": fd, "frequency": 12}]
+            else:
+                inputs[key] = fd
+            cfg.write_text(json.dumps(inputs))
+            out = [] if key == "output_dir" else ["--out", str(tmp_path / "out")]
+            result = runner.invoke(main, [cmd, "--config", str(cfg), *out])
+        finally:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+        assert result.exit_code == 2, result.output
+        name = "data" if key == "datasets" else key
+        assert f"bad value for {name!r}: {fd} (expected a path string)" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_bad_grid_spec(self, runner, tmp_path):
         data = tmp_path / "series.csv"

@@ -36,10 +36,6 @@ class TestTimeSeries:
         with pytest.raises(DataError, match="position 1"):
             TimeSeries(values=np.array([1.0, np.nan]))
 
-    def test_rejects_label_mismatch(self):
-        with pytest.raises(DataError):
-            TimeSeries(values=np.array([1.0, 2.0]), labels=("a",))
-
     def test_values_immutable(self):
         ts = TimeSeries(values=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
@@ -63,10 +59,9 @@ class TestLoadCsv:
         path = tmp_path / "hepatitis.csv"
         rows = "\n".join(f"2010-{i % 12 + 1:02d},{100 + i}" for i in range(92))
         path.write_text("month,cases\n" + rows + "\n")
-        ts = load_csv(path, "cases", label_column="month", frequency=12)
+        ts = load_csv(path, "cases", frequency=12)
         assert len(ts) == 92
         assert ts.frequency == 12
-        assert len(ts.labels) == 92
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):

@@ -6,6 +6,7 @@ from scipy import stats
 
 from epicast.core import TimeSeries
 from epicast.evaluation import (
+    BUILTIN_FORECASTERS,
     HorizonSpec,
     RankTable,
     friedman_chi2,
@@ -287,6 +288,18 @@ class TestRollingEvaluate:
         table = report.metric_table("mase")
         assert set(table) == {"EWNet", "RW", "RWD", "ARNN", "flat30"}
         assert all(np.isfinite(v) for v in table.values())
+
+    def test_builtins_come_first_in_order(self, report):
+        names = tuple(c.forecaster for c in report.cells)
+        assert names == (*BUILTIN_FORECASTERS, "flat30")
+        assert tuple(report.forecasts) == names
+
+    def test_external_named_like_a_builtin_rejected(self):
+        series = TimeSeries(values=np.random.default_rng(0).normal(size=60) + 10)
+        cfg = EwnetConfig(p_grid=(1,), train_cfg=TrainConfig(epochs=2, restarts=1))
+        with pytest.raises(ValueError, match="external forecast name 'RW'"):
+            rolling_evaluate(series, HorizonSpec("short", 3), cfg,
+                             external={"RW": np.zeros(3)})
 
     def test_coverage_only_for_ewnet(self, report):
         by_name = {c.forecaster: c for c in report.cells}

@@ -245,4 +245,16 @@ class TestSerialization:
             NeuralNetModel(weights=(w_in[:, :2], w_out, b2), p=2, k=2,
                            scaler=(0.0, 1.0), seed=0)
         with pytest.raises(ValueError):
-            NeuralNetModel(weights=None, p=2, k=2, scaler=(0.0, 1.0), seed=0)
+            NeuralNetModel.from_dict({**COMPONENT_V1, "restarts": []})
+
+    def test_constant_keys_are_derived(self):
+        constant = fit_network(np.full(30, 4.2), 2, 1, TrainConfig(epochs=5, restarts=1))
+        doc = constant.to_dict()
+        assert (doc["constant"], doc["constant_value"], doc["restarts"]) == (
+            True, constant.scaler[0], [])
+        assert NeuralNetModel.from_dict(doc).to_dict() == doc
+        for stored in ({"constant": True}, {"constant_value": 123.0}):
+            with pytest.raises(ValueError, match="disagree"):
+                NeuralNetModel.from_dict({**COMPONENT_V1, **stored})
+        with pytest.raises(ValueError, match="disagree"):
+            NeuralNetModel.from_dict({**doc, "constant_value": 0.0})
