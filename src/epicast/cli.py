@@ -139,8 +139,7 @@ def _parse_grid(spec: str) -> tuple[int, ...]:
             grid = tuple(int(tok) for tok in spec.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse lag grid {spec!r} (use 'LO-HI' or 'a,b,c')")
-    if not grid or min(grid) < 1:
-        raise ConfigError("lag grid must contain positive integers")
+    # EwnetConfig rejects an empty grid, repeated lags and lags below 1.
     return grid
 
 
@@ -440,6 +439,8 @@ def evaluate(config, data, value_column, frequency, out, seed,
     for entry in entries:
         series, keys = _read_series(entry, None, None, None)
         name = entry.get("name") or Path(entry["data"]).stem
+        if any(name == other["name"] for _, other in datasets):
+            raise ConfigError(f"two datasets are named {name!r}; give each a distinct 'name'")
         datasets.append((series, {"name": name, "frequency": series.frequency, **keys}))
 
     # Plan every case (dataset x horizon) before any network is trained.

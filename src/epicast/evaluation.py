@@ -1,4 +1,8 @@
-"""Rolling-window backtesting, rank aggregation, and nonparametric model comparison."""
+"""Rolling-window backtesting, rank aggregation, and nonparametric model comparison.
+
+Only the p-values and MCB's critical value need ``scipy.stats``; it is imported
+where they are computed, so that importing this module (and the CLI) does not load it.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import baselines, core, ewnet
 from .core import MetricSet, SplitSpec, TimeSeries
@@ -38,6 +41,23 @@ class HorizonSpec:
         return cls(kind=kind, steps=table[kind])
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-D array, ties sharing their mean rank; any NaN makes
+    every rank NaN. Equal to ``scipy.stats.rankdata(values)``, without importing scipy."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    new_value = np.r_[True, ordered[1:] != ordered[:-1]]
+    # Sorted positions bounds[g] .. bounds[g + 1] - 1 hold the g-th distinct value.
+    bounds = np.r_[np.flatnonzero(new_value), values.size]
+    group = np.cumsum(new_value) - 1
+    ranks = np.empty(values.size)
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
+
+
 @dataclass(frozen=True)
 class RankTable:
     """D x M matrix of per-case model ranks (1 = best, midranks for ties)."""
@@ -61,7 +81,7 @@ class RankTable:
     def from_scores(cls, models, datasets, scores, metric: str) -> "RankTable":
         """Rank models per dataset row by score, lower is better."""
         scores = np.asarray(scores, dtype=float)
-        ranks = np.vstack([stats.rankdata(row) for row in scores])
+        ranks = np.vstack([_average_ranks(row) for row in scores])
         return cls(models=tuple(models), datasets=tuple(datasets), ranks=ranks, metric=metric)
 
     def mean_ranks(self) -> np.ndarray:
@@ -164,6 +184,7 @@ def friedman_chi2(table: RankTable, alpha: float = 0.05) -> TestResult:
         raise ValueError("need at least 2 datasets and 2 models")
     mean_ranks = table.mean_ranks()
     statistic = 12.0 * d / (m * (m + 1)) * (np.sum(mean_ranks**2) - m * (m + 1) ** 2 / 4.0)
+    from scipy import stats
     p_value = stats.chi2.sf(statistic, df=m - 1)
     return TestResult.from_p(statistic, df=str(m - 1), p_value=p_value, alpha=alpha)
 
@@ -177,6 +198,7 @@ def iman_f(chi2: float, m: int, d: int, alpha: float = 0.05) -> TestResult:
         raise ValueError("chi-square statistic too large for the Iman F transform")
     statistic = (d - 1) * chi2 / denom
     df1, df2 = m - 1, (m - 1) * (d - 1)
+    from scipy import stats
     p_value = stats.f.sf(statistic, df1, df2)
     return TestResult.from_p(statistic, df=f"({df1}, {df2})", p_value=p_value, alpha=alpha)
 
@@ -190,7 +212,7 @@ def _wilcoxon_prepare(errors_a, errors_b):
     diffs = diffs[diffs != 0.0]
     if diffs.size < 5:
         raise ValueError("too few non-zero differences (need at least 5)")
-    ranks = stats.rankdata(np.abs(diffs))
+    ranks = _average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     return diffs, ranks, w_plus
 
@@ -223,6 +245,7 @@ def _wilcoxon_normal_p(diffs: np.ndarray, ranks: np.ndarray, w_plus: float) -> f
     var -= np.sum(tie_counts**3 - tie_counts) / 48.0
     if var <= 0:
         raise ValueError("degenerate variance (all differences tied)")
+    from scipy import stats
     # Continuity correction toward the mean.
     z = (w_plus - mu - 0.5 * np.sign(w_plus - mu)) / math.sqrt(var)
     return min(1.0, 2.0 * stats.norm.sf(abs(z)))
@@ -253,6 +276,7 @@ class McbEntry:
 
 
 def _studentized_range_q(alpha: float, m: int) -> float:
+    from scipy import stats
     # Normal-based Tukey quantile: infinite error degrees of freedom.
     return float(stats.studentized_range.ppf(1.0 - alpha, m, np.inf))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -32,6 +33,12 @@ class EwnetConfig:
     def __post_init__(self):
         if not self.p_grid:
             raise ValueError("p_grid must be non-empty")
+        if not all(isinstance(p, Integral) and not isinstance(p, bool) and p >= 1
+                   for p in self.p_grid):
+            raise ValueError(f"p_grid lags must be positive integers, got {tuple(self.p_grid)}")
+        if len(set(self.p_grid)) != len(self.p_grid):
+            # select_p would train the same candidate once per repeat.
+            raise ValueError(f"p_grid has a repeated lag: {tuple(self.p_grid)}")
         if self.levels is not None and self.levels < 0:
             raise ValueError("levels must be >= 0")
         if self.selection_metric not in ("mase", "smape"):

@@ -518,6 +518,25 @@ class TestEvaluate:
         assert networks_trained == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("second", ["same-stem", "explicit-name"])
+    def test_repeated_dataset_names_are_config_errors(self, runner, tmp_path,
+                                                      networks_trained, second):
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            write_series_csv(tmp_path / folder / "x.csv", n=100, seed=5)
+        other = ({"data": str(tmp_path / "b" / "x.csv")} if second == "same-stem"
+                 else {"data": str(tmp_path / "b" / "x.csv"), "name": "x"})
+        datasets = [{"data": str(tmp_path / "a" / "x.csv")}, other]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST_TRAIN, "seed": 1, "p_grid": "1", "horizons": ["short"],
+                                   "datasets": [{**d, "frequency": 12} for d in datasets]}))
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "two datasets are named 'x'" in result.output
+        assert networks_trained == []
+        assert not (tmp_path / "out").exists()
+
     def test_single_series_is_a_one_entry_dataset_list(self, runner, tmp_path):
         data = tmp_path / "cases.csv"
         write_series_csv(data, n=90, seed=4)
@@ -816,6 +835,23 @@ class TestConfigHandling:
         name = "data" if key == "datasets" else key
         assert f"bad value for {name!r}: {fd} (expected a path string)" in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", ["fit", "evaluate"])
+    @pytest.mark.parametrize("grid", ["4,4", "2,1,2", "0,3", "0-2", "3-1"])
+    def test_repeated_or_non_positive_lags_are_config_errors(self, runner, tmp_path,
+                                                              networks_trained, cmd, grid):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FAST_TRAIN))
+        extra = ["--levels", "1"] if cmd == "fit" else ["--frequency", "12", "--horizon", "short"]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [cmd, "--config", str(cfg), "--data", str(data),
+                                      "--seed", "1", "--p-grid", grid, *extra, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "p_grid" in result.output
+        assert networks_trained == []
+        assert not out.exists()
 
     def test_bad_grid_spec(self, runner, tmp_path):
         data = tmp_path / "series.csv"

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from epicast.core import TimeSeries
@@ -9,6 +11,7 @@ from epicast.evaluation import (
     BUILTIN_FORECASTERS,
     HorizonSpec,
     RankTable,
+    _average_ranks,
     friedman_chi2,
     hurst_exponent,
     iman_f,
@@ -68,6 +71,31 @@ class TestRankTable:
         table = RankTable(models=("a", "b"), datasets=("d1", "d2"),
                           ranks=np.array([[1.0, 2.0], [2.0, 1.0]]), metric="mase")
         np.testing.assert_allclose(table.mean_ranks(), [1.5, 1.5])
+
+    def test_from_scores_rejects_a_row_with_nan(self):
+        with pytest.raises(ValueError, match="sum"):
+            RankTable.from_scores(["a", "b", "c"], ["d1", "d2"],
+                                  [[1.0, 2.0, 3.0], [2.0, np.nan, 1.0]], "mase")
+
+
+# Small integer grids force ties; the specials cover ordering at the extremes,
+# -0.0 == 0.0, and NaN, which scipy spreads to the whole row.
+_SCORE = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.integers(-3, 3).map(lambda k: k * 1e-3),
+    st.sampled_from([np.inf, -np.inf, 0.0, -0.0, np.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(_SCORE, min_size=1, max_size=12))
+def test_average_ranks_equal_scipy_rankdata(row):
+    expected = stats.rankdata(row)
+    got = _average_ranks(row)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+    assert np.array_equal(got, expected, equal_nan=True)
 
 
 class TestFriedman:

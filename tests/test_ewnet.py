@@ -52,6 +52,14 @@ class TestEwnetConfig:
         with pytest.raises(ValueError):
             EwnetConfig(selection_metric="rmse")
 
+    @pytest.mark.parametrize("grid", [(4, 4), (1, 3, 1), (0,), (-2, 3), (2.5,), (True, 2)])
+    def test_rejects_repeated_or_non_positive_integer_lags(self, grid):
+        with pytest.raises(ValueError, match="p_grid"):
+            EwnetConfig(p_grid=grid)
+
+    def test_accepts_numpy_integer_lags(self):
+        assert EwnetConfig(p_grid=(np.int64(4), 8)).p_grid == (4, 8)
+
 
 class TestFitForecast:
     def test_model_shape(self):

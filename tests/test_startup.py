@@ -1,0 +1,76 @@
+"""Start-up cost: only the model-comparison statistics load ``scipy.stats``.
+
+Each check runs in a fresh interpreter, since this test process has already
+imported scipy through other test modules.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import epicast
+
+SRC = str(Path(epicast.__file__).resolve().parents[1])
+
+
+def run_python(code: str, cwd) -> dict:
+    """Run ``code`` in a fresh interpreter that imports this epicast; return its last
+    stdout line, parsed as JSON."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_importing_the_package_and_cli_loads_no_scipy(tmp_path):
+    loaded = run_python("""
+        import json, sys
+        import epicast, epicast.cli
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    """, tmp_path)
+    assert loaded == []
+
+
+def test_only_stats_loads_scipy_stats(tmp_path):
+    result = run_python("""
+        import json, sys
+        import numpy as np
+        from click.testing import CliRunner
+        from epicast.cli import main
+
+        y = 30.0 + np.cumsum(np.random.default_rng(3).normal(size=60))
+        with open("series.csv", "w") as handle:
+            handle.write("value\\n" + "".join(f"{v}\\n" for v in y))
+        with open("cfg.json", "w") as handle:
+            json.dump({"train": {"epochs": 1, "restarts": 2}}, handle)
+        common = ["--config", "cfg.json", "--data", "series.csv"]
+        runner = CliRunner()
+        codes = {}
+        for name, argv in [
+            ("fit", ["fit", *common, "--seed", "1", "--levels", "1", "--p-grid", "1,2",
+                     "--horizon", "3", "--out", "fit"]),
+            ("forecast", ["forecast", "--model", "fit/model.json", "--horizon", "3",
+                          "--out", "forecast"]),
+            ("decompose", ["decompose", "--data", "series.csv", "--levels", "2",
+                           "--out", "decompose"]),
+            ("profile", ["profile", "--data", "series.csv", "--out", "profile"]),
+            ("evaluate", ["evaluate", *common, "--frequency", "12", "--seed", "1",
+                          "--p-grid", "1,2", "--horizon", "short", "--horizon", "long",
+                          "--out", "evaluate"]),
+        ]:
+            codes[name] = runner.invoke(main, argv).exit_code
+        before = "scipy.stats" in sys.modules
+        codes["stats"] = runner.invoke(
+            main, ["stats", "--ranks", "evaluate/ranks_mase.csv", "--out", "stats"]).exit_code
+        print(json.dumps({"codes": codes, "before_stats": before,
+                          "after_stats": "scipy.stats" in sys.modules}))
+    """, tmp_path)
+    assert result["codes"] == {name: 0 for name in (
+        "fit", "forecast", "decompose", "profile", "evaluate", "stats")}
+    assert result["before_stats"] is False
+    assert result["after_stats"] is True
