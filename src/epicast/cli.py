@@ -79,8 +79,7 @@ def _write_json(path: Path, payload: dict, seed: int, digest: str) -> None:
 
 def _write_csv(path: Path, header: list[str], rows, seed: int, digest: str) -> None:
     lines = [f"# seed={seed} config_digest={digest}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -226,10 +225,8 @@ def decompose(config, data, value_column, frequency, out, levels):
 
     out_dir = _out_dir(cfg, out)
     header = ["t"] + [f"D{i}" for i in range(1, j + 1)] + ["SJ", "original"]
-    rows = [
-        [t, *(d[t] for d in decomp.details), decomp.smooth[t], series.values[t]]
-        for t in range(decomp.n)
-    ]
+    columns = np.column_stack([*decomp.details, decomp.smooth, series.values])
+    rows = [[t, *values] for t, values in enumerate(columns.tolist())]
     _write_csv(out_dir / "decomposition.csv", header, rows, seed=0, digest=digest)
     _write_json(out_dir / "decomposition_summary.json",
                 {"n": decomp.n, "levels": j, "filter": decomp.filter,

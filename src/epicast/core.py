@@ -85,29 +85,40 @@ class SplitSpec:
 def load_csv(path, value_column: str, frequency: int = 1) -> TimeSeries:
     """Read one observation per row from a UTF-8 CSV with a header row.
 
-    Rows are assumed to already be in temporal order.
+    Rows are assumed to already be in temporal order. Blank lines are skipped,
+    a row too short to reach the column has no value, and of repeated header
+    names the last column counts (``csv.DictReader``'s rules).
     """
-    values: list[float] = []
     try:
         handle = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or value_column not in reader.fieldnames:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or value_column not in header:
             raise DataError(f"column {value_column!r} not found in {path}")
-        for i, row in enumerate(reader, start=2):  # header is line 1
-            raw = row[value_column]
-            try:
-                value = float(raw)
-            except (TypeError, ValueError):
-                raise DataError(f"row {i}: cannot parse value {raw!r}") from None
-            if not np.isfinite(value):
-                raise DataError(f"row {i}: non-finite value {raw!r}")
-            values.append(value)
-    if not values:
+        col = len(header) - 1 - header[::-1].index(value_column)
+        cells = [row[col] if col < len(row) else None for row in reader if row]
+    try:
+        values = np.array([float(raw) for raw in cells])
+    except (TypeError, ValueError):
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
+        _raise_first_bad_cell(cells)
+    if not values.size:
         raise DataError(f"no data rows in {path}")
-    return TimeSeries(values=np.array(values), frequency=frequency)
+    return TimeSeries(values=values, frequency=frequency)
+
+
+def _raise_first_bad_cell(cells: list[str | None]) -> None:
+    for i, raw in enumerate(cells, start=2):  # header is line 1
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise DataError(f"row {i}: cannot parse value {raw!r}") from None
+        if not np.isfinite(value):
+            raise DataError(f"row {i}: non-finite value {raw!r}")
 
 
 def _paired(actual, forecast) -> tuple[np.ndarray, np.ndarray]:

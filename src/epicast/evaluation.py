@@ -208,7 +208,13 @@ def _wilcoxon_prepare(errors_a, errors_b):
     b = np.asarray(errors_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("length mismatch")
-    diffs = a - b
+    with np.errstate(invalid="ignore", over="ignore"):
+        diffs = a - b
+    bad = np.flatnonzero(~np.isfinite(diffs))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"error pair at position {i} ({float(a.flat[i])} vs "
+                         f"{float(b.flat[i])}) has a non-finite difference")
     diffs = diffs[diffs != 0.0]
     if diffs.size < 5:
         raise ValueError("too few non-zero differences (need at least 5)")

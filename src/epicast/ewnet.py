@@ -189,6 +189,8 @@ def conformal_interval(point, calibration_abs_residuals, level: float) -> Interv
     cal = np.sort(np.asarray(calibration_abs_residuals, dtype=float))
     if cal.size == 0:
         raise ValueError("calibration set must be non-empty")
+    if not (np.all(np.isfinite(cal)) and cal[0] >= 0.0):
+        raise ValueError("calibration residuals must be finite and non-negative")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     rank = math.ceil((cal.size + 1) * level)
@@ -204,22 +206,48 @@ def conformal_interval(point, calibration_abs_residuals, level: float) -> Interv
     )
 
 
+def _lag_windows(model: EwnetModel, val: np.ndarray) -> np.ndarray:
+    """(J+1, len(val), p) lag windows of the one-step forecasts over ``val``.
+
+    Step i forecasts val[i] from the last p values of each MRA component of
+    the history train + val[:i], of length n. An MRA value at t depends only
+    on history[t - r .. t + r] (mod n), with reach r = (2^J - 1)(L - 1) for the
+    L-tap filter (``wavelet`` module docstring), so one MODWT of the circular
+    window history[n - p - r .. n + r) gives those p values in its middle,
+    bitwise equal to the full transform's; this holds also when n < p + 2r.
+    """
+    base = haar_filter()
+    levels = model.decomposition.levels
+    p = model.chosen_p
+    if model.train_series.size < p:
+        raise ValueError("series shorter than the lag order")
+    reach = (2 ** levels - 1) * (base.width - 1)
+    width = max(p + 2 * reach, 2)  # modwt_forward needs two points (p = 1, J = 0)
+    series = np.concatenate([model.train_series, val[:-1]])
+    windows = np.empty((levels + 1, val.size, p))
+    for i in range(val.size):
+        n = model.train_series.size + i
+        start = n - p - reach
+        decomp = modwt_forward(series[np.arange(start, start + width) % n], levels, base)
+        for c, comp in enumerate(decomp.components()):
+            windows[c, i] = comp[reach:reach + p]
+    return windows
+
+
 def validation_abs_residuals(model: EwnetModel, val) -> np.ndarray:
     """Absolute one-step-ahead errors over a validation window for conformal calibration.
 
     The fitted component models roll forward through the validation span one
-    observation at a time, each step forecasting from the true history so far.
+    observation at a time, each step forecasting from the MODWT of the true
+    history so far. A step transforms only the p + 2r points its lag windows
+    depend on, with reach r = 2^J - 1 for Haar (``_lag_windows``), and each
+    component network then predicts all steps in one pass.
     """
     val = np.asarray(val, dtype=float)
-    residuals = np.empty(val.size)
-    history = model.train_series.copy()
-    for i, actual in enumerate(val):
-        # Component series are extended by re-decomposing the growing history so
-        # each one-step forecast conditions on all observed data.
-        decomp = modwt_forward(history, model.decomposition.levels, haar_filter())
-        pred = 0.0
-        for net, comp in zip(model.component_models, decomp.components()):
-            pred += neuralnet.forecast_recursive(net, comp, 1)[0]
-        residuals[i] = abs(pred - actual)
-        history = np.append(history, actual)
-    return residuals
+    if not np.all(np.isfinite(val)):
+        bad = int(np.flatnonzero(~np.isfinite(val))[0])
+        raise ValueError(f"non-finite validation value {val[bad]} at position {bad}")
+    pred = np.zeros(val.size)
+    for net, lags in zip(model.component_models, _lag_windows(model, val)):
+        pred += neuralnet._predict(net, lags)
+    return np.abs(pred - val)

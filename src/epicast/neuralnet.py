@@ -273,6 +273,8 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
 
 def _predict(model: NeuralNetModel, windows: np.ndarray) -> np.ndarray:
     """Restart-averaged one-step predictions for an (m, p) array of lag windows."""
+    if model.constant:
+        return np.full(len(windows), model.constant_value)
     center, scale = model.scaler
     x1 = np.column_stack(((windows - center) / scale, np.ones(len(windows))))
     _, out = _forward(x1, *model.weights)
@@ -284,8 +286,6 @@ def forecast_one(model: NeuralNetModel, recent) -> float:
     recent = np.asarray(recent, dtype=float)
     if recent.shape != (model.p,):
         raise ValueError(f"expected {model.p} lagged values, got {recent.shape}")
-    if model.constant:
-        return model.constant_value
     return float(_predict(model, recent[None, :])[0])
 
 
@@ -307,7 +307,5 @@ def fitted_values(model: NeuralNetModel, series) -> np.ndarray:
     y = np.asarray(series, dtype=float)
     if y.size < model.p + 1:
         raise ValueError("series too short")
-    if model.constant:
-        return np.full(y.size - model.p, model.constant_value)
     windows, _ = _supervised_pairs(y, model.p)
     return _predict(model, windows)

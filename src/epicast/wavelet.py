@@ -5,6 +5,12 @@ Implements the forward transform with the MODWT pyramid (Percival & Walden
 multiresolution analysis (details + smooth) by the transposed cascade, O(N J^2 L);
 exact inverse reconstruction; and an O(N^2) circulant-matrix oracle built from
 the level-j equivalent filters, used to cross-check the fast path in tests.
+
+Locality: level j of the pyramid looks back (2^(j-1))(L - 1) points and the
+transposed cascade looks forward as far, so every MRA value at t depends only
+on y[t - r .. t + r] (mod N), with reach r = (2^J - 1)(L - 1); r = 2^J - 1 for
+Haar. The transform of any circular window that covers t +/- r therefore gives
+bitwise the same values at t as the transform of the whole series.
 """
 
 from __future__ import annotations
@@ -149,10 +155,15 @@ def _pyramid_stage(v: np.ndarray, taps: np.ndarray, shift: int) -> np.ndarray:
     """z_t = sum_l taps[l] * v[(t - shift * l) mod N] along the last axis.
 
     A negative ``shift`` applies the transpose of the stage with shift -shift.
+    Each tap adds its products in two slices, the part that wraps and the part
+    that does not, instead of rolling a copy of ``v``.
     """
+    n = v.shape[-1]
     out = taps[0] * v
     for l in range(1, taps.size):
-        out += taps[l] * np.roll(v, shift * l, axis=-1)
+        s = (shift * l) % n
+        out[..., s:] += taps[l] * v[..., :n - s]
+        out[..., :s] += taps[l] * v[..., n - s:]
     return out
 
 

@@ -1,8 +1,10 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from epicast import core
@@ -72,6 +74,58 @@ class TestLoadCsv:
         path.write_text("x\n1\n")
         with pytest.raises(DataError, match="'value'"):
             load_csv(path, "value")
+
+
+def reference_load_csv(path, value_column):
+    """``load_csv``'s rules as a ``csv.DictReader`` row loop."""
+    values = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or value_column not in reader.fieldnames:
+            raise DataError(f"column {value_column!r} not found in {path}")
+        for i, row in enumerate(reader, start=2):
+            raw = row[value_column]
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                raise DataError(f"row {i}: cannot parse value {raw!r}") from None
+            if not np.isfinite(value):
+                raise DataError(f"row {i}: non-finite value {raw!r}")
+            values.append(value)
+    if not values:
+        raise DataError(f"no data rows in {path}")
+    return np.array(values)
+
+
+csv_cells = st.one_of(
+    finite_floats.map(repr),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e400", "", " 2.5 ", "abc", "1_0", "1,5",
+                     '"7"', "3\n4", "-0.0"]),
+)
+# An empty row is written as a blank line.
+csv_rows = st.lists(st.lists(csv_cells, max_size=5), max_size=12)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.lists(st.sampled_from(["value", "value", "t", "x"]), max_size=4), rows=csv_rows,
+       quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+def test_load_csv_matches_dictreader(tmp_path, header, rows, quoting):
+    text = io.StringIO()
+    csv.writer(text, quoting=quoting).writerows([header, *rows])
+    path = tmp_path / "d.csv"
+    path.write_text(text.getvalue(), encoding="utf-8", newline="")
+
+    def outcome(load):
+        try:
+            return np.asarray(load(path, "value")).tobytes()
+        except DataError as exc:
+            return str(exc)
+
+    got = outcome(lambda *a: load_csv(*a).values)
+    event("loaded" if isinstance(got, bytes) else next(
+        kind for kind in ("not found", "cannot parse", "non-finite", "no data rows") if kind in got))
+    assert got == outcome(reference_load_csv)
 
 
 class TestRmse:

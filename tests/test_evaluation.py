@@ -223,6 +223,17 @@ class TestWilcoxon:
         with pytest.raises(ValueError, match="at least 5"):
             wilcoxon_signed_rank([1, 2, 3, 4], [1, 2, 3, 0])
 
+    @pytest.mark.parametrize("a,b,position", [
+        ([np.nan, 1, 2, 3, 4, 5], [0] * 6, 0),
+        ([np.inf, 1, 2, 3, 4, 5], [0] * 6, 0),
+        ([1, 2, 3, 4, 5, 6], [0, 0, 0, -np.inf, 0, 0], 3),
+        ([1, 2, np.inf, 4, 5, 6], [0, 0, np.inf, 0, 0, np.nan], 2),
+        ([1e308, 2, 3, 4, 5, 6], [-1e308, 0, 0, 0, 0, 0], 0),  # difference overflows
+    ], ids=["nan", "inf", "neg-inf-in-b", "inf-minus-inf", "overflow"])
+    def test_non_finite_pair_is_named(self, a, b, position):
+        with pytest.raises(ValueError, match=f"error pair at position {position} .*non-finite"):
+            wilcoxon_signed_rank(a, b)
+
 
 class TestMcb:
     def test_half_width_formula(self):

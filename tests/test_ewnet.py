@@ -178,6 +178,13 @@ class TestConformalInterval:
         with pytest.raises(ValueError):
             conformal_interval(np.array([0.0]), [1.0], 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_residuals(self, bad):
+        cal = np.arange(1.0, 40.0)
+        cal[5] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            conformal_interval(np.array([0.0]), cal, 0.95)
+
     def test_exchangeable_coverage(self):
         # Split conformal guarantees >= level coverage under exchangeability.
         rng = np.random.default_rng(12)
@@ -200,6 +207,17 @@ class TestConformalInterval:
         # First residual must equal the plain one-step forecast error.
         first = abs(forecast_ewnet(model, 1)[0] - y[-6])
         assert res[0] == pytest.approx(first)
+
+    @pytest.mark.parametrize("position", [0, 3, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validation_residuals_reject_non_finite_values(self, position, bad):
+        # The last value is never part of a history, only compared with its forecast.
+        y = lag4_series()
+        model = fit_ewnet(y[:-6], EwnetConfig(levels=2, train_cfg=FAST), p=2)
+        val = y[-6:].copy()
+        val[position] = bad
+        with pytest.raises(ValueError, match=f"non-finite validation value .* {position}"):
+            validation_abs_residuals(model, val)
 
 
 class TestIntervalForecast:

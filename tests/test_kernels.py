@@ -9,6 +9,12 @@ A second training reference re-stacks the (W1, b1, w2, b2) weights for every
 epoch and allocates its temporaries afresh. The trainer keeps the stacked
 layout and reuses its buffers but performs the same floating-point operations
 on the same operands, so it must agree with that reference bit for bit.
+
+Two more fast paths do the same operations on the same operands as their
+references and must agree bit for bit: a pyramid stage that adds two slices
+per tap against the ``np.roll`` form, and the conformal calibration's lag
+windows, taken from a MODWT of the p + 2r points each step depends on, against
+a full MODWT of the growing history at every step.
 """
 
 import math
@@ -19,7 +25,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from epicast import ewnet
 from epicast.neuralnet import (
+    NeuralNetModel,
     TrainConfig,
     _block_mask,
     _init_weights,
@@ -31,8 +39,16 @@ from epicast.neuralnet import (
     fit_network,
     fitted_values,
     forecast_one,
+    forecast_recursive,
+    hidden_neurons,
 )
-from epicast.wavelet import FilterPair, haar_filter, modwt_filters, modwt_forward
+from epicast.wavelet import (
+    FilterPair,
+    _pyramid_stage,
+    haar_filter,
+    modwt_filters,
+    modwt_forward,
+)
 
 
 def reference_sigmoid(x):
@@ -132,6 +148,46 @@ def reference_modwt(y, levels, base):
     return details, reference_circular_adjoint(scaling, taps), coeffs, scaling
 
 
+def reference_pyramid_stage(v, taps, shift):
+    """The pyramid stage as a sum of rolled copies of ``v``."""
+    out = taps[0] * v
+    for l in range(1, taps.size):
+        out += taps[l] * np.roll(v, shift * l, axis=-1)
+    return out
+
+
+def reference_calibration(model, val):
+    """Lag windows and absolute one-step errors from a full MODWT of the history at each step."""
+    windows = np.empty((model.decomposition.levels + 1, val.size, model.chosen_p))
+    residuals = np.empty(val.size)
+    history = model.train_series.copy()
+    for i, actual in enumerate(val):
+        decomp = modwt_forward(history, model.decomposition.levels, haar_filter())
+        pred = 0.0
+        for c, (net, comp) in enumerate(zip(model.component_models, decomp.components())):
+            windows[c, i] = comp[-model.chosen_p:]
+            pred += forecast_recursive(net, comp, 1)[0]
+        residuals[i] = abs(pred - actual)
+        history = np.append(history, actual)
+    return windows, residuals
+
+
+def random_ewnet(rng, train, levels, p, constant):
+    """An EWNet of random 3-restart networks; component ``constant`` is a constant model."""
+    k = hidden_neurons(p)
+    nets = []
+    for c in range(levels + 1):
+        if c == constant:
+            nets.append(NeuralNetModel(weights=None, p=p, k=k, scaler=(rng.normal(), 1.0), seed=0))
+            continue
+        w1, b1, w2 = (rng.normal(size=shape) for shape in ((3, k, p), (3, k), (3, k)))
+        nets.append(NeuralNetModel(weights=(*restart_major_stack(w1, b1, w2), rng.normal(size=3)),
+                                   p=p, k=k, scaler=(float(train.mean()), 1.0 + train.std()),
+                                   seed=0))
+    return ewnet.EwnetModel(decomposition=modwt_forward(train, levels, haar_filter()),
+                            component_models=nets, chosen_p=p, train_series=train)
+
+
 def d4_filter():
     s3 = math.sqrt(3.0)
     g = np.array([1 + s3, 3 + s3, 3 - s3, 1 - s3]) / (4 * math.sqrt(2.0))
@@ -207,6 +263,41 @@ def test_pyramid_matches_gather(base, data):
     for got, want in zip([*decomp.details, decomp.smooth, *decomp.wavelet_coeffs,
                           decomp.scaling_coeffs], [*details, smooth, *coeffs, scaling]):
         assert_close(got, want, 1e-10)
+
+
+@pytest.mark.parametrize("base", [haar_filter(), d4_filter()], ids=["haar", "d4"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pyramid_stage_bitwise_equals_roll(base, data):
+    n = data.draw(st.integers(1, 70), label="n")
+    shift = data.draw(st.one_of(st.integers(-3 * n - 5, 3 * n + 5),
+                                st.sampled_from([0, n, -n, 2 * n, -3 * n])), label="shift")
+    shape = data.draw(st.sampled_from([(n,), (1, n), (4, n)]), label="shape")
+    taps = data.draw(st.sampled_from([base.scaling, base.wavelet])) / math.sqrt(2.0)
+    v = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=shape)
+    assert _pyramid_stage(v, taps, shift).tobytes() == \
+        reference_pyramid_stage(v, taps, shift).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=st.integers(0, 6), n=st.integers(8, 160), p=st.integers(1, 20),
+       steps=st.integers(1, 12), constant=st.none() | st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(levels=0, n=8, p=1, steps=4, constant=None, seed=1)  # ARNN: r = 0, two-point window
+@example(levels=0, n=9, p=3, steps=2, constant=0, seed=2)
+@example(levels=6, n=8, p=8, steps=12, constant=6, seed=3)  # n < p + 2r = 134
+@example(levels=3, n=40, p=20, steps=5, constant=1, seed=4)
+def test_calibration_windows_bitwise_equal_full_transform(levels, n, p, steps, constant, seed):
+    n = max(n, p)
+    rng = np.random.default_rng(seed)
+    y = 5.0 + np.cumsum(rng.normal(size=n + steps))
+    event("window wraps the history" if n < p + 2 * (2**levels - 1) else "window inside")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # levels beyond log2 n wrap around
+        model = random_ewnet(rng, y[:n], levels, p, constant)
+        windows, residuals = reference_calibration(model, y[n:])
+    assert ewnet._lag_windows(model, y[n:]).tobytes() == windows.tobytes()
+    assert_close(ewnet.validation_abs_residuals(model, y[n:]), residuals, 1e-12)
 
 
 @pytest.mark.parametrize("cfg,stops_early", [
