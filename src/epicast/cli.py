@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -34,7 +35,8 @@ EXIT_NUMERIC = 4
 TRAIN_KEYS = ("learning_rate", "epochs", "restarts", "tolerance", "patience")
 HORIZON_KINDS = ("short", "medium", "long")
 AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
-# Checked with isinstance: open() and os.path.exists() read an int as a file descriptor.
+IN_UNIT_INTERVAL = (lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
+# Checked with isinstance: os.path.isfile() reads an int as a file descriptor.
 PATH = (lambda v: isinstance(v, str), "a path string")
 
 
@@ -62,13 +64,12 @@ def _file_sha256(path) -> str:
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        Path(tmp).write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 
@@ -78,27 +79,31 @@ def _write_json(path: Path, payload: dict, seed: int, digest: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows, seed: int, digest: str) -> None:
-    lines = [f"# seed={seed} config_digest={digest}", ",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """A provenance line, then CSV-quoted rows that ``core.read_table`` reads back.
+
+    Cells are ``str``, ``int`` or Python ``float`` (written with ``repr``; a NumPy
+    float would be written as ``np.float64(...)``, so callers pass ``tolist()``).
+    """
+    # Under its default CR LF terminator csv quotes a cell holding a bare CR (under LF
+    # alone it would not); each row's CR LF is then cut to LF.
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows([header, *rows])
+    _atomic_write(path, "".join([f"# seed={seed} config_digest={digest}\n",
+                                 *(line[:-2] + "\n" for line in lines)]))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _read_json(path, error: type[click.ClickException]):
+    """The parsed UTF-8 JSON file at ``path``; any failure raises ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise error(f"no such file: {path}")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise error(f"cannot read {path}: {exc}")
 
 
 def _load_config(config_path) -> dict:
-    if config_path is None:
-        return {}
-    try:
-        with open(config_path, encoding="utf-8") as handle:
-            cfg = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {config_path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}")
+    cfg = {} if config_path is None else _read_json(config_path, ConfigError)
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -147,9 +152,9 @@ def _read_series(cfg: dict, data, value_column, frequency) -> tuple[TimeSeries, 
     path = _resolve(cfg, "data", data, required=True, check=PATH)
     value_column = _resolve(cfg, "value_column", value_column, default="value")
     frequency = _resolve(cfg, "frequency", frequency, default=1, kind=int)
-    if not os.path.exists(path):
+    if not (os.path.isfile(path) and os.access(path, os.R_OK)):
         # A wrong path is a configuration mistake, not bad data.
-        raise ConfigError(f"no such data file: {path}")
+        raise ConfigError(f"no readable data file: {path}")
     try:
         series = core.load_csv(path, value_column, frequency)
     except DataError as exc:
@@ -332,16 +337,8 @@ def forecast(config, model_path, horizon, interval, level, out):
     model_path = _resolve(cfg, "model", model_path, required=True, check=PATH)
     horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int, check=AT_LEAST_ONE)
     interval = _resolve(cfg, "interval", interval, default="precontrol")
-    level = _resolve(cfg, "level", level, default=0.9, kind=float,
-                     check=(lambda v: 0.0 < v < 1.0, "a value in (0, 1)"))
-    try:
-        with open(model_path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise CliDataError(f"no such model file: {model_path}")
-    except json.JSONDecodeError as exc:
-        raise CliDataError(f"model file is not valid JSON: {exc}")
-    model, residuals, cal, seed = _model_from_json(doc)
+    level = _resolve(cfg, "level", level, default=0.9, kind=float, check=IN_UNIT_INTERVAL)
+    model, residuals, cal, seed = _model_from_json(_read_json(model_path, CliDataError))
     # Identify the model by content, not path, so identical models yield
     # identical outputs wherever they live on disk.
     model_sha = _file_sha256(model_path)[:16]
@@ -360,8 +357,8 @@ def forecast(config, model_path, horizon, interval, level, out):
         raise NumericError(str(exc))
 
     out_dir = _out_dir(cfg, out)
-    rows = [[i + 1, band.point[i], band.lower[i], band.upper[i], band.method]
-            for i in range(horizon)]
+    columns = np.column_stack([band.point, band.lower, band.upper])
+    rows = [[step, *values, band.method] for step, values in enumerate(columns.tolist(), 1)]
     _write_csv(out_dir / "forecast.csv", ["step", "point", "lower", "upper", "method"],
                rows, seed=seed, digest=digest)
     click.echo(f"wrote {out_dir / 'forecast.csv'}")
@@ -375,25 +372,6 @@ def _parse_external(pairs) -> dict[str, str]:
         name, path = pair.split("=", 1)
         mapping[name] = path
     return mapping
-
-
-def _load_external_forecast(case: str, name: str, path: str, steps: int) -> np.ndarray:
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(row for row in handle if not row.startswith("#"))
-            if reader.fieldnames is None or "point" not in reader.fieldnames:
-                raise CliDataError(f"external forecast {path} needs a 'point' column")
-            values = np.array([float(row["point"]) for row in reader][:steps])
-    except FileNotFoundError:
-        raise CliDataError(f"no such file: {path}")
-    except ValueError as exc:
-        raise CliDataError(f"bad value in {path}: {exc}")
-    if not np.all(np.isfinite(values)):
-        raise CliDataError(f"non-finite 'point' value in {path}")
-    if values.size < steps:
-        raise CliDataError(f"{case}: external forecast {name!r} has {values.size} rows, "
-                           f"{steps} needed")
-    return values
 
 
 @main.command()
@@ -439,6 +417,14 @@ def evaluate(config, data, value_column, frequency, out, seed,
         if any(name == other["name"] for _, other in datasets):
             raise ConfigError(f"two datasets are named {name!r}; give each a distinct 'name'")
         datasets.append((series, {"name": name, "frequency": series.frequency, **keys}))
+    # Each external forecast is read and hashed once, so the digest covers the scored bytes.
+    external_points, external_sha = {}, {}
+    for name, path in external_map.items():
+        try:
+            external_points[name] = core.load_csv(path, "point").values
+        except DataError as exc:
+            raise CliDataError(f"external forecast {name!r}: {exc}")
+        external_sha[name] = _file_sha256(path)
 
     # Plan every case (dataset x horizon) before any network is trained.
     plan = []
@@ -454,9 +440,12 @@ def evaluate(config, data, value_column, frequency, out, seed,
                 evaluation.backtest_split(len(series), spec)
             except ValueError as exc:
                 raise CliDataError(f"{case}: {exc}")
+            for name, values in external_points.items():
+                if values.size < spec.steps:
+                    raise CliDataError(f"{case}: external forecast {name!r} has {values.size} "
+                                       f"rows, {spec.steps} needed")
             plan.append((case, series, spec,
-                         {name: _load_external_forecast(case, name, path, spec.steps)
-                          for name, path in external_map.items()}))
+                         {name: values[:spec.steps] for name, values in external_points.items()}))
 
     reports = []
     for case, series, spec, externals in plan:
@@ -474,7 +463,7 @@ def evaluate(config, data, value_column, frequency, out, seed,
         # Each case's entry keeps its horizon, the steps that size its windows.
         "cases": [{"case": case, "config": {**settings, "horizon": report.horizon.steps}}
                   for case, report in reports],
-        "external_sha256": {name: _file_sha256(path) for name, path in external_map.items()},
+        "external_sha256": external_sha,
     })
     _write_json(out_dir / "evaluation.json", {"cases": [{
         "case": case,
@@ -490,7 +479,7 @@ def evaluate(config, data, value_column, frequency, out, seed,
         scores = [report.metric_table(metric_name) for _, report in reports]
         table = evaluation.RankTable.from_scores(
             scores[0], cases, [list(row.values()) for row in scores], metric_name)
-        rows = [[case, *rank_row] for case, rank_row in zip(cases, table.ranks)]
+        rows = [[case, *rank_row] for case, rank_row in zip(cases, table.ranks.tolist())]
         _write_csv(out_dir / f"ranks_{metric_name}.csv", ["case", *table.models],
                    rows, seed=seed, digest=digest)
     click.echo(f"wrote {out_dir / 'evaluation.json'}")
@@ -498,15 +487,11 @@ def evaluate(config, data, value_column, frequency, out, seed,
 
 def _read_rank_csv(path: str) -> evaluation.RankTable:
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(row for row in handle if not row.startswith("#"))
-            rows = list(reader)
-    except FileNotFoundError:
-        raise CliDataError(f"no such file: {path}")
-    if not rows or len(rows[0]) < 3:
+        header, body = core.read_table(path)
+    except DataError as exc:
+        raise CliDataError(str(exc))
+    if len(header) < 3:
         raise CliDataError("rank CSV needs a header 'case,<model>,...' with >= 2 models")
-    header = rows[0]
-    body = rows[1:]
     if len(body) < 2:
         raise CliDataError(
             "per-case ranks are required (at least 2 rows); mean ranks alone "
@@ -514,14 +499,11 @@ def _read_rank_csv(path: str) -> evaluation.RankTable:
         )
     try:
         ranks = np.array([[float(v) for v in row[1:]] for row in body])
-    except ValueError as exc:
-        raise CliDataError(f"bad rank value: {exc}")
-    try:
         return evaluation.RankTable(models=tuple(header[1:]),
                                     datasets=tuple(row[0] for row in body),
                                     ranks=ranks, metric=Path(path).stem)
     except ValueError as exc:
-        raise CliDataError(str(exc))
+        raise CliDataError(f"bad rank table in {path}: {exc}")
 
 
 @main.command()
@@ -533,7 +515,7 @@ def stats(config, ranks_path, alpha, out):
     """Friedman/Iman and MCB analysis from a per-case rank CSV."""
     cfg = _load_config(config)
     ranks_path = _resolve(cfg, "ranks", ranks_path, required=True, check=PATH)
-    alpha = _resolve(cfg, "alpha", alpha, default=0.05, kind=float)
+    alpha = _resolve(cfg, "alpha", alpha, default=0.05, kind=float, check=IN_UNIT_INTERVAL)
     table = _read_rank_csv(ranks_path)
     digest = _config_digest({"cmd": "stats", "ranks_sha256": _file_sha256(ranks_path),
                              "alpha": alpha})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,24 +83,34 @@ class SplitSpec:
         return self.train_len + self.val_len + self.test_len
 
 
-def load_csv(path, value_column: str, frequency: int = 1) -> TimeSeries:
-    """Read one observation per row from a UTF-8 CSV with a header row.
-
-    Rows are assumed to already be in temporal order. Blank lines are skipped,
-    a row too short to reach the column has no value, and of repeated header
-    names the last column counts (``csv.DictReader``'s rules).
-    """
+def read_table(path) -> tuple[list[str], list[list[str]]]:
+    """The header and the non-blank rows of a UTF-8 CSV after its leading ``#``
+    lines (every epicast CSV starts with a provenance line), cells as text."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), handle))
+            header, body = next(rows, None), [row for row in rows if row]
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or value_column not in header:
-            raise DataError(f"column {value_column!r} not found in {path}")
-        col = len(header) - 1 - header[::-1].index(value_column)
-        cells = [row[col] if col < len(row) else None for row in reader if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if header is None:
+        raise DataError(f"no header row in {path}")
+    return header, body
+
+
+def load_csv(path, value_column: str, frequency: int = 1) -> TimeSeries:
+    """Read one observation per row from a ``read_table`` CSV.
+
+    Rows are assumed to already be in temporal order. A row too short to reach
+    the column has no value, and of repeated header names the last column
+    counts (``csv.DictReader``'s rules).
+    """
+    header, body = read_table(path)
+    if value_column not in header:
+        raise DataError(f"column {value_column!r} not found in {path}")
+    col = len(header) - 1 - header[::-1].index(value_column)
+    cells = [row[col] if col < len(row) else None for row in body]
     try:
         values = np.array([float(raw) for raw in cells])
     except (TypeError, ValueError):

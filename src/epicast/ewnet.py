@@ -33,8 +33,7 @@ class EwnetConfig:
     def __post_init__(self):
         if not self.p_grid:
             raise ValueError("p_grid must be non-empty")
-        if not all(isinstance(p, Integral) and not isinstance(p, bool) and p >= 1
-                   for p in self.p_grid):
+        if not all(_positive_int(p) for p in self.p_grid):
             raise ValueError(f"p_grid lags must be positive integers, got {tuple(self.p_grid)}")
         if len(set(self.p_grid)) != len(self.p_grid):
             # select_p would train the same candidate once per repeat.
@@ -43,6 +42,12 @@ class EwnetConfig:
             raise ValueError("levels must be >= 0")
         if self.selection_metric not in ("mase", "smape"):
             raise ValueError("selection_metric must be 'mase' or 'smape'")
+        if not _positive_int(self.seasonal_lag):
+            raise ValueError(f"seasonal_lag must be a positive integer, got {self.seasonal_lag!r}")
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass
@@ -55,6 +60,8 @@ class EwnetModel:
     def __post_init__(self):
         if len(self.component_models) != self.decomposition.levels + 1:
             raise ValueError("one model required per detail plus the smooth")
+        if any(net.p != self.chosen_p for net in self.component_models):
+            raise ValueError(f"every component network must have p = chosen_p = {self.chosen_p}")
 
     @property
     def chosen_k(self) -> int:

@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epicast import neuralnet
-from epicast.cli import main
+from epicast import core, neuralnet
+from epicast.cli import _write_csv, main
 
 FAST_TRAIN = {"train": {"learning_rate": 0.05, "epochs": 60, "restarts": 2}}
 
@@ -334,6 +336,17 @@ class TestForecast:
         assert "disagree" in result.output
         assert not (tmp_path / "forecast.csv").exists()
 
+    def test_component_lag_that_disagrees_with_chosen_p_is_data_error(self, runner, tmp_path):
+        model = self._fitted_model(runner, tmp_path, ["--p-grid", "3-4", "--horizon", "2"])
+        doc = json.loads(model.read_text())
+        doc["chosen_p"] = 7
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["forecast", "--model", str(model), "--interval",
+                                      "conformal", "--level", "0.5", "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert "chosen_p" in result.output
+        assert not (tmp_path / "forecast.csv").exists()
+
     @pytest.mark.parametrize("damage", [
         lambda doc: doc["component_models"][0]["restarts"][0]["hidden_bias"].append(0.5),
         lambda doc: doc["component_models"][0]["restarts"][1].pop("hidden_bias"),
@@ -404,6 +417,25 @@ class TestEvaluate:
         assert doc["friedman"]["df"] == "3"
         assert doc["iman_f"]["df"] == "(3, 9)"
         assert len(doc["mcb"]) == 4
+
+    def test_dataset_name_with_comma_and_quote_feeds_stats(self, runner, tmp_path):
+        data = tmp_path / "d.csv"
+        write_series_csv(data, n=110, seed=10)
+        name = 'north, 2020 "B"'
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST_TRAIN, "datasets": [
+            {"name": name, "data": str(data), "frequency": 12}]}))
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg), "--seed", "4",
+                                      "--horizon", "short", "--horizon", "medium",
+                                      "--p-grid", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        header, rows = core.read_table(tmp_path / "ranks_mase.csv")
+        assert header == ["case", "EWNet", "RW", "RWD", "ARNN"]
+        assert [row[0] for row in rows] == [f"{name}:short", f"{name}:medium"]
+        stats_result = runner.invoke(main, ["stats", "--ranks", str(tmp_path / "ranks_mase.csv"),
+                                            "--out", str(tmp_path)])
+        assert stats_result.exit_code == 0, stats_result.output
+        assert len(json.loads((tmp_path / "stats.json").read_text())["mcb"]) == 4
 
     def test_external_forecast_included(self, runner, tmp_path):
         data = tmp_path / "cases.csv"
@@ -768,6 +800,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("cmd,key,value", [
         ("fit", "horizon", 0), ("forecast", "horizon", 0), ("forecast", "horizon", -2),
         ("forecast", "level", 1.5), ("forecast", "level", 0), ("forecast", "level", 1),
+        ("stats", "alpha", 1.5), ("stats", "alpha", 0), ("stats", "alpha", -0.1),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_out_of_range_values_are_config_errors(self, runner, tmp_path, cmd, key, value,
@@ -783,6 +816,9 @@ class TestConfigHandling:
                                           "--out", str(tmp_path)])
             assert fitted.exit_code == 0, fitted.output
             inputs = {"model": str(tmp_path / "model.json"), "interval": "conformal"}
+        elif cmd == "stats":
+            write_ranks_csv(tmp_path / "ranks.csv", 0)
+            inputs = {"ranks": str(tmp_path / "ranks.csv")}
         flag = ["--" + key, str(value)] if source == "flag" else []
         cfg.write_text(json.dumps(inputs if flag else {**inputs, key: value}))
         out = tmp_path / "out"
@@ -853,9 +889,97 @@ class TestConfigHandling:
         assert networks_trained == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["fit", "evaluate"])
+    @pytest.mark.parametrize("lag", [0, -1])
+    def test_non_positive_seasonal_lag_is_config_error(self, runner, tmp_path,
+                                                        networks_trained, cmd, lag):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST_TRAIN, "seasonal_lag": lag}))
+        extra = ["--levels", "1"] if cmd == "fit" else ["--frequency", "12", "--horizon", "short"]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [cmd, "--config", str(cfg), "--data", str(data),
+                                      "--seed", "1", "--p-grid", "1-3", *extra, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "seasonal_lag" in result.output
+        assert networks_trained == []
+        assert not out.exists()
+
     def test_bad_grid_spec(self, runner, tmp_path):
         data = tmp_path / "series.csv"
         write_series_csv(data)
         result = runner.invoke(main, ["fit", "--data", str(data), "--seed", "1",
                                       "--p-grid", "zero-five"])
         assert result.exit_code == 2
+
+
+# Each input file kind: the command that reads it, and valid bytes with one cell or
+# value made non-UTF-8.
+INPUT_KINDS = {
+    "data": (lambda path, data: ["decompose", "--data", path],
+             b"value\n1.0\n\xff2.0\n"),
+    "config": (lambda path, data: ["decompose", "--config", path, "--data", data],
+               b'{"levels": "\xff"}'),
+    "model": (lambda path, data: ["forecast", "--model", path],
+              b'{"schema_version": 1, "\xff": 0}'),
+    "ranks": (lambda path, data: ["stats", "--ranks", path],
+              b"case,a,b,c\nc0,1,2,3\nc\xff1,2,1,3\n"),
+    "external": (lambda path, data: ["evaluate", "--data", data, "--frequency", "12",
+                                     "--seed", "1", "--horizon", "short", "--p-grid", "1",
+                                     "--external", f"other={path}"],
+                 b"step,point\n1,30.0\n2,3\xff\n3,30.0\n"),
+}
+
+
+# A data file that cannot be opened is a configuration mistake (exit 2), as a
+# missing one is; one that opens but does not decode is bad data (exit 3). A
+# config file fails with 2, and a model, rank or external file with 3, either way.
+@pytest.mark.parametrize("kind,damage,code", [
+    ("data", "missing", 2), ("data", "directory", 2), ("data", "non-utf8", 3),
+    *((kind, damage, 2 if kind == "config" else 3)
+      for kind in ("config", "model", "ranks", "external")
+      for damage in ("missing", "directory", "non-utf8")),
+    ("external", "short-row", 3),
+])
+def test_unreadable_input_exits_2_or_3(runner, tmp_path, networks_trained, kind, damage, code):
+    data = tmp_path / "series.csv"
+    write_series_csv(data, n=100)
+    argv, non_utf8 = INPUT_KINDS[kind]
+    path = tmp_path / "input"
+    if damage == "directory":
+        path.mkdir()
+    elif damage == "non-utf8":
+        path.write_bytes(non_utf8)
+    elif damage == "short-row":
+        path.write_text("step,point\n1,30.0\n2\n3,30.0\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*argv(str(path), str(data)), "--out", str(out)])
+    assert result.exit_code == code, result.output
+    assert result.output.startswith("Error: ")
+    assert networks_trained == []
+    assert not out.exists()
+
+
+# Cells as epicast writes them: names with commas, quotes, spaces, leading "#" and
+# line breaks, and numbers.
+table_cells = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.sampled_from(["north, 2020", '"', 'say "hi"', " ", " lead", "trail ", "#", "# x", "",
+                     "a\rb", "a\r\nb", "\n"]),
+    st.floats(allow_nan=False).map(repr),
+)
+tables = st.integers(1, 5).flatmap(lambda width: st.tuples(
+    # A header line that started with "#" would read as a provenance line.
+    st.lists(table_cells, min_size=width, max_size=width).filter(
+        lambda header: not header[0].startswith("#")),
+    st.lists(st.lists(table_cells, min_size=width, max_size=width), max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables)
+def test_written_csv_reads_back_cell_for_cell(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    _write_csv(path, header, rows, seed=1, digest="0" * 16)
+    assert core.read_table(path) == (header, rows)

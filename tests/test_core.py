@@ -75,6 +75,38 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="'value'"):
             load_csv(path, "value")
 
+    def test_skips_leading_comment_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# seed=1 config_digest=ab\n# more\nvalue\n2.0\n#3\n")
+        with pytest.raises(DataError, match="row 3: cannot parse value '#3'"):
+            load_csv(path, "value")
+        path.write_text("# seed=1 config_digest=ab\nvalue\n2.0\n\n4.0\n")
+        assert list(load_csv(path, "value").values) == [2.0, 4.0]
+
+
+class TestReadTable:
+    def test_header_and_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('# provenance\ncase,a\n"north, 2020",1\n\n#x,"say ""hi"""\n')
+        assert core.read_table(path) == (["case", "a"],
+                                         [["north, 2020", "1"], ["#x", 'say "hi"']])
+
+    @pytest.mark.parametrize("content,match", [
+        (None, "no such file"),
+        ("directory", "cannot read"),
+        (b"value\n1.0\n\xff\n", "cannot read .*utf-8"),
+        (b"", "no header row"),
+        (b"# only provenance\n", "no header row"),
+    ], ids=["missing", "directory", "non-utf8", "empty", "comments-only"])
+    def test_unreadable_files_raise_data_error(self, tmp_path, content, match):
+        path = tmp_path / "t.csv"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match=match):
+            core.read_table(path)
+
 
 def reference_load_csv(path, value_column):
     """``load_csv``'s rules as a ``csv.DictReader`` row loop."""

@@ -60,6 +60,11 @@ class TestEwnetConfig:
     def test_accepts_numpy_integer_lags(self):
         assert EwnetConfig(p_grid=(np.int64(4), 8)).p_grid == (4, 8)
 
+    @pytest.mark.parametrize("lag", [0, -1, 1.5, True, "2"])
+    def test_rejects_a_seasonal_lag_that_is_not_a_positive_integer(self, lag):
+        with pytest.raises(ValueError, match="seasonal_lag"):
+            EwnetConfig(seasonal_lag=lag)
+
 
 class TestFitForecast:
     def test_model_shape(self):
@@ -89,6 +94,11 @@ class TestFitForecast:
         f1 = forecast_ewnet(fit_ewnet(y, cfg, p=2), 4)
         f2 = forecast_ewnet(fit_ewnet(y, cfg, p=2), 4)
         np.testing.assert_array_equal(f1, f2)
+
+    def test_component_lags_must_equal_the_chosen_lag(self):
+        model = fit_ewnet(lag4_series(), EwnetConfig(levels=2, train_cfg=FAST), p=2)
+        with pytest.raises(ValueError, match="chosen_p"):
+            dataclasses.replace(model, chosen_p=3)
 
     def test_component_seeds_differ(self):
         y = lag4_series()
