@@ -27,9 +27,9 @@ from .neuralnet import (
     NeuralNetModel,
     TrainConfig,
     fit_network,
-    forecast_one,
     forecast_recursive,
     hidden_neurons,
+    predict,
 )
 from .ewnet import (
     EwnetConfig,

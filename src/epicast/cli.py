@@ -95,7 +95,7 @@ def _write_csv(path: Path, header: list[str], rows, seed: int, digest: str) -> N
 def _read_json(path, error: type[click.ClickException]):
     """The parsed UTF-8 JSON file at ``path``; any failure raises ``error``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise error(f"no such file: {path}")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
@@ -265,8 +265,13 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
         raise CliDataError(f"unsupported model schema version {version!r}")
     try:
         train = np.array(doc["train_series"], dtype=float)
+        decomposition = wavelet.modwt_forward(train, int(doc["levels"]))
+        for key in ("filter", "boundary"):
+            if doc[key] != getattr(decomposition, key):
+                raise ValueError(f"{key!r} is {doc[key]!r}, but the model is rebuilt "
+                                 f"with {getattr(decomposition, key)!r}")
         model = ewnet.EwnetModel(
-            decomposition=wavelet.modwt_forward(train, int(doc["levels"])),
+            decomposition=decomposition,
             component_models=[neuralnet.NeuralNetModel.from_dict(d)
                               for d in doc["component_models"]],
             chosen_p=int(doc["chosen_p"]),
@@ -497,6 +502,10 @@ def _read_rank_csv(path: str) -> evaluation.RankTable:
             "per-case ranks are required (at least 2 rows); mean ranks alone "
             "cannot reproduce the test statistics"
         )
+    for row in body:
+        if len(row) != len(header):
+            raise CliDataError(f"bad rank table in {path}: row {row[0]!r} has {len(row)} "
+                               f"cells, the header {len(header)}")
     try:
         ranks = np.array([[float(v) for v in row[1:]] for row in body])
         return evaluation.RankTable(models=tuple(header[1:]),

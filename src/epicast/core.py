@@ -87,7 +87,7 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     """The header and the non-blank rows of a UTF-8 CSV after its leading ``#``
     lines (every epicast CSV starts with a provenance line), cells as text."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), handle))
             header, body = next(rows, None), [row for row in rows if row]
     except FileNotFoundError:

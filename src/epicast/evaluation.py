@@ -126,10 +126,10 @@ class EvaluationReport:
 def backtest_split(n: int, horizon: HorizonSpec) -> SplitSpec:
     """The train/validation/test split of an ``n``-point backtest at ``horizon``;
     a series that leaves fewer than 8 training points is a ValueError."""
-    split = SplitSpec.for_series(n, test_len=horizon.steps)
-    if split.train_len < 8:
+    # Checked before SplitSpec, which rejects fewer than 3 training points itself.
+    if n - horizon.steps - core.validation_len(n - horizon.steps, horizon.steps) < 8:
         raise ValueError(f"series of length {n} too short for horizon {horizon.steps}")
-    return split
+    return SplitSpec.for_series(n, test_len=horizon.steps)
 
 
 def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,

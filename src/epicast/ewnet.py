@@ -256,5 +256,5 @@ def validation_abs_residuals(model: EwnetModel, val) -> np.ndarray:
         raise ValueError(f"non-finite validation value {val[bad]} at position {bad}")
     pred = np.zeros(val.size)
     for net, lags in zip(model.component_models, _lag_windows(model, val)):
-        pred += neuralnet._predict(net, lags)
+        pred += neuralnet.predict(net, lags)
     return np.abs(pred - val)

@@ -13,8 +13,9 @@ Restarts are stacked restart-major: the input layers with their biases form one
 for all epochs. The design matrix with its ones column, a 0/1 block mask that
 keeps the off-diagonal output weights exactly 0, and the activation, error and
 gradient buffers (``_workspace``) are made once per fit; each epoch
-``_stacked_loss_and_grad`` overwrites the buffers in place. The fitted model
-keeps this state as its weights; it is unstacked per restart only for model.json.
+``_stacked_loss_and_grad`` overwrites the buffers in place through ``_forward``,
+which ``predict`` also calls. The fitted model keeps this state as its weights; it
+is unstacked per restart only for model.json.
 """
 
 from __future__ import annotations
@@ -149,10 +150,14 @@ def _unstack(w_in, w_out, k):
     return w_in[:, :p].reshape(r, k, p), w_in[:, p].reshape(r, k), diagonal
 
 
-def _forward(x1, w_in, w_out, b2):
-    """Hidden activations (n, R*k) and outputs (n, R); ``x1`` ends in a ones column."""
-    hidden = _sigmoid(x1 @ w_in.T)
-    return hidden, hidden @ w_out + b2
+def _forward(x1, state, hidden=None, out=None):
+    """Hidden activations (n, R*k) and outputs (n, R) of the stacked ``state`` on ``x1``
+    (ending in a ones column), written into ``hidden`` and ``out`` when given."""
+    w_in, w_out, b2 = state
+    hidden = _sigmoid(np.matmul(x1, w_in.T, out=hidden), out=hidden)
+    out = np.matmul(hidden, w_out, out=out)
+    out += b2
+    return hidden, out
 
 
 def _init_weights(rng: np.random.Generator, p: int, k: int):
@@ -177,12 +182,10 @@ def _stacked_loss_and_grad(state, x1, y, mask, buf):
     ``buf`` a ``_workspace``. Returns the loss and the (g_in, g_out, g_b2)
     gradients, which are views of ``buf`` and overwritten by the next call.
     """
-    w_in, w_out, b2 = state
+    _, w_out, _ = state
     hidden, d_pre, back, err, g_in, g_out, g_b2 = buf
     n = x1.shape[0]
-    _sigmoid(np.matmul(x1, w_in.T, out=hidden), out=hidden)
-    np.matmul(hidden, w_out, out=err)
-    err += b2
+    _forward(x1, state, hidden, err)
     err -= y[:, None]
     loss = 0.5 * np.einsum("nr,nr->r", err, err) / n
 
@@ -271,35 +274,31 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
     return model
 
 
-def _predict(model: NeuralNetModel, windows: np.ndarray) -> np.ndarray:
-    """Restart-averaged one-step predictions for an (m, p) array of lag windows."""
+def predict(model: NeuralNetModel, windows) -> np.ndarray:
+    """Restart-averaged one-step predictions for (m, p) lag windows, most recent last."""
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 2 or windows.shape[1] != model.p:
+        raise ValueError(f"expected (m, {model.p}) lag windows, got shape {windows.shape}")
     if model.constant:
         return np.full(len(windows), model.constant_value)
     center, scale = model.scaler
     x1 = np.column_stack(((windows - center) / scale, np.ones(len(windows))))
-    _, out = _forward(x1, *model.weights)
+    _, out = _forward(x1, model.weights)
     return center + scale * out.mean(axis=1)
 
 
-def forecast_one(model: NeuralNetModel, recent) -> float:
-    """One-step forecast from the p most recent values (most recent last)."""
-    recent = np.asarray(recent, dtype=float)
-    if recent.shape != (model.p,):
-        raise ValueError(f"expected {model.p} lagged values, got {recent.shape}")
-    return float(_predict(model, recent[None, :])[0])
-
-
 def forecast_recursive(model: NeuralNetModel, series, h: int) -> np.ndarray:
-    """h-step forecast by repeatedly appending the one-step forecast to the lag window."""
+    """h-step forecast, each step predicted from the trailing p values of the path."""
     if h < 1:
         raise ValueError("h must be >= 1")
     history = np.asarray(series, dtype=float)
-    if history.size < model.p:
+    p = model.p
+    if history.size < p:
         raise ValueError("series shorter than the lag order")
-    path = list(history[-model.p:])
-    for _ in range(h):
-        path.append(forecast_one(model, np.array(path[-model.p:])))
-    return np.array(path[model.p:])
+    path = np.concatenate([history[-p:], np.empty(h)])
+    for t in range(p, p + h):
+        path[t] = predict(model, path[None, t - p:t])[0]
+    return path[p:]
 
 
 def fitted_values(model: NeuralNetModel, series) -> np.ndarray:
@@ -307,5 +306,4 @@ def fitted_values(model: NeuralNetModel, series) -> np.ndarray:
     y = np.asarray(series, dtype=float)
     if y.size < model.p + 1:
         raise ValueError("series too short")
-    windows, _ = _supervised_pairs(y, model.p)
-    return _predict(model, windows)
+    return predict(model, _supervised_pairs(y, model.p)[0])

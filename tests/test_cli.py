@@ -123,6 +123,22 @@ class TestDecompose:
         assert header == ["t", "SJ", "original"]
         assert all(row[1] == row[2] for row in rows)
 
+    def test_byte_order_mark_is_dropped(self, runner, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports and some editors start a file with a byte-order mark.
+        plain, bom, cfg = tmp_path / "plain.csv", tmp_path / "bom.csv", tmp_path / "cfg.json"
+        write_series_csv(plain, n=40)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"levels": 1}).encode())
+        tables = []
+        for argv in (["--data", str(plain), "--levels", "1"],
+                     ["--data", str(bom), "--config", str(cfg)]):
+            out = tmp_path / f"out{len(tables)}"
+            result = runner.invoke(main, ["decompose", *argv, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            tables.append(read_output_csv(out / "decomposition.csv")[1:])
+        assert tables[0][0] == ["t", "D1", "SJ", "original"]
+        assert tables[1] == tables[0]
+
     def test_missing_data_file_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["decompose", "--data",
                                       str(tmp_path / "absent.csv")])
@@ -347,14 +363,19 @@ class TestForecast:
         assert "chosen_p" in result.output
         assert not (tmp_path / "forecast.csv").exists()
 
-    @pytest.mark.parametrize("damage", [
-        lambda doc: doc["component_models"][0]["restarts"][0]["hidden_bias"].append(0.5),
-        lambda doc: doc["component_models"][0]["restarts"][1].pop("hidden_bias"),
-        lambda doc: doc["component_models"].pop(),
-        lambda doc: doc.update(seed="x"),
+    @pytest.mark.parametrize("damage,message", [
+        (lambda doc: doc["component_models"][0]["restarts"][0]["hidden_bias"].append(0.5),
+         "ValueError"),
+        (lambda doc: doc["component_models"][0]["restarts"][1].pop("hidden_bias"),
+         "KeyError: 'hidden_bias'"),
+        (lambda doc: doc["component_models"].pop(), "one model required per detail"),
+        (lambda doc: doc.update(seed="x"), "invalid literal for int()"),
+        # The loader rebuilds a Haar, periodic MODWT, whatever these keys say.
+        (lambda doc: doc.update(filter="d4"), "'filter' is 'd4'"),
+        (lambda doc: doc.update(boundary="reflection"), "'boundary' is 'reflection'"),
     ], ids=["wrong-length-hidden-bias", "missing-hidden-bias", "dropped-component",
-            "non-integer-seed"])
-    def test_malformed_model_is_data_error(self, runner, tmp_path, damage):
+            "non-integer-seed", "filter-d4", "boundary-reflection"])
+    def test_malformed_model_is_data_error(self, runner, tmp_path, damage, message):
         model = self._fitted_model(runner, tmp_path, ["--p", "2"])
         doc = json.loads(model.read_text())
         damage(doc)
@@ -362,6 +383,7 @@ class TestForecast:
         result = runner.invoke(main, ["forecast", "--model", str(model), "--out", str(tmp_path)])
         assert result.exit_code == 3, result.output
         assert "malformed model file" in result.output
+        assert message in result.output
         assert not (tmp_path / "forecast.csv").exists()
 
 
@@ -642,6 +664,14 @@ class TestStats:
         result = runner.invoke(main, ["stats", "--ranks", str(ranks)])
         assert result.exit_code == 3
         assert "per-case ranks are required" in result.output
+
+    @pytest.mark.parametrize("row", ["c1,2", "c1,2,1,3"], ids=["short", "long"])
+    def test_ragged_row_is_named(self, runner, tmp_path, row):
+        ranks = tmp_path / "ranks.csv"
+        ranks.write_text(f"case,a,b\nc0,1,2\n{row}\n")
+        result = runner.invoke(main, ["stats", "--ranks", str(ranks)])
+        assert result.exit_code == 3
+        assert f"row 'c1' has {row.count(',') + 1} cells, the header 3" in result.output
 
     def test_rejects_invalid_row_sums(self, runner, tmp_path):
         ranks = tmp_path / "ranks.csv"

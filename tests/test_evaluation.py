@@ -355,7 +355,8 @@ class TestRollingEvaluate:
             rolling_evaluate(series, HorizonSpec("short", 3), EwnetConfig(),
                              external={"bad": np.zeros(2)})
 
-    def test_series_too_short(self):
-        series = TimeSeries(values=np.arange(12.0))
-        with pytest.raises(ValueError, match="too short"):
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_series_too_short(self, n):
+        series = TimeSeries(values=np.arange(float(n)))
+        with pytest.raises(ValueError, match=f"series of length {n} too short for horizon 3"):
             rolling_evaluate(series, HorizonSpec("short", 3), EwnetConfig())

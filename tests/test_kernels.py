@@ -38,9 +38,9 @@ from epicast.neuralnet import (
     _workspace,
     fit_network,
     fitted_values,
-    forecast_one,
     forecast_recursive,
     hidden_neurons,
+    predict,
 )
 from epicast.wavelet import (
     FilterPair,
@@ -333,7 +333,7 @@ def test_forward_matches_per_restart_loop():
 
     expected = [one_step(series[t - 5:t]) for t in range(5, series.size)]
     assert_close(fitted_values(model, series), expected, 1e-12)
-    assert forecast_one(model, series[-5:]) == pytest.approx(one_step(series[-5:]), rel=1e-12)
+    assert predict(model, [series[-5:]])[0] == pytest.approx(one_step(series[-5:]), rel=1e-12)
 
 
 def test_sigmoid_saturates_exactly():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicast.neuralnet import (
     NeuralNetModel,
@@ -14,9 +16,9 @@ from epicast.neuralnet import (
     _unstack,
     fit_network,
     fitted_values,
-    forecast_one,
     forecast_recursive,
     hidden_neurons,
+    predict,
 )
 
 
@@ -126,7 +128,7 @@ class TestFitNetwork:
     def test_constant_series(self):
         model = fit_network(np.full(30, 4.2), 2, 1, TrainConfig(epochs=5, restarts=1))
         assert model.constant
-        assert forecast_one(model, [4.2, 4.2]) == pytest.approx(4.2)
+        assert predict(model, [[4.2, 4.2]])[0] == pytest.approx(4.2)
         np.testing.assert_allclose(forecast_recursive(model, np.full(30, 4.2), 5), 4.2)
 
     def test_too_short_series(self):
@@ -142,7 +144,7 @@ class TestFitNetwork:
         probes = np.array([9.3, 9.6, 10.0, 10.4, 10.7])
         for x in probes:
             truth = 10.0 + 0.5 * (x - 10.0)
-            pred = forecast_one(model, [x])
+            pred = predict(model, [[x]])[0]
             assert abs(pred - truth) / abs(truth) < 0.02
 
     def test_ar1_recursive_contraction(self):
@@ -158,7 +160,7 @@ class TestForecasting:
     def test_recursive_first_step_matches_one_step(self):
         y = ar1_series(seed=3)
         model = fit_network(y, 3, 2, TrainConfig(epochs=100, restarts=2, seed=1))
-        one = forecast_one(model, y[-3:])
+        one = predict(model, [y[-3:]])[0]
         path = forecast_recursive(model, y, 4)
         assert path[0] == pytest.approx(one)
         assert path.shape == (4,)
@@ -166,15 +168,29 @@ class TestForecasting:
     def test_wrong_lag_window(self):
         y = ar1_series(seed=3)
         model = fit_network(y, 3, 2, TrainConfig(epochs=10, restarts=1))
-        with pytest.raises(ValueError):
-            forecast_one(model, y[-2:])
+        for windows in ([y[-2:]], y[-3:]):
+            with pytest.raises(ValueError):
+                predict(model, windows)
 
     def test_fitted_values_align_with_one_step(self):
         y = ar1_series(n=60, seed=8)
         model = fit_network(y, 2, 1, TrainConfig(epochs=100, restarts=2, seed=5))
         fitted = fitted_values(model, y)
         assert fitted.size == 58
-        assert fitted[-1] == pytest.approx(forecast_one(model, y[-3:-1]))
+        assert fitted[-1] == pytest.approx(predict(model, [y[-3:-1]])[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 4), h=st.integers(1, 30), seed=st.integers(0, 1000),
+       constant=st.booleans())
+def test_recursive_forecast_iterates_predict(p, h, seed, constant):
+    y = np.full(30, 4.2) if constant else ar1_series(n=40, seed=seed)
+    model = fit_network(y, p, hidden_neurons(p), TrainConfig(epochs=20, restarts=3, seed=seed))
+    assert model.constant == constant
+    path = list(y[-p:])
+    for _ in range(h):
+        path.append(predict(model, [path[-p:]])[0])
+    assert forecast_recursive(model, y, h).tobytes() == np.array(path[p:]).tobytes()
 
 
 # One model.json component, p = 2 lags, k = 2 hidden units, two restarts.
@@ -229,7 +245,7 @@ class TestSerialization:
                 == json.dumps(COMPONENT_V1, sort_keys=True))
         assert hand_forecast(COMPONENT_V1, [11.0, 9.0]) == pytest.approx(
             11.702727392765345, abs=1e-12)
-        assert forecast_one(model, [11.0, 9.0]) == pytest.approx(
+        assert predict(model, [[11.0, 9.0]])[0] == pytest.approx(
             hand_forecast(COMPONENT_V1, [11.0, 9.0]), rel=1e-14)
 
     def test_weight_shape_validation(self):
