@@ -258,6 +258,14 @@ def _model_to_json(model: ewnet.EwnetModel, train_cfg: neuralnet.TrainConfig,
     }
 
 
+def _component_from_dict(c: int, d: dict) -> neuralnet.NeuralNetModel:
+    """Component network ``c``; a ValueError from its weights names the component."""
+    try:
+        return neuralnet.NeuralNetModel.from_dict(d)
+    except ValueError as exc:
+        raise ValueError(f"component {c}: {exc}") from None
+
+
 def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarray | None, int]:
     """The model, its in-sample and calibration residuals, and the seed it was fitted with."""
     version = doc.get("schema_version") if isinstance(doc, dict) else None
@@ -272,8 +280,8 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
                                  f"with {getattr(decomposition, key)!r}")
         model = ewnet.EwnetModel(
             decomposition=decomposition,
-            component_models=[neuralnet.NeuralNetModel.from_dict(d)
-                              for d in doc["component_models"]],
+            component_models=[_component_from_dict(c, d)
+                              for c, d in enumerate(doc["component_models"])],
             chosen_p=int(doc["chosen_p"]),
             train_series=train,
         )

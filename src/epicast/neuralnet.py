@@ -5,17 +5,17 @@ loss, trained on z-scored data. Several independently seeded restarts are
 trained and their predictions averaged.
 
 Restarts are stacked restart-major: the input layers with their biases form one
-(R*k, p+1) matrix, rows r*k .. r*k+k-1 for restart r, and the output layers an
-(R*k, R) block-diagonal one. The hidden layer of all restarts is then one GEMM,
-(n, p+1) @ (p+1, R*k), and so is its weight gradient, (R*k, n) @ (n, p+1).
+(R*k, p+1) matrix, rows r*k .. r*k+k-1 for restart r, so the hidden layer of all
+restarts is one GEMM. Activations are feature-major, (R*k, m): the output layer
+is one batched (R, 1, k) @ (R, k, m) product with the (R, k) output weights, and
+every per-restart (R, m) operation runs along a contiguous row.
 
-``fit_network`` keeps the weights in this layout, with the (R,) output biases,
-for all epochs. The design matrix with its ones column, a 0/1 block mask that
-keeps the off-diagonal output weights exactly 0, and the activation, error and
-gradient buffers (``_workspace``) are made once per fit; each epoch
-``_stacked_loss_and_grad`` overwrites the buffers in place through ``_forward``,
-which ``predict`` also calls. The fitted model keeps this state as its weights; it
-is unstacked per restart only for model.json.
+``fit_network`` keeps the weights and the gradient each in one flat vector, so an
+epoch ends with one scale and one subtract. The design matrix with its ones
+column and the activation and error buffers (``_workspace``) are made once per
+fit; each epoch ``_stacked_loss_and_grad`` overwrites them through ``_forward``,
+which ``predict`` also calls. The model keeps (w_in, w_out, b2) views of the flat
+vector; the input layer is split per restart only for model.json.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ class NeuralNetModel:
     """Averaged ensemble of restart networks plus the training-series scaler.
 
     ``weights`` is the trainer's stacked state (w_in, w_out, b2): the (R*k, p+1)
-    input layer with its bias column, the (R*k, R) block-diagonal output layer
-    and the (R,) output biases. A zero-variance training series yields a
-    constant predictor: ``weights`` None, forecasting the scaler's center.
+    input layer with its bias column, the (R, k) output weights and the (R,)
+    output biases. A zero-variance training series yields a constant predictor:
+    ``weights`` None, forecasting the scaler's center.
     """
 
     weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None
@@ -58,13 +58,15 @@ class NeuralNetModel:
     seed: int
 
     def __post_init__(self):
+        if self.p < 1 or self.k < 1:
+            raise ValueError(f"p and k must be >= 1, got p={self.p}, k={self.k}")
         if self.scaler[1] <= 0:
             raise ValueError("scale must be positive")
         if self.weights is None:
             return
         w_in, w_out, b2 = self.weights
         r, rk = b2.size, b2.size * self.k
-        if r < 1 or (w_in.shape, w_out.shape, b2.shape) != ((rk, self.p + 1), (rk, r), (r,)):
+        if r < 1 or (w_in.shape, w_out.shape, b2.shape) != ((rk, self.p + 1), (r, self.k), (r,)):
             raise ValueError("inconsistent weight dimensions")
         if not all(np.all(np.isfinite(w)) for w in self.weights):
             raise ValueError("non-finite weights")
@@ -83,7 +85,7 @@ class NeuralNetModel:
             w_in, w_out, b2 = self.weights
             restarts = [{"input_to_hidden": w1.tolist(), "hidden_bias": b1.tolist(),
                          "hidden_to_output": w2.tolist(), "output_bias": float(b)}
-                        for w1, b1, w2, b in zip(*_unstack(w_in, w_out, self.k), b2)]
+                        for w1, b1, w2, b in zip(*_unstack(w_in, self.k), w_out, b2)]
         return {
             "p": self.p,
             "k": self.k,
@@ -96,21 +98,42 @@ class NeuralNetModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NeuralNetModel":
-        p, k, r = int(d["p"]), int(d["k"]), len(d["restarts"])
+        p, k, restarts = int(d["p"]), int(d["k"]), d["restarts"]
         weights = None
-        if r:
-            w1, b1, w2, b2 = (np.array([w[key] for w in d["restarts"]], dtype=float)
-                              for key in ("input_to_hidden", "hidden_bias",
-                                          "hidden_to_output", "output_bias"))
-            if (w1.shape, b1.shape, w2.shape, b2.shape) != ((r, k, p), (r, k), (r, k), (r,)):
-                raise ValueError("inconsistent restart weight shapes")
-            weights = (*_stack(w1, b1, w2), b2)
+        if restarts:
+            w1, b1, w2, b2 = (_restart_weights(restarts, key, shape) for key, shape in (
+                ("input_to_hidden", (k, p)), ("hidden_bias", (k,)),
+                ("hidden_to_output", (k,)), ("output_bias", ())))
+            weights = (_stack(w1, b1), w2, b2)
         model = cls(weights=weights, p=p, k=k,
                     scaler=(float(d["scaler"][0]), float(d["scaler"][1])), seed=int(d["seed"]))
         if (d["constant"], float(d["constant_value"])) != (model.constant, model.constant_value):
             raise ValueError("'constant' and 'constant_value' disagree with the restarts "
                              "and scaler")
         return model
+
+
+def _restart_weights(restarts: list, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The ``key`` weights of every restart as one (R, *shape) array.
+
+    A list of the wrong length, or a list where a number belongs, is reported by
+    restart index and key, e.g. "restart 0: 'hidden_bias' has 3 values, expected 2".
+    """
+    def check(values, shape, where):
+        if not shape:
+            if isinstance(values, list):
+                raise ValueError(f"{where} is a list, expected a number")
+        elif not isinstance(values, list):
+            raise ValueError(f"{where} is not a list of {shape[0]} values")
+        elif len(values) != shape[0]:
+            raise ValueError(f"{where} has {len(values)} values, expected {shape[0]}")
+        else:
+            for j, value in enumerate(values):
+                check(value, shape[1:], f"{where}[{j}]")
+
+    for i, restart in enumerate(restarts):
+        check(restart[key], shape, f"restart {i}: {key!r}")
+    return np.array([restart[key] for restart in restarts], dtype=float)
 
 
 def hidden_neurons(p: int) -> int:
@@ -130,33 +153,33 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.divide(1.0, out, out=out)
 
 
-def _block_mask(r: int, k: int) -> np.ndarray:
-    """(R*k, R) 0/1 mask of the block-diagonal output layer."""
-    return np.kron(np.eye(r), np.ones((k, 1)))
-
-
-def _stack(w1, b1, w2):
-    """Restart-major (R*k, p+1) input layer and (R*k, R) block-diagonal output layer."""
+def _stack(w1, b1):
+    """Restart-major (R*k, p+1) input layer from (R, k, p) weights and (R, k) biases."""
     r, k, p = w1.shape
-    w_in = np.concatenate((w1, b1[:, :, None]), axis=2).reshape(r * k, p + 1)
-    return w_in, _block_mask(r, k) * w2.reshape(r * k, 1)
+    return np.concatenate((w1, b1[:, :, None]), axis=2).reshape(r * k, p + 1)
 
 
-def _unstack(w_in, w_out, k):
-    """Inverse of ``_stack``: (R, k, p) input weights, (R, k) biases, (R, k) output weights."""
-    r = w_out.shape[1]
-    p = w_in.shape[1] - 1
-    diagonal = w_out.reshape(r, k, r)[np.arange(r), :, np.arange(r)]
-    return w_in[:, :p].reshape(r, k, p), w_in[:, p].reshape(r, k), diagonal
+def _unstack(w_in, k):
+    """Inverse of ``_stack``: (R, k, p) input weights and (R, k) biases."""
+    rk, p1 = w_in.shape
+    w_in = w_in.reshape(rk // k, k, p1)
+    return w_in[:, :, :-1], w_in[:, :, -1]
+
+
+def _views(flat: np.ndarray, r: int, k: int, p: int):
+    """(w_in, w_out, b2) views of a flat vector that holds a stacked state."""
+    rk = r * k
+    return flat[:rk * (p + 1)].reshape(rk, p + 1), flat[rk * (p + 1):-r].reshape(r, k), flat[-r:]
 
 
 def _forward(x1, state, hidden=None, out=None):
-    """Hidden activations (n, R*k) and outputs (n, R) of the stacked ``state`` on ``x1``
-    (ending in a ones column), written into ``hidden`` and ``out`` when given."""
+    """Hidden activations (R*k, m) and outputs (R, m) of ``state`` on the (m, p+1)
+    inputs ``x1`` (ending in ones), written into ``hidden`` and ``out`` when given."""
     w_in, w_out, b2 = state
-    hidden = _sigmoid(np.matmul(x1, w_in.T, out=hidden), out=hidden)
-    out = np.matmul(hidden, w_out, out=out)
-    out += b2
+    hidden = _sigmoid(np.matmul(w_in, x1.T, out=hidden), out=hidden)
+    out = np.matmul(w_out[:, None, :], hidden.reshape(*w_out.shape, -1),
+                    out=None if out is None else out[:, None])[:, 0]
+    out += b2[:, None]
     return hidden, out
 
 
@@ -168,37 +191,35 @@ def _init_weights(rng: np.random.Generator, p: int, k: int):
     return w1, b1, w2, b2
 
 
-def _workspace(n: int, r: int, k: int, p: int) -> tuple[np.ndarray, ...]:
-    """Buffers of one fit: hidden, d_pre, back-propagated term, err, g_in, g_out, g_b2."""
-    return (np.empty((n, r * k)), np.empty((n, r * k)), np.empty((n, r * k)),
-            np.empty((n, r)), np.empty((r * k, p + 1)), np.empty((r * k, r)), np.empty(r))
+def _workspace(n: int, r: int, k: int) -> tuple[np.ndarray, ...]:
+    """Buffers of one fit: hidden, d_pre and back-propagated term (R*k, n), err (R, n)."""
+    return np.empty((r * k, n)), np.empty((r * k, n)), np.empty((r * k, n)), np.empty((r, n))
 
 
-def _stacked_loss_and_grad(state, x1, y, mask, buf):
-    """Per-restart L2 loss 0.5 * mean(err^2) and its gradient, on the stacked state.
+def _stacked_loss_and_grad(state, x1, y, buf, grads):
+    """Per-restart L2 loss 0.5 * mean(err^2), with its gradient written into ``grads``.
 
-    ``state`` is (w_in, w_out, b2) as built by ``_stack``, ``x1`` the (n, p+1)
-    design matrix ending in a ones column, ``mask`` the ``_block_mask`` and
-    ``buf`` a ``_workspace``. Returns the loss and the (g_in, g_out, g_b2)
-    gradients, which are views of ``buf`` and overwritten by the next call.
+    ``state`` and ``grads`` are (w_in, w_out, b2), ``x1`` the (n, p+1) design matrix
+    ending in a ones column and ``buf`` a ``_workspace``.
     """
     _, w_out, _ = state
-    hidden, d_pre, back, err, g_in, g_out, g_b2 = buf
+    hidden, d_pre, back, err = buf
+    g_in, g_out, g_b2 = grads
+    r, k = w_out.shape
     n = x1.shape[0]
     _forward(x1, state, hidden, err)
-    err -= y[:, None]
-    loss = 0.5 * np.einsum("nr,nr->r", err, err) / n
+    err -= y
+    loss = 0.5 * np.einsum("rn,rn->r", err, err) / n
 
     d_out = np.divide(err, n, out=err)
+    np.sum(d_out, axis=1, out=g_b2)
+    np.matmul(hidden.reshape(r, k, n), d_out[:, :, None], out=g_out[:, :, None])
+    np.einsum("rk,rn->rkn", w_out, d_out, out=back.reshape(r, k, n))
     np.subtract(1.0, hidden, out=d_pre)
     d_pre *= hidden
-    d_pre *= np.matmul(d_out, w_out.T, out=back)
-    np.matmul(d_pre.T, x1, out=g_in)
-    # Restart r's output weights take only the r-th diagonal block.
-    np.matmul(hidden.T, d_out, out=g_out)
-    g_out *= mask
-    np.sum(d_out, axis=0, out=g_b2)
-    return loss, (g_in, g_out, g_b2)
+    d_pre *= back
+    np.matmul(d_pre, x1, out=g_in)
+    return loss
 
 
 def _loss_and_grad(params, x, y):
@@ -207,12 +228,13 @@ def _loss_and_grad(params, x, y):
     ``x`` is the (n, p) design matrix and ``y`` the (n,) target vector.
     """
     w1, b1, w2, b2 = params
-    r, k, p = w1.shape
+    r, k, _ = w1.shape
     n = x.shape[0]
-    x1 = np.column_stack((x, np.ones(n)))
-    loss, (g_in, g_out, g_b2) = _stacked_loss_and_grad(
-        (*_stack(w1, b1, w2), b2), x1, y, _block_mask(r, k), _workspace(n, r, k, p))
-    return loss, (*_unstack(g_in, g_out, k), g_b2)
+    state = (_stack(w1, b1), w2, b2)
+    grads = [np.empty_like(w) for w in state]
+    loss = _stacked_loss_and_grad(state, np.column_stack((x, np.ones(n))), y,
+                                  _workspace(n, r, k), grads)
+    return loss, (*_unstack(grads[0], k), *grads[1:])
 
 
 def _supervised_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,19 +265,20 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
     z = (y - center) / scale
     x_mat, target = _supervised_pairs(z, p)
 
-    inits = [_init_weights(np.random.default_rng([cfg.seed, r]), p, k)
-             for r in range(cfg.restarts)]
+    r = cfg.restarts
+    inits = [_init_weights(np.random.default_rng([cfg.seed, i]), p, k) for i in range(r)]
     w1, b1, w2, b2 = (np.array([w[i] for w in inits]) for i in range(4))
-    state = (*_stack(w1, b1, w2), b2)
+    params = np.concatenate((_stack(w1, b1), w2, b2), axis=None)
+    grad = np.empty_like(params)
+    state, grads = _views(params, r, k, p), _views(grad, r, k, p)
     x1 = np.column_stack((x_mat, np.ones(len(target))))
-    mask = _block_mask(cfg.restarts, k)
-    buf = _workspace(len(target), cfg.restarts, k, p)
+    buf = _workspace(len(target), r, k)
 
     prev_loss = np.inf
     stalled = 0
     loss_curve: list[float] = []
     for _ in range(cfg.epochs):
-        loss, grads = _stacked_loss_and_grad(state, x1, target, mask, buf)
+        loss = _stacked_loss_and_grad(state, x1, target, buf, grads)
         total = float(loss.mean())
         loss_curve.append(total)
         if prev_loss - total < cfg.tolerance:
@@ -265,9 +288,8 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
         else:
             stalled = 0
         prev_loss = total
-        for weights, grad in zip(state, grads):
-            grad *= cfg.learning_rate
-            weights -= grad
+        grad *= cfg.learning_rate
+        params -= grad
 
     model = NeuralNetModel(weights=state, p=p, k=k, scaler=(center, scale), seed=cfg.seed)
     model.training_loss = loss_curve  # mean full-batch loss per epoch, for diagnostics
@@ -284,7 +306,7 @@ def predict(model: NeuralNetModel, windows) -> np.ndarray:
     center, scale = model.scaler
     x1 = np.column_stack(((windows - center) / scale, np.ones(len(windows))))
     _, out = _forward(x1, model.weights)
-    return center + scale * out.mean(axis=1)
+    return center + scale * out.mean(axis=0)
 
 
 def forecast_recursive(model: NeuralNetModel, series, h: int) -> np.ndarray:

@@ -273,6 +273,15 @@ class TestFit:
         assert digest(base) != reference
 
 
+def zero_lag_order(doc):
+    """Lag order 0 everywhere, with input rows of 0 values to match."""
+    doc["chosen_p"] = 0
+    for component in doc["component_models"]:
+        component["p"] = 0
+        for restart in component["restarts"]:
+            restart["input_to_hidden"] = [[] for _ in restart["input_to_hidden"]]
+
+
 class TestForecast:
     def _fitted_model(self, runner, tmp_path, extra=()):
         data = tmp_path / "series.csv"
@@ -365,7 +374,7 @@ class TestForecast:
 
     @pytest.mark.parametrize("damage,message", [
         (lambda doc: doc["component_models"][0]["restarts"][0]["hidden_bias"].append(0.5),
-         "ValueError"),
+         "ValueError: component 0: restart 0: 'hidden_bias' has 2 values, expected 1"),
         (lambda doc: doc["component_models"][0]["restarts"][1].pop("hidden_bias"),
          "KeyError: 'hidden_bias'"),
         (lambda doc: doc["component_models"].pop(), "one model required per detail"),
@@ -373,8 +382,9 @@ class TestForecast:
         # The loader rebuilds a Haar, periodic MODWT, whatever these keys say.
         (lambda doc: doc.update(filter="d4"), "'filter' is 'd4'"),
         (lambda doc: doc.update(boundary="reflection"), "'boundary' is 'reflection'"),
+        (zero_lag_order, "component 0: p and k must be >= 1, got p=0, k=1"),
     ], ids=["wrong-length-hidden-bias", "missing-hidden-bias", "dropped-component",
-            "non-integer-seed", "filter-d4", "boundary-reflection"])
+            "non-integer-seed", "filter-d4", "boundary-reflection", "zero-lag-order"])
     def test_malformed_model_is_data_error(self, runner, tmp_path, damage, message):
         model = self._fitted_model(runner, tmp_path, ["--p", "2"])
         doc = json.loads(model.read_text())

@@ -6,9 +6,12 @@ MODWT that gathers N x width windows for each level-j equivalent filter. The
 fast paths only reorder floating-point sums, so they must agree to rounding.
 
 A second training reference re-stacks the (W1, b1, w2, b2) weights for every
-epoch and allocates its temporaries afresh. The trainer keeps the stacked
-layout and reuses its buffers but performs the same floating-point operations
-on the same operands, so it must agree with that reference bit for bit.
+epoch, evaluates the feature-major layout and allocates its temporaries afresh.
+The trainer keeps the stacked layout and reuses its buffers but performs the
+same floating-point operations on the same operands, so it must agree with that
+reference bit for bit. A third, the earlier (n, R*k) layout with a (R*k, R)
+block-diagonal output layer, sums in another order; fits on fixed seeds must
+match it to 1e-9.
 
 Two more fast paths do the same operations on the same operands as their
 references and must agree bit for bit: a pyramid stage that adds two slices
@@ -29,9 +32,9 @@ from epicast import ewnet
 from epicast.neuralnet import (
     NeuralNetModel,
     TrainConfig,
-    _block_mask,
     _init_weights,
     _sigmoid,
+    _stack,
     _stacked_loss_and_grad,
     _supervised_pairs,
     _unstack,
@@ -80,7 +83,7 @@ def restart_major_stack(w1, b1, w2):
 
 
 def restart_major_loss_and_grad(params, x, y):
-    """Re-stacks the weights and allocates every temporary on each call."""
+    """The earlier (n, R*k) layout with a block-diagonal output layer, on each call."""
     w1, b1, w2, b2 = params
     r, k, p = w1.shape
     n = x.shape[0]
@@ -97,6 +100,25 @@ def restart_major_loss_and_grad(params, x, y):
     g_in = (d_pre.T @ x1).reshape(r, k, p + 1)
     g_w2 = (hidden.T @ d_out).reshape(r, k, r)[np.arange(r), :, np.arange(r)]
     return loss, (g_in[:, :, :p], g_in[:, :, p], g_w2, d_out.sum(axis=0))
+
+
+def feature_major_loss_and_grad(params, x, y):
+    """Re-stacks the weights and allocates every temporary on each call."""
+    w1, b1, w2, b2 = params
+    r, k, p = w1.shape
+    n = x.shape[0]
+    x1 = np.column_stack((x, np.ones(n)))
+    with np.errstate(over="ignore"):
+        hidden = 1.0 / (1.0 + np.exp(-(_stack(w1, b1) @ x1.T)))
+    err = (w2[:, None, :] @ hidden.reshape(r, k, n))[:, 0] + b2[:, None] - y
+    loss = 0.5 * np.einsum("rn,rn->r", err, err) / n
+    d_out = err / n
+    d_pre = 1.0 - hidden
+    d_pre *= hidden
+    d_pre *= (w2[:, :, None] * d_out[:, None, :]).reshape(r * k, n)
+    g_in = (d_pre @ x1).reshape(r, k, p + 1)
+    g_w2 = (hidden.reshape(r, k, n) @ d_out[:, :, None])[:, :, 0]
+    return loss, (g_in[:, :, :p], g_in[:, :, p], g_w2, d_out.sum(axis=1))
 
 
 def reference_fit(series, p, k, cfg, kernel=reference_loss_and_grad):
@@ -181,7 +203,7 @@ def random_ewnet(rng, train, levels, p, constant):
             nets.append(NeuralNetModel(weights=None, p=p, k=k, scaler=(rng.normal(), 1.0), seed=0))
             continue
         w1, b1, w2 = (rng.normal(size=shape) for shape in ((3, k, p), (3, k), (3, k)))
-        nets.append(NeuralNetModel(weights=(*restart_major_stack(w1, b1, w2), rng.normal(size=3)),
+        nets.append(NeuralNetModel(weights=(_stack(w1, b1), w2, rng.normal(size=3)),
                                    p=p, k=k, scaler=(float(train.mean()), 1.0 + train.std()),
                                    seed=0))
     return ewnet.EwnetModel(decomposition=modwt_forward(train, levels, haar_filter()),
@@ -213,15 +235,14 @@ def test_kernel_matches_reference(r, k, p, n, seed):
         rng.normal(scale=0.5, size=(r, k, p)), rng.normal(scale=0.5, size=(r, k)),
         rng.normal(scale=0.5, size=(r, k)), rng.normal(scale=0.5, size=r))
     x1 = np.column_stack((x, np.ones(n)))
-    mask = _block_mask(r, k)
-    loss, grads = _stacked_loss_and_grad((*restart_major_stack(w1, b1, w2), b2), x1, y,
-                                         mask, _workspace(n, r, k, p))
+    state = (_stack(w1, b1), w2, b2)
+    grads = [np.empty_like(w) for w in state]
+    loss = _stacked_loss_and_grad(state, x1, y, _workspace(n, r, k), grads)
     ref_loss, (g_w1, g_b1, g_w2, g_b2) = reference_loss_and_grad(params, x, y)
     assert_close(loss, ref_loss, 1e-12)
-    for grad, ref in zip(grads, (*restart_major_stack(g_w1, g_b1, g_w2), g_b2)):
+    for grad, ref in zip(grads, (_stack(g_w1, g_b1), g_w2, g_b2)):
         assert grad.shape == ref.shape
         assert_close(grad, ref, 1e-12)
-    assert np.all(grads[1][mask == 0] == 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,7 +257,7 @@ def test_fit_bitwise_equals_restart_major_loop(r, k, p, extra, lr, epochs, toler
     series = np.cumsum(rng.normal(size=p + 2 + extra)) + rng.normal(size=p + 2 + extra)
     cfg = TrainConfig(learning_rate=lr, epochs=epochs, restarts=r, seed=seed,
                       tolerance=tolerance, patience=patience)
-    (w1, b1, w2, b2), curve = reference_fit(series, p, k, cfg, restart_major_loss_and_grad)
+    (w1, b1, w2, b2), curve = reference_fit(series, p, k, cfg, feature_major_loss_and_grad)
     event("early stop" if len(curve) < epochs else "all epochs")
     try:
         model = fit_network(series, p, k, cfg)
@@ -245,7 +266,7 @@ def test_fit_bitwise_equals_restart_major_loop(r, k, p, extra, lr, epochs, toler
         return
     assert model.training_loss == curve
     w_in, w_out, out_bias = model.weights
-    for got, want in zip([*_unstack(w_in, w_out, k), out_bias], [w1, b1, w2, b2]):
+    for got, want in zip([*_unstack(w_in, k), w_out, out_bias], [w1, b1, w2, b2]):
         assert np.array_equal(got, want)
 
 
@@ -300,20 +321,41 @@ def test_calibration_windows_bitwise_equal_full_transform(levels, n, p, steps, c
     assert_close(ewnet.validation_abs_residuals(model, y[n:]), residuals, 1e-12)
 
 
-@pytest.mark.parametrize("cfg,stops_early", [
+FIXED_SEED_CONFIGS = pytest.mark.parametrize("cfg,stops_early", [
     (TrainConfig(seed=3), False),
     (TrainConfig(learning_rate=0.05, tolerance=1e-5, seed=4), True),
 ], ids=["full-run", "early-stop"])
-def test_fixed_seed_fit_matches_reference(cfg, stops_early):
+
+
+def seasonal_series():
     rng = np.random.default_rng(11)
     t = np.arange(200)
-    series = 10 + 3 * np.sin(2 * np.pi * t / 26) + rng.normal(size=t.size)
+    return 10 + 3 * np.sin(2 * np.pi * t / 26) + rng.normal(size=t.size)
+
+
+@FIXED_SEED_CONFIGS
+def test_fixed_seed_fit_matches_reference(cfg, stops_early):
+    series = seasonal_series()
     model = fit_network(series, 8, 4, cfg)
     (w1, b1, w2, b2), curve = reference_fit(series, 8, 4, cfg)
     assert len(model.training_loss) == len(curve)
     assert (len(curve) < cfg.epochs) == stops_early
     w_in, w_out, out_bias = model.weights
-    for got, want in zip([*_unstack(w_in, w_out, 4), out_bias], [w1, b1, w2, b2]):
+    for got, want in zip([*_unstack(w_in, 4), w_out, out_bias], [w1, b1, w2, b2]):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+@FIXED_SEED_CONFIGS
+def test_fixed_seed_fit_matches_block_diagonal_layout(cfg, stops_early):
+    series = seasonal_series()
+    model = fit_network(series, 8, 4, cfg)
+    (w1, b1, w2, b2), curve = reference_fit(series, 8, 4, cfg, restart_major_loss_and_grad)
+    assert len(model.training_loss) == len(curve)
+    assert (len(curve) < cfg.epochs) == stops_early
+    assert_close(model.training_loss, curve, 1e-12)
+    w_in, w_out, out_bias = model.weights
+    for got, want in zip([*_unstack(w_in, 4), w_out, out_bias], [w1, b1, w2, b2]):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -324,7 +366,7 @@ def test_forward_matches_per_restart_loop():
     model = fit_network(series, 5, 3, TrainConfig(epochs=40, restarts=4, seed=1))
     center, scale = model.scaler
     w_in, w_out, out_bias = model.weights
-    restarts = list(zip(*_unstack(w_in, w_out, 3), out_bias))
+    restarts = list(zip(*_unstack(w_in, 3), w_out, out_bias))
 
     def one_step(window):
         z = (window - center) / scale
@@ -334,6 +376,27 @@ def test_forward_matches_per_restart_loop():
     expected = [one_step(series[t - 5:t]) for t in range(5, series.size)]
     assert_close(fitted_values(model, series), expected, 1e-12)
     assert predict(model, [series[-5:]])[0] == pytest.approx(one_step(series[-5:]), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 20), k=st.integers(1, 10), p=st.integers(1, 20), m=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(r=20, k=4, p=8, m=1, seed=5)  # one window, as each recursive-forecast step
+def test_predict_matches_per_restart_loop(r, k, p, m, seed):
+    rng = np.random.default_rng(seed)
+    w1, b1, w2 = (rng.normal(size=shape) for shape in ((r, k, p), (r, k), (r, k)))
+    b2 = rng.normal(size=r)
+    center, scale = rng.normal(scale=10.0), rng.uniform(0.1, 10.0)
+    model = NeuralNetModel(weights=(_stack(w1, b1), w2, b2), p=p, k=k,
+                           scaler=(center, scale), seed=0)
+    windows = center + scale * rng.normal(size=(m, p))
+
+    def one_step(window):
+        z = (window - center) / scale
+        outs = [b2[i] + w2[i] @ reference_sigmoid(b1[i] + w1[i] @ z) for i in range(r)]
+        return center + scale * float(np.mean(outs))
+
+    assert_close(predict(model, windows), [one_step(w) for w in windows], 1e-12)
 
 
 def test_sigmoid_saturates_exactly():

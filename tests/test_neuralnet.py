@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from epicast.neuralnet import (
     NeuralNetModel,
     TrainConfig,
-    _block_mask,
+    _forward,
     _loss_and_grad,
     _unstack,
     fit_network,
@@ -102,16 +102,23 @@ class TestFitNetwork:
         y = ar1_series(seed=1)
         m1 = fit_network(y, 2, 1, TrainConfig(epochs=50, restarts=2, seed=0))
         m2 = fit_network(y, 2, 1, TrainConfig(epochs=50, restarts=2, seed=1))
-        first_input_layer = [_unstack(*m.weights[:2], 1)[0][0] for m in (m1, m2)]
+        first_input_layer = [_unstack(m.weights[0], 1)[0][0] for m in (m1, m2)]
         assert not np.array_equal(*first_input_layer)
 
-    def test_output_layer_is_block_diagonal(self):
+    def test_restarts_share_no_output_weights(self):
         y = ar1_series(seed=2)
         model = fit_network(y, 4, 2, TrainConfig(epochs=40, restarts=5, seed=3))
-        w_out = model.weights[1]
-        assert w_out.shape == (10, 5)
-        assert np.all(w_out[_block_mask(5, 2) == 0] == 0.0)
-        assert np.all(w_out[_block_mask(5, 2) == 1] != 0.0)
+        w_in, w_out, b2 = model.weights
+        assert w_out.shape == (5, 2)
+        center, scale = model.scaler
+        windows = (np.lib.stride_tricks.sliding_window_view(y, 4) - center) / scale
+        x1 = np.column_stack((windows, np.ones(len(windows))))
+        base = _forward(x1, model.weights)[1].T  # (m, R)
+        for r in range(5):
+            bumped = w_out.copy()
+            bumped[r] += 0.25
+            changed = np.any(_forward(x1, (w_in, bumped, b2))[1].T != base, axis=0)
+            assert changed.tolist() == [i == r for i in range(5)]
 
     def test_loss_curve_mostly_decreasing(self):
         # At a conservative step size full-batch descent should rarely overshoot.
@@ -248,6 +255,21 @@ class TestSerialization:
         assert predict(model, [[11.0, 9.0]])[0] == pytest.approx(
             hand_forecast(COMPONENT_V1, [11.0, 9.0]), rel=1e-14)
 
+    @pytest.mark.parametrize("restart,key,value,message", [
+        (1, "hidden_bias", [0.0, 0.3, 0.1], "restart 1: 'hidden_bias' has 3 values, expected 2"),
+        (0, "input_to_hidden", [[0.1, 0.2], [0.3]],
+         "restart 0: 'input_to_hidden'[1] has 1 values, expected 2"),
+        (0, "hidden_to_output", 0.5, "restart 0: 'hidden_to_output' is not a list of 2 values"),
+        (1, "hidden_bias", [[0.1], [0.2]], "restart 1: 'hidden_bias'[0] is a list, expected a number"),
+        (0, "output_bias", [0.1], "restart 0: 'output_bias' is a list, expected a number"),
+    ])
+    def test_wrong_weight_shape_is_named(self, restart, key, value, message):
+        doc = copy.deepcopy(COMPONENT_V1)
+        doc["restarts"][restart][key] = value
+        with pytest.raises(ValueError) as excinfo:
+            NeuralNetModel.from_dict(doc)
+        assert str(excinfo.value) == message
+
     def test_weight_shape_validation(self):
         bad_shape = copy.deepcopy(COMPONENT_V1)
         bad_shape["restarts"][1]["hidden_bias"] = [0.0, 0.3, 0.1]
@@ -262,6 +284,9 @@ class TestSerialization:
                            scaler=(0.0, 1.0), seed=0)
         with pytest.raises(ValueError):
             NeuralNetModel.from_dict({**COMPONENT_V1, "restarts": []})
+        for p, k in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="p and k must be >= 1"):
+                NeuralNetModel(weights=None, p=p, k=k, scaler=(0.0, 1.0), seed=0)
 
     def test_constant_keys_are_derived(self):
         constant = fit_network(np.full(30, 4.2), 2, 1, TrainConfig(epochs=5, restarts=1))
