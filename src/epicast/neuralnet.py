@@ -10,12 +10,23 @@ restarts is one GEMM. Activations are feature-major, (R*k, m): the output layer
 is one batched (R, 1, k) @ (R, k, m) product with the (R, k) output weights, and
 every per-restart (R, m) operation runs along a contiguous row.
 
-``fit_network`` keeps the weights and the gradient each in one flat vector, so an
-epoch ends with one scale and one subtract. The design matrix with its ones
-column and the activation and error buffers (``_workspace``) are made once per
-fit; each epoch ``_stacked_loss_and_grad`` overwrites them through ``_forward``,
-which ``predict`` also calls. The model keeps (w_in, w_out, b2) views of the flat
-vector; the input layer is split per restart only for model.json.
+The inputs enter as the negated, transposed design matrix -[x, 1].T
+(``_design``), so the hidden-layer GEMM yields the negated pre-activations and
+the sigmoid (``_sigmoid_neg``) is an exp, an add and a divide, with no negation
+pass. ``predict`` builds its windows the same way; ``_forward`` is the one place
+a network is evaluated.
+
+``fit_network`` keeps the weights and the gradient each in one flat vector. An
+epoch (``_stacked_loss_and_grad``) writes three buffers made once per fit
+(``_workspace``): the hidden activations s and the hidden-layer error term, both
+(R*k, n), and the output error (R, n). The backward pass is reassociated:
+s(1 - s) is scaled by the output error broadcast over k, multiplied by the
+design matrix in one GEMM, and only the (R*k, p+1) result is scaled by the
+output weights, so no (R, k, n) outer product is formed. The learning rate is
+folded into the 1/n scaling of the output error, so the gradient vector holds
+the step and the epoch ends with one ``params -= grad``. The model keeps
+(w_in, w_out, b2) views of the flat vector; the input layer is split per
+restart only for model.json.
 """
 
 from __future__ import annotations
@@ -35,10 +46,14 @@ class TrainConfig:
     patience: int = 25
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1 or self.restarts < 1:
             raise ValueError("epochs and restarts must be >= 1")
+        if np.isnan(self.tolerance):
+            raise ValueError("tolerance must be a number, got nan")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
 @dataclass
@@ -116,13 +131,16 @@ class NeuralNetModel:
 def _restart_weights(restarts: list, key: str, shape: tuple[int, ...]) -> np.ndarray:
     """The ``key`` weights of every restart as one (R, *shape) array.
 
-    A list of the wrong length, or a list where a number belongs, is reported by
-    restart index and key, e.g. "restart 0: 'hidden_bias' has 3 values, expected 2".
+    A list of the wrong length, or anything but a JSON number where a number
+    belongs, is reported by restart index and key, e.g. "restart 0: 'hidden_bias'
+    has 3 values, expected 2" or "restart 1: 'output_bias' is not a number: 'x'".
     """
     def check(values, shape, where):
         if not shape:
             if isinstance(values, list):
                 raise ValueError(f"{where} is a list, expected a number")
+            if isinstance(values, bool) or not isinstance(values, (int, float)):
+                raise ValueError(f"{where} is not a number: {values!r}")
         elif not isinstance(values, list):
             raise ValueError(f"{where} is not a list of {shape[0]} values")
         elif len(values) != shape[0]:
@@ -143,12 +161,12 @@ def hidden_neurons(p: int) -> int:
     return (p + 1) // 2
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-x)), written into ``out`` when given (``out`` may be ``x``)."""
-    # exp(-x) overflows to inf below x = -709, which gives exactly 0.
+def _sigmoid_neg(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic sigmoid of -t, 1 / (1 + exp(t)), written into ``out`` when given
+    (``out`` may be ``t``)."""
+    # exp(t) overflows to inf above t = 709, which gives exactly 0.
     with np.errstate(over="ignore"):
-        out = np.negative(x, out=out)
-        np.exp(out, out=out)
+        out = np.exp(t, out=out)
         out += 1.0
         return np.divide(1.0, out, out=out)
 
@@ -172,11 +190,21 @@ def _views(flat: np.ndarray, r: int, k: int, p: int):
     return flat[:rk * (p + 1)].reshape(rk, p + 1), flat[rk * (p + 1):-r].reshape(r, k), flat[-r:]
 
 
-def _forward(x1, state, hidden=None, out=None):
-    """Hidden activations (R*k, m) and outputs (R, m) of ``state`` on the (m, p+1)
-    inputs ``x1`` (ending in ones), written into ``hidden`` and ``out`` when given."""
+def _design(windows: np.ndarray, center: float = 0.0, scale: float = 1.0) -> np.ndarray:
+    """The negated, transposed design matrix -[(windows - center) / scale, 1].T, (p+1, m)."""
+    m, p = windows.shape
+    xt = np.empty((p + 1, m))
+    np.subtract(center, windows.T, out=xt[:p])
+    xt[:p] /= scale
+    xt[p] = -1.0
+    return xt
+
+
+def _forward(xt, state, hidden=None, out=None):
+    """Hidden activations (R*k, m) and outputs (R, m) of ``state`` on the ``_design``
+    matrix ``xt``, written into ``hidden`` and ``out`` when given."""
     w_in, w_out, b2 = state
-    hidden = _sigmoid(np.matmul(w_in, x1.T, out=hidden), out=hidden)
+    hidden = _sigmoid_neg(np.matmul(w_in, xt, out=hidden), out=hidden)
     out = np.matmul(w_out[:, None, :], hidden.reshape(*w_out.shape, -1),
                     out=None if out is None else out[:, None])[:, 0]
     out += b2[:, None]
@@ -192,33 +220,38 @@ def _init_weights(rng: np.random.Generator, p: int, k: int):
 
 
 def _workspace(n: int, r: int, k: int) -> tuple[np.ndarray, ...]:
-    """Buffers of one fit: hidden, d_pre and back-propagated term (R*k, n), err (R, n)."""
-    return np.empty((r * k, n)), np.empty((r * k, n)), np.empty((r * k, n)), np.empty((r, n))
+    """Buffers of one fit: hidden and d_pre (R*k, n), err (R, n)."""
+    return np.empty((r * k, n)), np.empty((r * k, n)), np.empty((r, n))
 
 
-def _stacked_loss_and_grad(state, x1, y, buf, grads):
-    """Per-restart L2 loss 0.5 * mean(err^2), with its gradient written into ``grads``.
+def _stacked_loss_and_grad(state, xt, y, buf, grads, step=1.0):
+    """Per-restart L2 loss 0.5 * mean(err^2), with ``step`` times its gradient written
+    into ``grads``.
 
-    ``state`` and ``grads`` are (w_in, w_out, b2), ``x1`` the (n, p+1) design matrix
-    ending in a ones column and ``buf`` a ``_workspace``.
+    ``state`` and ``grads`` are (w_in, w_out, b2), ``xt`` the ``_design`` matrix of the
+    n training windows and ``buf`` a ``_workspace``.
     """
     _, w_out, _ = state
-    hidden, d_pre, back, err = buf
+    hidden, d_pre, err = buf
     g_in, g_out, g_b2 = grads
     r, k = w_out.shape
-    n = x1.shape[0]
-    _forward(x1, state, hidden, err)
+    n = y.size
+    _forward(xt, state, hidden, err)
     err -= y
-    loss = 0.5 * np.einsum("rn,rn->r", err, err) / n
+    loss = np.einsum("rn,rn->r", err, err)
+    loss *= 0.5 / n
 
-    d_out = np.divide(err, n, out=err)
+    d_out = np.divide(err, n / step, out=err)
     np.sum(d_out, axis=1, out=g_b2)
     np.matmul(hidden.reshape(r, k, n), d_out[:, :, None], out=g_out[:, :, None])
-    np.einsum("rk,rn->rkn", w_out, d_out, out=back.reshape(r, k, n))
-    np.subtract(1.0, hidden, out=d_pre)
+    # The input-layer gradient is w_out * (s(1 - s) d_out @ [x, 1]), formed from the
+    # two negated factors (s - 1) s d_out and the design matrix.
+    np.subtract(hidden, 1.0, out=d_pre)
     d_pre *= hidden
-    d_pre *= back
-    np.matmul(d_pre, x1, out=g_in)
+    d_pre3 = d_pre.reshape(r, k, n)
+    d_pre3 *= d_out[:, None]
+    np.matmul(d_pre, xt.T, out=g_in)
+    g_in *= w_out.reshape(r * k, 1)
     return loss
 
 
@@ -229,11 +262,9 @@ def _loss_and_grad(params, x, y):
     """
     w1, b1, w2, b2 = params
     r, k, _ = w1.shape
-    n = x.shape[0]
     state = (_stack(w1, b1), w2, b2)
     grads = [np.empty_like(w) for w in state]
-    loss = _stacked_loss_and_grad(state, np.column_stack((x, np.ones(n))), y,
-                                  _workspace(n, r, k), grads)
+    loss = _stacked_loss_and_grad(state, _design(x), y, _workspace(len(y), r, k), grads)
     return loss, (*_unstack(grads[0], k), *grads[1:])
 
 
@@ -271,15 +302,15 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
     params = np.concatenate((_stack(w1, b1), w2, b2), axis=None)
     grad = np.empty_like(params)
     state, grads = _views(params, r, k, p), _views(grad, r, k, p)
-    x1 = np.column_stack((x_mat, np.ones(len(target))))
+    xt = _design(x_mat)
     buf = _workspace(len(target), r, k)
 
     prev_loss = np.inf
     stalled = 0
     loss_curve: list[float] = []
     for _ in range(cfg.epochs):
-        loss = _stacked_loss_and_grad(state, x1, target, buf, grads)
-        total = float(loss.mean())
+        loss = _stacked_loss_and_grad(state, xt, target, buf, grads, cfg.learning_rate)
+        total = float(loss.sum()) / r
         loss_curve.append(total)
         if prev_loss - total < cfg.tolerance:
             stalled += 1
@@ -288,7 +319,6 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
         else:
             stalled = 0
         prev_loss = total
-        grad *= cfg.learning_rate
         params -= grad
 
     model = NeuralNetModel(weights=state, p=p, k=k, scaler=(center, scale), seed=cfg.seed)
@@ -304,8 +334,7 @@ def predict(model: NeuralNetModel, windows) -> np.ndarray:
     if model.constant:
         return np.full(len(windows), model.constant_value)
     center, scale = model.scaler
-    x1 = np.column_stack(((windows - center) / scale, np.ones(len(windows))))
-    _, out = _forward(x1, model.weights)
+    _, out = _forward(_design(windows, center, scale), model.weights)
     return center + scale * out.mean(axis=0)
 
 

@@ -396,6 +396,17 @@ class TestForecast:
         assert message in result.output
         assert not (tmp_path / "forecast.csv").exists()
 
+    def test_non_numeric_weight_names_component_restart_and_key(self, runner, tmp_path):
+        model = self._fitted_model(runner, tmp_path, ["--p", "2"])
+        doc = json.loads(model.read_text())
+        doc["component_models"][0]["restarts"][1]["output_bias"] = "x"
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["forecast", "--model", str(model), "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert result.output == ("Error: malformed model file: ValueError: component 0: "
+                                 "restart 1: 'output_bias' is not a number: 'x'\n")
+        assert not (tmp_path / "forecast.csv").exists()
+
 
 class TestEvaluate:
     def test_single_dataset_short_horizon(self, runner, tmp_path):
@@ -782,11 +793,21 @@ class TestConfigHandling:
         assert "unknown horizon 'weekly'" in result.output
 
     @pytest.mark.parametrize("cmd", ["fit", "evaluate"])
-    @pytest.mark.parametrize("train", [
-        {"learnin_rate": 0.5}, {"seed": 3}, {"learning_rate": -1}, {"epochs": "abc"},
-        {"restarts": 0}, {"patience": None},
-    ], ids=["typo", "seed", "negative-rate", "non-numeric-epochs", "zero-restarts", "null"])
-    def test_bad_train_keys_are_config_errors(self, runner, tmp_path, cmd, train):
+    @pytest.mark.parametrize("train,reason", [
+        ({"learnin_rate": 0.5}, "keys must be among learning_rate, epochs"),
+        ({"seed": 3}, "keys must be among learning_rate, epochs"),
+        ({"learning_rate": -1}, "learning_rate must be positive and finite, got -1.0"),
+        ({"epochs": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+        ({"restarts": 0}, "epochs and restarts must be >= 1"),
+        ({"patience": None}, "int() argument must be"),
+        ({"learning_rate": float("nan")}, "learning_rate must be positive and finite, got nan"),
+        ({"learning_rate": "inf"}, "learning_rate must be positive and finite, got inf"),
+        ({"tolerance": "nan"}, "tolerance must be a number, got nan"),
+        ({"patience": 0}, "patience must be >= 1, got 0"),
+        ({"patience": -3}, "patience must be >= 1, got -3"),
+    ], ids=["typo", "seed", "negative-rate", "non-numeric-epochs", "zero-restarts", "null",
+            "nan-rate", "infinite-rate", "nan-tolerance", "zero-patience", "negative-patience"])
+    def test_bad_train_keys_are_config_errors(self, runner, tmp_path, cmd, train, reason):
         data = tmp_path / "series.csv"
         write_series_csv(data)
         cfg = tmp_path / "cfg.json"
@@ -797,6 +818,7 @@ class TestConfigHandling:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert "bad 'train' config" in result.output
+        assert f"}}: {reason}" in result.output
 
     def test_train_values_take_their_default_types(self, runner, tmp_path):
         data = tmp_path / "series.csv"

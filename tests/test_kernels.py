@@ -3,15 +3,23 @@
 The references below are the straightforward implementations: an einsum
 training kernel with a sign-masked sigmoid, a per-restart forward pass, and a
 MODWT that gathers N x width windows for each level-j equivalent filter. The
-fast paths only reorder floating-point sums, so they must agree to rounding.
+fast paths reorder floating-point sums and products (the trainer scales the
+input-layer gradient by the output weights after its GEMM, not before), so they
+must agree to rounding: kernels and forward passes to 1e-12, fits on fixed
+seeds to 1e-9 in the weights.
 
-A second training reference re-stacks the (W1, b1, w2, b2) weights for every
-epoch, evaluates the feature-major layout and allocates its temporaries afresh.
-The trainer keeps the stacked layout and reuses its buffers but performs the
-same floating-point operations on the same operands, so it must agree with that
-reference bit for bit. A third, the earlier (n, R*k) layout with a (R*k, R)
-block-diagonal output layer, sums in another order; fits on fixed seeds must
-match it to 1e-9.
+A second training reference does the trainer's arithmetic in plain per-call
+NumPy: it re-stacks the (W1, b1, w2, b2) weights for every epoch, negates the
+transposed design matrix, folds the learning rate into the 1/n scaling of the
+output error and allocates its temporaries afresh. The trainer keeps the
+stacked layout and reuses its buffers but performs the same floating-point
+operations on the same operands, so it must agree with that reference bit for
+bit. A third, the earlier (n, R*k) layout with a (R*k, R) block-diagonal output
+layer, sums in another order; fits on fixed seeds must match it to 1e-9 in the
+weights and 1e-12 in the loss curve.
+
+Every reference kernel returns its gradient times a ``step`` (1 by default),
+which the reference fit subtracts as it is.
 
 Two more fast paths do the same operations on the same operands as their
 references and must agree bit for bit: a pyramid stage that adds two slices
@@ -32,8 +40,9 @@ from epicast import ewnet
 from epicast.neuralnet import (
     NeuralNetModel,
     TrainConfig,
+    _design,
     _init_weights,
-    _sigmoid,
+    _sigmoid_neg,
     _stack,
     _stacked_loss_and_grad,
     _supervised_pairs,
@@ -63,7 +72,7 @@ def reference_sigmoid(x):
     return out
 
 
-def reference_loss_and_grad(params, x, y):
+def reference_loss_and_grad(params, x, y, step=1.0):
     w1, b1, w2, b2 = params
     n = x.shape[0]
     hidden = reference_sigmoid(np.einsum("rkp,np->rnk", w1, x) + b1[:, None, :])
@@ -71,8 +80,9 @@ def reference_loss_and_grad(params, x, y):
     loss = 0.5 * np.mean(err**2, axis=1)
     d_out = err / n
     d_pre = d_out[:, :, None] * w2[:, None, :] * hidden * (1.0 - hidden)
-    return loss, (np.einsum("rnk,np->rkp", d_pre, x), d_pre.sum(axis=1),
-                  np.einsum("rn,rnk->rk", d_out, hidden), d_out.sum(axis=1))
+    grads = (np.einsum("rnk,np->rkp", d_pre, x), d_pre.sum(axis=1),
+             np.einsum("rn,rnk->rk", d_out, hidden), d_out.sum(axis=1))
+    return loss, tuple(step * g for g in grads)
 
 
 def restart_major_stack(w1, b1, w2):
@@ -82,7 +92,7 @@ def restart_major_stack(w1, b1, w2):
     return w_in, np.kron(np.eye(r), np.ones((k, 1))) * w2.reshape(r * k, 1)
 
 
-def restart_major_loss_and_grad(params, x, y):
+def restart_major_loss_and_grad(params, x, y, step=1.0):
     """The earlier (n, R*k) layout with a block-diagonal output layer, on each call."""
     w1, b1, w2, b2 = params
     r, k, p = w1.shape
@@ -99,24 +109,24 @@ def restart_major_loss_and_grad(params, x, y):
     d_pre *= d_out @ w_out.T
     g_in = (d_pre.T @ x1).reshape(r, k, p + 1)
     g_w2 = (hidden.T @ d_out).reshape(r, k, r)[np.arange(r), :, np.arange(r)]
-    return loss, (g_in[:, :, :p], g_in[:, :, p], g_w2, d_out.sum(axis=0))
+    grads = (g_in[:, :, :p], g_in[:, :, p], g_w2, d_out.sum(axis=0))
+    return loss, tuple(step * g for g in grads)
 
 
-def feature_major_loss_and_grad(params, x, y):
-    """Re-stacks the weights and allocates every temporary on each call."""
+def negated_design_loss_and_grad(params, x, y, step=1.0):
+    """The trainer's arithmetic; re-stacks the weights and allocates every temporary
+    on each call."""
     w1, b1, w2, b2 = params
     r, k, p = w1.shape
     n = x.shape[0]
-    x1 = np.column_stack((x, np.ones(n)))
+    xt = -np.vstack((x.T, np.ones(n)))
     with np.errstate(over="ignore"):
-        hidden = 1.0 / (1.0 + np.exp(-(_stack(w1, b1) @ x1.T)))
+        hidden = 1.0 / (1.0 + np.exp(_stack(w1, b1) @ xt))
     err = (w2[:, None, :] @ hidden.reshape(r, k, n))[:, 0] + b2[:, None] - y
-    loss = 0.5 * np.einsum("rn,rn->r", err, err) / n
-    d_out = err / n
-    d_pre = 1.0 - hidden
-    d_pre *= hidden
-    d_pre *= (w2[:, :, None] * d_out[:, None, :]).reshape(r * k, n)
-    g_in = (d_pre @ x1).reshape(r, k, p + 1)
+    loss = np.einsum("rn,rn->r", err, err) * (0.5 / n)
+    d_out = err / (n / step)
+    d_pre = ((hidden - 1.0) * hidden).reshape(r, k, n) * d_out[:, None, :]
+    g_in = (d_pre.reshape(r * k, n) @ xt.T * w2.reshape(r * k, 1)).reshape(r, k, p + 1)
     g_w2 = (hidden.reshape(r, k, n) @ d_out[:, :, None])[:, :, 0]
     return loss, (g_in[:, :, :p], g_in[:, :, p], g_w2, d_out.sum(axis=1))
 
@@ -132,7 +142,7 @@ def reference_fit(series, p, k, cfg, kernel=reference_loss_and_grad):
     params.append(np.array([w[3] for w in inits]))
     prev_loss, stalled, curve = np.inf, 0, []
     for _ in range(cfg.epochs):
-        loss, grads = kernel(params, x, target)
+        loss, steps = kernel(params, x, target, cfg.learning_rate)
         total = float(loss.mean())
         curve.append(total)
         if prev_loss - total < cfg.tolerance:
@@ -142,8 +152,8 @@ def reference_fit(series, p, k, cfg, kernel=reference_loss_and_grad):
         else:
             stalled = 0
         prev_loss = total
-        for weights, grad in zip(params, grads):
-            weights -= cfg.learning_rate * grad
+        for weights, step in zip(params, steps):
+            weights -= step
     return params, curve
 
 
@@ -234,10 +244,9 @@ def test_kernel_matches_reference(r, k, p, n, seed):
     w1, b1, w2, b2 = params = (
         rng.normal(scale=0.5, size=(r, k, p)), rng.normal(scale=0.5, size=(r, k)),
         rng.normal(scale=0.5, size=(r, k)), rng.normal(scale=0.5, size=r))
-    x1 = np.column_stack((x, np.ones(n)))
     state = (_stack(w1, b1), w2, b2)
     grads = [np.empty_like(w) for w in state]
-    loss = _stacked_loss_and_grad(state, x1, y, _workspace(n, r, k), grads)
+    loss = _stacked_loss_and_grad(state, _design(x), y, _workspace(n, r, k), grads)
     ref_loss, (g_w1, g_b1, g_w2, g_b2) = reference_loss_and_grad(params, x, y)
     assert_close(loss, ref_loss, 1e-12)
     for grad, ref in zip(grads, (_stack(g_w1, g_b1), g_w2, g_b2)):
@@ -257,7 +266,7 @@ def test_fit_bitwise_equals_restart_major_loop(r, k, p, extra, lr, epochs, toler
     series = np.cumsum(rng.normal(size=p + 2 + extra)) + rng.normal(size=p + 2 + extra)
     cfg = TrainConfig(learning_rate=lr, epochs=epochs, restarts=r, seed=seed,
                       tolerance=tolerance, patience=patience)
-    (w1, b1, w2, b2), curve = reference_fit(series, p, k, cfg, feature_major_loss_and_grad)
+    (w1, b1, w2, b2), curve = reference_fit(series, p, k, cfg, negated_design_loss_and_grad)
     event("early stop" if len(curve) < epochs else "all epochs")
     try:
         model = fit_network(series, p, k, cfg)
@@ -401,4 +410,27 @@ def test_predict_matches_per_restart_loop(r, k, p, m, seed):
 
 def test_sigmoid_saturates_exactly():
     x = np.array([-1e300, -800.0, 800.0, 1e300])
-    np.testing.assert_array_equal(_sigmoid(x), [0.0, 0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(_sigmoid_neg(-x), [0.0, 0.0, 1.0, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.integers(1, 20), k=st.integers(1, 10), p=st.integers(1, 20), m=st.integers(1, 40),
+       h=st.integers(1, 1000), input_scale=st.sampled_from([1e-3, 1.0, 1e2, 1e4, 1e6]),
+       seed=st.integers(0, 2**32 - 1))
+@example(r=20, k=4, p=8, m=1, h=1000, input_scale=1e6, seed=6)
+def test_outputs_lie_within_the_output_layer_bounds(r, k, p, m, h, input_scale, seed):
+    """Every hidden unit lies in [0, 1], so restart r outputs b2 + w2 . s within
+    [b2 + sum(min(w2, 0)), b2 + sum(max(w2, 0))], also when the inputs saturate it.
+    The slack is 1e-9 of the largest magnitude the output sums reach."""
+    rng = np.random.default_rng(seed)
+    w1, b1, w2 = (rng.normal(size=shape) for shape in ((r, k, p), (r, k), (r, k)))
+    b2 = rng.normal(size=r)
+    center, scale = rng.normal(scale=10.0), rng.uniform(0.1, 10.0)
+    model = NeuralNetModel(weights=(_stack(w1, b1), w2, b2), p=p, k=k,
+                           scaler=(center, scale), seed=0)
+    lo = center + scale * np.mean(b2 + np.minimum(w2, 0.0).sum(axis=1))
+    hi = center + scale * np.mean(b2 + np.maximum(w2, 0.0).sum(axis=1))
+    slack = 1e-9 * (abs(center) + scale * np.mean(np.abs(b2) + np.abs(w2).sum(axis=1)))
+    windows = center + scale * input_scale * rng.normal(size=(m, p))
+    for values in (predict(model, windows), forecast_recursive(model, windows[-1], h)):
+        assert np.all(values >= lo - slack) and np.all(values <= hi + slack)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from epicast.neuralnet import (
     NeuralNetModel,
     TrainConfig,
+    _design,
     _forward,
     _loss_and_grad,
     _unstack,
@@ -59,6 +60,18 @@ class TestTrainConfig:
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("learning_rate", float("nan"), "learning_rate must be positive and finite, got nan"),
+        ("learning_rate", float("inf"), "learning_rate must be positive and finite, got inf"),
+        ("tolerance", float("nan"), "tolerance must be a number, got nan"),
+        ("patience", 0, "patience must be >= 1, got 0"),
+        ("patience", -3, "patience must be >= 1, got -3"),
+    ])
+    def test_rejects_settings_that_cannot_train(self, key, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            TrainConfig(**{key: value})
+        assert str(excinfo.value) == message
 
 
 class TestGradient:
@@ -110,14 +123,12 @@ class TestFitNetwork:
         model = fit_network(y, 4, 2, TrainConfig(epochs=40, restarts=5, seed=3))
         w_in, w_out, b2 = model.weights
         assert w_out.shape == (5, 2)
-        center, scale = model.scaler
-        windows = (np.lib.stride_tricks.sliding_window_view(y, 4) - center) / scale
-        x1 = np.column_stack((windows, np.ones(len(windows))))
-        base = _forward(x1, model.weights)[1].T  # (m, R)
+        xt = _design(np.lib.stride_tricks.sliding_window_view(y, 4), *model.scaler)
+        base = _forward(xt, model.weights)[1].T  # (m, R)
         for r in range(5):
             bumped = w_out.copy()
             bumped[r] += 0.25
-            changed = np.any(_forward(x1, (w_in, bumped, b2))[1].T != base, axis=0)
+            changed = np.any(_forward(xt, (w_in, bumped, b2))[1].T != base, axis=0)
             assert changed.tolist() == [i == r for i in range(5)]
 
     def test_loss_curve_mostly_decreasing(self):
@@ -262,6 +273,11 @@ class TestSerialization:
         (0, "hidden_to_output", 0.5, "restart 0: 'hidden_to_output' is not a list of 2 values"),
         (1, "hidden_bias", [[0.1], [0.2]], "restart 1: 'hidden_bias'[0] is a list, expected a number"),
         (0, "output_bias", [0.1], "restart 0: 'output_bias' is a list, expected a number"),
+        (1, "output_bias", "x", "restart 1: 'output_bias' is not a number: 'x'"),
+        (0, "output_bias", "0.5", "restart 0: 'output_bias' is not a number: '0.5'"),
+        (1, "hidden_bias", [0.1, True], "restart 1: 'hidden_bias'[1] is not a number: True"),
+        (0, "input_to_hidden", [[0.1, 0.2], [None, 0.4]],
+         "restart 0: 'input_to_hidden'[1][0] is not a number: None"),
     ])
     def test_wrong_weight_shape_is_named(self, restart, key, value, message):
         doc = copy.deepcopy(COMPONENT_V1)
