@@ -162,18 +162,28 @@ def _read_series(cfg: dict, data, value_column, frequency) -> tuple[TimeSeries, 
     return series, {"value_column": value_column, "data_sha256": _file_sha256(path)}
 
 
+def _train_value(value, default):
+    """A 'train' value as the type of its default. A bool, or a fraction where an
+    integer belongs, is passed on as it is, for TrainConfig to reject, not truncate."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        return value
+    return type(default)(value)
+
+
 def _ewnet_config(cfg: dict, levels, p_grid, metric, seed) -> ewnet.EwnetConfig:
     levels = _resolve(cfg, "levels", levels, kind=int)
     grid = _parse_grid(_resolve(cfg, "p_grid", p_grid, default="1-20"))
     metric = _resolve(cfg, "metric", metric, default="mase")
+    try:
+        base = neuralnet.TrainConfig(seed=seed)
+    except ValueError as exc:  # a negative seed
+        raise ConfigError(str(exc))
     train = cfg.get("train", {})
     try:
         if not isinstance(train, dict) or not set(train) <= set(TRAIN_KEYS):
             raise ValueError(f"keys must be among {', '.join(TRAIN_KEYS)}")
-        base = neuralnet.TrainConfig(seed=seed)
-        # Each value takes the type of its default.
         train_cfg = dataclasses.replace(
-            base, **{key: type(getattr(base, key))(value) for key, value in train.items()})
+            base, **{key: _train_value(value, getattr(base, key)) for key, value in train.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'train' config {train!r}: {exc}")
     try:

@@ -5,35 +5,74 @@ loss, trained on z-scored data. Several independently seeded restarts are
 trained and their predictions averaged.
 
 Restarts are stacked restart-major: the input layers with their biases form one
-(R*k, p+1) matrix, rows r*k .. r*k+k-1 for restart r, so the hidden layer of all
-restarts is one GEMM. Activations are feature-major, (R*k, m): the output layer
-is one batched (R, 1, k) @ (R, k, m) product with the (R, k) output weights, and
-every per-restart (R, m) operation runs along a contiguous row.
+(R*k, p+1) matrix, rows r*k .. r*k+k-1 for restart r. Activations are
+feature-major, (R, k, m), so every per-restart operation runs along contiguous
+rows. Every product is per restart: the hidden layer is one batched
+(R, k, p+1) @ (p+1, m) product, the output layer one batched (R, 1, k) @ (R, k, m)
+product with the (R, k) output weights. A 2-D GEMM over all R*k rows would round
+differently when the row count changes; the batched products give every restart
+the same bits however many restarts are stacked beside it.
 
 The inputs enter as the negated, transposed design matrix -[x, 1].T
-(``_design``), so the hidden-layer GEMM yields the negated pre-activations and
+(``_design``), so the hidden-layer product yields the negated pre-activations and
 the sigmoid (``_sigmoid_neg``) is an exp, an add and a divide, with no negation
 pass. ``predict`` builds its windows the same way; ``_forward`` is the one place
 a network is evaluated.
 
-``fit_network`` keeps the weights and the gradient each in one flat vector. An
-epoch (``_stacked_loss_and_grad``) writes three buffers made once per fit
+An epoch (``_stacked_loss_and_grad``) writes three buffers made once per fit
 (``_workspace``): the hidden activations s and the hidden-layer error term, both
-(R*k, n), and the output error (R, n). The backward pass is reassociated:
+(R, k, n), and the output error (R, n). The backward pass is reassociated:
 s(1 - s) is scaled by the output error broadcast over k, multiplied by the
-design matrix in one GEMM, and only the (R*k, p+1) result is scaled by the
-output weights, so no (R, k, n) outer product is formed. The learning rate is
-folded into the 1/n scaling of the output error, so the gradient vector holds
-the step and the epoch ends with one ``params -= grad``. The model keeps
-(w_in, w_out, b2) views of the flat vector; the input layer is split per
-restart only for model.json.
+design matrix in one batched (R, k, n) @ (n, p+1) product, and only the result is
+scaled by the output weights, so no (R, k, n) outer product is formed. The
+learning rate is folded into the 1/n scaling of the output error, so the
+gradient holds the step and the epoch ends with one ``params -= grad`` on a
+flat vector that holds the weights. The model keeps (w_in, w_out, b2); the input
+layer is split per restart only for model.json.
+
+``fit_network`` splits the R restarts into contiguous blocks (``_Block``), two
+when the process may use two CPUs or more (``_cpus``: its affinity set, cut to
+its cgroup's CPU quota), and trains them ``CHUNK`` epochs at a time. Two is the
+only split measured; more blocks each add the per-epoch fixed cost. Block 0 runs
+in the calling process, block 1 in a worker process (``_serve``) forked on the
+first fit that needs it, which lives as long as the process. The worker runs
+through its chunks without waiting and sends each chunk's per-restart losses.
+The caller joins them in restart order and applies the stopping rule epoch by
+epoch. When the rule fires inside a chunk, every block rewinds to its copy from
+the start of that chunk and replays up to the stopping epoch. Since no product
+mixes restarts, a fit's bits do not depend on the number of blocks, and
+``taskset -c 0`` trains every fit in the calling process.
+
+While a fit is split, block b runs on the b-th CPU of the caller's affinity set:
+left to itself, the scheduler may wake the worker on the caller's CPU and keep
+both there for a whole fit. Two blocks that share a CPU, with each other or with
+another program, train slower than one block alone. So a split fit measures how
+long each process waited, runnable, for a CPU that another task held (the
+kernel's run-queue delay, which excludes time stolen by a hypervisor); when
+either waited more than ``MAX_QUEUED`` of the fit, fits train in the calling
+process for the next ``HOLD`` seconds. A fit also stays in the process when it
+has one restart or fewer than ``CHUNK`` epochs, when a fit in another thread
+holds the worker, and where forking is unsafe or not allowed: in a daemonic
+process (a ``multiprocessing.Pool`` worker), in a process running other threads,
+or when the fork fails. A forked child never uses its parent's worker.
 """
 
 from __future__ import annotations
 
+import numbers
+import os
+import signal
+import threading
+import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+CHUNK = 50  # epochs a block trains between two looks at the stopping rule
+MAX_BLOCKS = 2  # blocks of one fit: the caller's and one worker's
+MAX_QUEUED = 0.3  # share of a split fit's time a block may wait for a CPU
+HOLD = 1.0  # seconds that fits train in process after a block waited longer
 
 
 @dataclass(frozen=True)
@@ -46,6 +85,16 @@ class TrainConfig:
     patience: int = 25
 
     def __post_init__(self):
+        # A bool is an int to Python; as a setting it is a typo, not 1 or 1.0.
+        for key in ("epochs", "restarts", "patience", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in ("learning_rate", "tolerance"):
+            if isinstance(getattr(self, key), bool):
+                raise ValueError(f"{key} must be a number, got {getattr(self, key)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1 or self.restarts < 1:
@@ -201,12 +250,12 @@ def _design(windows: np.ndarray, center: float = 0.0, scale: float = 1.0) -> np.
 
 
 def _forward(xt, state, hidden=None, out=None):
-    """Hidden activations (R*k, m) and outputs (R, m) of ``state`` on the ``_design``
+    """Hidden activations (R, k, m) and outputs (R, m) of ``state`` on the ``_design``
     matrix ``xt``, written into ``hidden`` and ``out`` when given."""
     w_in, w_out, b2 = state
-    hidden = _sigmoid_neg(np.matmul(w_in, xt, out=hidden), out=hidden)
-    out = np.matmul(w_out[:, None, :], hidden.reshape(*w_out.shape, -1),
-                    out=None if out is None else out[:, None])[:, 0]
+    hidden = np.matmul(w_in.reshape(*w_out.shape, -1), xt, out=hidden)
+    _sigmoid_neg(hidden, out=hidden)
+    out = np.matmul(w_out[:, None, :], hidden, out=None if out is None else out[:, None])[:, 0]
     out += b2[:, None]
     return hidden, out
 
@@ -220,8 +269,8 @@ def _init_weights(rng: np.random.Generator, p: int, k: int):
 
 
 def _workspace(n: int, r: int, k: int) -> tuple[np.ndarray, ...]:
-    """Buffers of one fit: hidden and d_pre (R*k, n), err (R, n)."""
-    return np.empty((r * k, n)), np.empty((r * k, n)), np.empty((r, n))
+    """Buffers of one fit: hidden and d_pre (R, k, n), err (R, n)."""
+    return np.empty((r, k, n)), np.empty((r, k, n)), np.empty((r, n))
 
 
 def _stacked_loss_and_grad(state, xt, y, buf, grads, step=1.0):
@@ -243,14 +292,13 @@ def _stacked_loss_and_grad(state, xt, y, buf, grads, step=1.0):
 
     d_out = np.divide(err, n / step, out=err)
     np.sum(d_out, axis=1, out=g_b2)
-    np.matmul(hidden.reshape(r, k, n), d_out[:, :, None], out=g_out[:, :, None])
+    np.matmul(hidden, d_out[:, :, None], out=g_out[:, :, None])
     # The input-layer gradient is w_out * (s(1 - s) d_out @ [x, 1]), formed from the
     # two negated factors (s - 1) s d_out and the design matrix.
     np.subtract(hidden, 1.0, out=d_pre)
     d_pre *= hidden
-    d_pre3 = d_pre.reshape(r, k, n)
-    d_pre3 *= d_out[:, None]
-    np.matmul(d_pre, xt.T, out=g_in)
+    d_pre *= d_out[:, None]
+    np.matmul(d_pre, xt.T, out=g_in.reshape(r, k, -1))
     g_in *= w_out.reshape(r * k, 1)
     return loss
 
@@ -274,12 +322,281 @@ def _supervised_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return x, z[p:]
 
 
+class _Block:
+    """Restarts lo .. hi-1 of one fit, trained ``CHUNK`` epochs at a time.
+
+    Each restart draws its initial weights from an RNG stream derived from
+    (seed, restart index), so a restart starts from the same weights in every block
+    and every process.
+    """
+
+    def __init__(self, z, p, k, cfg, lo, hi):
+        x_mat, self.target = _supervised_pairs(z, p)
+        self.xt = _design(x_mat)
+        inits = [_init_weights(np.random.default_rng([cfg.seed, i]), p, k) for i in range(lo, hi)]
+        w1, b1, w2, b2 = (np.array([w[i] for w in inits]) for i in range(4))
+        self.params = np.concatenate((_stack(w1, b1), w2, b2), axis=None)
+        self.grad = np.empty_like(self.params)
+        self.restarts = hi - lo
+        self.state = _views(self.params, self.restarts, k, p)
+        self.grads = _views(self.grad, self.restarts, k, p)
+        self.buf = _workspace(self.target.size, self.restarts, k)
+        self.step = cfg.learning_rate
+        self.starts = []  # the weights at the start of each chunk
+
+    def _epochs(self, count: int, losses=None) -> None:
+        # A diverging fit ends in non-finite weights, which NeuralNetModel rejects;
+        # its overflows on the way are not reported, in this process or a worker.
+        with np.errstate(all="ignore"):
+            for i in range(count):
+                loss = _stacked_loss_and_grad(self.state, self.xt, self.target, self.buf,
+                                              self.grads, self.step)
+                if losses is not None:
+                    losses[i] = loss
+                self.params -= self.grad
+
+    def chunk(self, epochs: int) -> np.ndarray:
+        """The per-restart losses, (epochs, hi - lo), of the next ``epochs`` epochs."""
+        self.starts.append(self.params.copy())
+        losses = np.empty((epochs, self.restarts))
+        self._epochs(epochs, losses)
+        return losses
+
+    def stop(self, at) -> None:
+        """Rewind to epoch e of chunk c for ``at`` = (c, e); None keeps the weights."""
+        if at is not None:
+            chunk, epochs = at
+            self.params[:] = self.starts[chunk]
+            self._epochs(epochs)
+
+    def weights(self):
+        return self.state
+
+
+class _Remote:
+    """A block trained by a worker process (``_serve``), which runs ahead on its own."""
+
+    def __init__(self, conn, job):
+        self.conn = conn
+        conn.send(job)
+
+    def _recv(self):
+        message = self.conn.recv()
+        if isinstance(message, Exception):
+            raise message
+        return message
+
+    def chunk(self, epochs: int) -> np.ndarray:
+        return self._recv()
+
+    def stop(self, at) -> None:
+        self.conn.send(at)
+
+    def weights(self):
+        # Skip the losses of chunks that the worker trained past the stop.
+        while isinstance(message := self._recv(), np.ndarray):
+            pass
+        weights, self.queued = message
+        return weights
+
+
+def _serve(conn, parent_end):
+    """Worker process: train every block the caller sends until its pipe closes.
+
+    For each block it sends the losses of each chunk as soon as it has them, and
+    looks for the caller's stop, (chunk, epoch) or None, between chunks; then it
+    rewinds as told and sends the weights with the share of the block's time that
+    the worker waited for a CPU.
+    """
+    parent_end.close()  # a copy inherited from the caller would keep the pipe open
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        try:
+            clock = _clock()
+            cpu, job = job
+            _pin({cpu})
+            block, epochs = _Block(*job), job[3].epochs
+            for start in range(0, epochs, CHUNK):
+                conn.send(block.chunk(min(CHUNK, epochs - start)))
+                if conn.poll():
+                    break
+            block.stop(conn.recv())
+            conn.send((block.weights(), _queued_since(clock)))
+        except Exception as exc:
+            conn.send(exc)
+
+
+_workers: list = []  # (process, connection) of each worker, forked on first use
+_workers_busy = threading.Lock()  # held by the one fit at a time that uses the workers
+_serial_until = 0.0  # time.monotonic() before which fits train in process
+
+
+def _forget_workers() -> None:
+    """In a forked child: drop the parent's workers, which only the parent may use."""
+    global _workers_busy
+    for _, conn in _workers:
+        conn.close()
+    _workers.clear()
+    _workers_busy = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _pin(cpus) -> None:
+    """Run this thread on ``cpus`` only; where the system refuses, leave it as it is."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _clock() -> tuple[float, float]:
+    """Wall seconds and seconds this thread has waited, runnable, for a CPU that
+    another task held (Linux schedstat; 0 where the kernel does not report it)."""
+    try:
+        with open("/proc/thread-self/schedstat") as stats:
+            queued = int(stats.read().split()[1]) * 1e-9
+    except (OSError, IndexError, ValueError):
+        queued = 0.0
+    return time.perf_counter(), queued
+
+
+def _queued_since(start: tuple[float, float]) -> float:
+    """The share of the wall time since ``start`` (a ``_clock``) that this thread
+    waited for a CPU."""
+    wall, queued = (now - then for now, then in zip(_clock(), start))
+    return queued / wall if wall > 0 else 0.0
+
+
+def _cpu_quota(root: Path = Path("/sys/fs/cgroup")) -> float:
+    """CPUs' worth of time per period that the cgroup allows (v2 ``cpu.max`` or v1
+    CFS files, as ``docker run --cpus`` sets them); inf when there is no quota."""
+    for files in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        try:
+            quota, period = " ".join((root / f).read_text() for f in files).split()
+            return np.inf if quota in ("max", "-1") else int(quota) / int(period)
+        except (OSError, ValueError):
+            continue
+    return np.inf
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may keep busy: its affinity set, cut to its
+    cgroup's CPU quota."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux: train in this process
+        return 1
+    return int(max(1, min(cpus, _cpu_quota())))
+
+
+def _connections(n: int) -> list:
+    """Connections to ``n`` worker processes, forking the ones not yet running; []
+    when they cannot be forked safely, so that the fit trains in this process."""
+    import multiprocessing  # here, so that a process that never splits a fit never loads it
+
+    # A daemonic process may not have children. A fork copies only the calling
+    # thread, with any lock another thread holds inside NumPy or OpenBLAS.
+    if len(_workers) < n and (multiprocessing.current_process().daemon
+                              or threading.active_count() > 1):
+        return []
+    # Fork, not spawn: a spawned worker imports the caller's __main__ again, which
+    # reruns the top level of an unguarded script such as the README's library
+    # example. A forked worker only runs NumPy on its own arrays and pipe I/O, and
+    # OpenBLAS shuts its thread pool down around fork.
+    context = multiprocessing.get_context("fork")
+    while len(_workers) < n:
+        ours, theirs = context.Pipe()
+        worker = context.Process(target=_serve, args=(theirs, ours), daemon=True)
+        try:
+            worker.start()
+        except OSError:  # out of processes or memory: train in this process
+            ours.close()
+            return []
+        finally:
+            theirs.close()
+        _workers.append((worker, ours))
+    return [conn for _, conn in _workers[:n]]
+
+
+def _close_workers() -> None:
+    for worker, conn in _workers:
+        conn.close()
+        worker.terminate()
+        worker.join()
+    _workers.clear()
+
+
+def _train(z, p, k, cfg: TrainConfig, blocks: int, conns=()):
+    """Train the restarts of ``cfg`` on the z-scored series in ``blocks`` contiguous
+    blocks; the joined (w_in, w_out, b2), the mean loss of each epoch and the largest
+    share of its time that a worker block or this thread waited for a CPU (0 when
+    every block trains here).
+
+    Block b > 0 trains in the worker at ``conns[b - 1]``, or in this process, after
+    the blocks before it, when ``conns`` is empty; block 0 always trains here. With
+    workers, block b runs on the b-th CPU of this thread's affinity set (counted
+    round), and the set is restored afterwards. The stopping rule sees the losses of all restarts
+    in restart order, whatever the blocks.
+    """
+    r = cfg.restarts
+    bounds = [r * b // blocks for b in range(blocks + 1)]
+    jobs = [(z, p, k, cfg, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    remote = bool(conns) and blocks > 1
+    if remote:
+        # One block per CPU: left to itself, the scheduler may wake a worker on the
+        # caller's CPU and keep both there for a whole fit while another CPU idles.
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+        _pin(cpus[:1])
+        clock = _clock()
+    try:
+        parts = [_Block(*job) for job in (jobs[:1] if remote else jobs)]
+        if remote:
+            parts += [_Remote(conn, (cpu, job))
+                      for conn, cpu, job in zip(conns, (cpus * blocks)[1:], jobs[1:])]
+        prev_loss, stalled, curve, at = np.inf, 0, [], None
+        for c, start in enumerate(range(0, cfg.epochs, CHUNK)):
+            losses = np.hstack([part.chunk(min(CHUNK, cfg.epochs - start)) for part in parts])
+            for e, total in enumerate((losses.sum(axis=1) / r).tolist()):
+                curve.append(total)
+                if prev_loss - total < cfg.tolerance:
+                    stalled += 1
+                    if stalled >= cfg.patience:
+                        at = (c, e)
+                        break
+                else:
+                    stalled = 0
+                prev_loss = total
+            if at is not None:
+                break
+        for part in reversed(parts):  # the workers hear the stop before block 0 replays
+            part.stop(at)
+        weights = tuple(np.concatenate(layer) for layer in zip(*(b.weights() for b in parts)))
+    except BaseException:
+        if remote:
+            _close_workers()  # a worker may be mid-block; never reuse it
+        raise
+    finally:
+        if remote:
+            _pin(mask)
+    queued = max([_queued_since(clock)] + [part.queued for part in parts[1:]]) if remote else 0.0
+    return weights, curve, queued
+
+
 def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
     """Train ``cfg.restarts`` networks on lagged pairs from the z-scored series.
 
-    Each restart draws its initial weights from an RNG stream derived from
-    (seed, restart-index), so results are independent of scheduling.
+    The restarts are split over up to ``MAX_BLOCKS`` of the CPUs this process may
+    use (see the module docstring); the result does not depend on the split.
     """
+    global _serial_until
     y = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite values in training series")
@@ -294,34 +611,22 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
         return NeuralNetModel(weights=None, p=p, k=k, scaler=(center, 1.0), seed=cfg.seed)
 
     z = (y - center) / scale
-    x_mat, target = _supervised_pairs(z, p)
-
-    r = cfg.restarts
-    inits = [_init_weights(np.random.default_rng([cfg.seed, i]), p, k) for i in range(r)]
-    w1, b1, w2, b2 = (np.array([w[i] for w in inits]) for i in range(4))
-    params = np.concatenate((_stack(w1, b1), w2, b2), axis=None)
-    grad = np.empty_like(params)
-    state, grads = _views(params, r, k, p), _views(grad, r, k, p)
-    xt = _design(x_mat)
-    buf = _workspace(len(target), r, k)
-
-    prev_loss = np.inf
-    stalled = 0
-    loss_curve: list[float] = []
-    for _ in range(cfg.epochs):
-        loss = _stacked_loss_and_grad(state, xt, target, buf, grads, cfg.learning_rate)
-        total = float(loss.sum()) / r
-        loss_curve.append(total)
-        if prev_loss - total < cfg.tolerance:
-            stalled += 1
-            if stalled >= cfg.patience:
-                break
-        else:
-            stalled = 0
-        prev_loss = total
-        params -= grad
-
-    model = NeuralNetModel(weights=state, p=p, k=k, scaler=(center, scale), seed=cfg.seed)
+    blocks = min(_cpus(), cfg.restarts, MAX_BLOCKS) if cfg.epochs >= CHUNK else 1
+    # A fit in another thread that holds the workers leaves this one in this thread.
+    if (blocks > 1 and time.monotonic() >= _serial_until
+            and _workers_busy.acquire(blocking=False)):
+        try:
+            conns = _connections(blocks - 1)
+            weights, loss_curve, queued = _train(z, p, k, cfg, blocks if conns else 1, conns)
+        finally:
+            _workers_busy.release()
+        # Blocks that share a CPU, with each other or with another program, train
+        # slower than one block alone: stay in this process for a while.
+        if queued > MAX_QUEUED:
+            _serial_until = time.monotonic() + HOLD
+    else:
+        weights, loss_curve, _ = _train(z, p, k, cfg, 1)
+    model = NeuralNetModel(weights=weights, p=p, k=k, scaler=(center, scale), seed=cfg.seed)
     model.training_loss = loss_curve  # mean full-batch loss per epoch, for diagnostics
     return model
 

@@ -805,8 +805,13 @@ class TestConfigHandling:
         ({"tolerance": "nan"}, "tolerance must be a number, got nan"),
         ({"patience": 0}, "patience must be >= 1, got 0"),
         ({"patience": -3}, "patience must be >= 1, got -3"),
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"restarts": True}, "restarts must be an integer, got True"),
+        ({"patience": 1.9}, "patience must be an integer, got 1.9"),
+        ({"learning_rate": True}, "learning_rate must be a number, got True"),
     ], ids=["typo", "seed", "negative-rate", "non-numeric-epochs", "zero-restarts", "null",
-            "nan-rate", "infinite-rate", "nan-tolerance", "zero-patience", "negative-patience"])
+            "nan-rate", "infinite-rate", "nan-tolerance", "zero-patience", "negative-patience",
+            "fractional-epochs", "bool-restarts", "fractional-patience", "bool-rate"])
     def test_bad_train_keys_are_config_errors(self, runner, tmp_path, cmd, train, reason):
         data = tmp_path / "series.csv"
         write_series_csv(data)
@@ -819,6 +824,22 @@ class TestConfigHandling:
         assert result.exit_code == 2, result.output
         assert "bad 'train' config" in result.output
         assert f"}}: {reason}" in result.output
+
+    @pytest.mark.parametrize("cmd,extra", [
+        ("fit", ["--levels", "1"]),
+        ("evaluate", ["--frequency", "12", "--horizon", "short"]),
+    ], ids=["fit", "evaluate"])
+    def test_negative_seed_is_a_config_error(self, runner, tmp_path, cmd, extra):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FAST_TRAIN))
+        result = runner.invoke(main, [cmd, "--config", str(cfg), "--data", str(data),
+                                      "--seed", "-1", "--p-grid", "1-2", *extra,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip().splitlines()[-1] == "Error: seed must be >= 0, got -1"
+        assert not (tmp_path / "out").exists()
 
     def test_train_values_take_their_default_types(self, runner, tmp_path):
         data = tmp_path / "series.csv"

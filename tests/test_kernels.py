@@ -114,20 +114,21 @@ def restart_major_loss_and_grad(params, x, y, step=1.0):
 
 
 def negated_design_loss_and_grad(params, x, y, step=1.0):
-    """The trainer's arithmetic; re-stacks the weights and allocates every temporary
-    on each call."""
+    """The trainer's arithmetic, with one (k, p+1) @ (p+1, n) and one (k, n) @ (n, p+1)
+    product per restart; re-stacks the weights and allocates every temporary on each
+    call."""
     w1, b1, w2, b2 = params
     r, k, p = w1.shape
     n = x.shape[0]
     xt = -np.vstack((x.T, np.ones(n)))
     with np.errstate(over="ignore"):
-        hidden = 1.0 / (1.0 + np.exp(_stack(w1, b1) @ xt))
-    err = (w2[:, None, :] @ hidden.reshape(r, k, n))[:, 0] + b2[:, None] - y
+        hidden = 1.0 / (1.0 + np.exp(np.concatenate((w1, b1[:, :, None]), axis=2) @ xt))
+    err = (w2[:, None, :] @ hidden)[:, 0] + b2[:, None] - y
     loss = np.einsum("rn,rn->r", err, err) * (0.5 / n)
     d_out = err / (n / step)
-    d_pre = ((hidden - 1.0) * hidden).reshape(r, k, n) * d_out[:, None, :]
-    g_in = (d_pre.reshape(r * k, n) @ xt.T * w2.reshape(r * k, 1)).reshape(r, k, p + 1)
-    g_w2 = (hidden.reshape(r, k, n) @ d_out[:, :, None])[:, :, 0]
+    d_pre = (hidden - 1.0) * hidden * d_out[:, None, :]
+    g_in = d_pre @ xt.T * w2[:, :, None]
+    g_w2 = (hidden @ d_out[:, :, None])[:, :, 0]
     return loss, (g_in[:, :, :p], g_in[:, :, p], g_w2, d_out.sum(axis=1))
 
 

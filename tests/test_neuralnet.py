@@ -67,6 +67,14 @@ class TestTrainConfig:
         ("tolerance", float("nan"), "tolerance must be a number, got nan"),
         ("patience", 0, "patience must be >= 1, got 0"),
         ("patience", -3, "patience must be >= 1, got -3"),
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("epochs", 3.0, "epochs must be an integer, got 3.0"),
+        ("restarts", True, "restarts must be an integer, got True"),
+        ("patience", 1.9, "patience must be an integer, got 1.9"),
+        ("learning_rate", True, "learning_rate must be a number, got True"),
+        ("tolerance", False, "tolerance must be a number, got False"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", True, "seed must be an integer, got True"),
     ])
     def test_rejects_settings_that_cannot_train(self, key, value, message):
         with pytest.raises(ValueError) as excinfo:

@@ -1,7 +1,9 @@
-"""Start-up cost: only the model-comparison statistics load ``scipy.stats``.
+"""Start-up cost and process lifetime.
 
-Each check runs in a fresh interpreter, since this test process has already
-imported scipy through other test modules.
+Only the model-comparison statistics load ``scipy.stats``; importing the CLI
+loads no process-pool machinery, and a finished ``epicast fit`` leaves no worker
+process behind. Each check runs in a fresh interpreter, since this test process
+has already imported scipy through other test modules.
 """
 
 import json
@@ -11,7 +13,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import epicast
+from epicast import neuralnet
 
 SRC = str(Path(epicast.__file__).resolve().parents[1])
 
@@ -34,6 +39,44 @@ def test_importing_the_package_and_cli_loads_no_scipy(tmp_path):
         print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     """, tmp_path)
     assert loaded == []
+
+
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
+    loaded = run_python("""
+        import json, sys
+        import epicast, epicast.cli
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.split(".")[0] == "multiprocessing"
+                                or m.startswith("concurrent.futures"))))
+    """, tmp_path)
+    assert loaded == []
+
+
+def test_a_finished_fit_leaves_no_worker_running(tmp_path):
+    # The fit runs through the console entry point, which ends the interpreter with
+    # sys.exit; the worker ids are printed by an exit hook that runs last.
+    workers = run_python("""
+        import atexit, json, sys
+        import numpy as np
+        from epicast import cli, neuralnet
+
+        y = 30.0 + np.cumsum(np.random.default_rng(3).normal(size=80))
+        with open("series.csv", "w") as handle:
+            handle.write("value\\n" + "".join(f"{v}\\n" for v in y))
+        with open("cfg.json", "w") as handle:
+            json.dump({"train": {"epochs": neuralnet.CHUNK, "restarts": 2}}, handle)
+        atexit.register(lambda: print(json.dumps([w.pid for w, _ in neuralnet._workers])))
+        sys.argv = ["epicast", "fit", "--config", "cfg.json", "--data", "series.csv",
+                    "--seed", "1", "--levels", "1", "--p-grid", "1,2", "--horizon", "3",
+                    "--out", "fit"]
+        cli.main()
+    """, tmp_path)
+    assert (tmp_path / "fit" / "model.json").is_file()
+    if neuralnet._cpus() > 1:
+        assert len(workers) == 1
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_only_stats_loads_scipy_stats(tmp_path):
