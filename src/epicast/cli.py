@@ -115,7 +115,7 @@ def _resolve(cfg: dict, key: str, flag_value, default=None, required=False, kind
 
     ``kind`` (e.g. ``int``) converts a flag or config value, and ``check``, a
     (predicate, description) pair, bounds the converted value; a value either
-    rejects is a config error.
+    rejects, or one that ``int`` would truncate, is a config error.
     """
     value = flag_value if flag_value is not None else cfg.get(key)
     if value is None:
@@ -125,6 +125,8 @@ def _resolve(cfg: dict, key: str, flag_value, default=None, required=False, kind
         return default
     if kind is not None:
         try:
+            if kind is int and _truncates(value):
+                raise ValueError(value)
             value = kind(value)
         except (TypeError, ValueError):
             raise ConfigError(f"bad value for {key!r}: {value!r} (expected {kind.__name__})")
@@ -162,12 +164,16 @@ def _read_series(cfg: dict, data, value_column, frequency) -> tuple[TimeSeries, 
     return series, {"value_column": value_column, "data_sha256": _file_sha256(path)}
 
 
+def _truncates(value) -> bool:
+    """Whether ``int`` would truncate a config value: a bool (a typo, not 0 or 1) or a
+    float that is not a whole number."""
+    return isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+
+
 def _train_value(value, default):
-    """A 'train' value as the type of its default. A bool, or a fraction where an
-    integer belongs, is passed on as it is, for TrainConfig to reject, not truncate."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        return value
-    return type(default)(value)
+    """A 'train' value as the type of its default. A value that ``int`` would
+    truncate is passed on as it is, for TrainConfig to reject."""
+    return value if _truncates(value) else type(default)(value)
 
 
 def _ewnet_config(cfg: dict, levels, p_grid, metric, seed) -> ewnet.EwnetConfig:

@@ -30,31 +30,31 @@ gradient holds the step and the epoch ends with one ``params -= grad`` on a
 flat vector that holds the weights. The model keeps (w_in, w_out, b2); the input
 layer is split per restart only for model.json.
 
-``fit_network`` splits the R restarts into contiguous blocks (``_Block``), two
-when the process may use two CPUs or more (``_cpus``: its affinity set, cut to
-its cgroup's CPU quota), and trains them ``CHUNK`` epochs at a time. Two is the
-only split measured; more blocks each add the per-epoch fixed cost. Block 0 runs
-in the calling process, block 1 in a worker process (``_serve``) forked on the
-first fit that needs it, which lives as long as the process. The worker runs
-through its chunks without waiting and sends each chunk's per-restart losses.
-The caller joins them in restart order and applies the stopping rule epoch by
-epoch. When the rule fires inside a chunk, every block rewinds to its copy from
-the start of that chunk and replays up to the stopping epoch. Since no product
-mixes restarts, a fit's bits do not depend on the number of blocks, and
-``taskset -c 0`` trains every fit in the calling process.
+``fit_network`` splits the R restarts into two contiguous blocks (``_Block``)
+when the process may use two CPUs or more (``_cpus``: its affinity set, cut to its
+cgroup's CPU quota). Two is the only split measured; more blocks each add the
+per-epoch fixed cost. Block 0 trains in the calling process, block 1 in one worker
+process (``_serve``) forked on the first fit that needs it, which lives as long as
+the process. The two train in lock-step, ``CHUNK`` epochs at a time: the caller
+sends the worker the chunk's epoch count, trains its own block meanwhile, then
+receives the worker's per-restart losses, joins them in restart order and applies
+the stopping rule epoch by epoch. When the rule fires inside a chunk, both blocks
+rewind to their copy from the start of that chunk and replay up to the stopping
+epoch. Since no product mixes restarts, a fit's bits do not depend on the number of
+blocks, and ``taskset -c 0`` trains every fit in the calling process.
 
-While a fit is split, block b runs on the b-th CPU of the caller's affinity set:
-left to itself, the scheduler may wake the worker on the caller's CPU and keep
-both there for a whole fit. Two blocks that share a CPU, with each other or with
-another program, train slower than one block alone. So a split fit measures how
-long each process waited, runnable, for a CPU that another task held (the
-kernel's run-queue delay, which excludes time stolen by a hypervisor); when
-either waited more than ``MAX_QUEUED`` of the fit, fits train in the calling
-process for the next ``HOLD`` seconds. A fit also stays in the process when it
-has one restart or fewer than ``CHUNK`` epochs, when a fit in another thread
-holds the worker, and where forking is unsafe or not allowed: in a daemonic
-process (a ``multiprocessing.Pool`` worker), in a process running other threads,
-or when the fork fails. A forked child never uses its parent's worker.
+While a fit is split, the caller runs on the first CPU of its affinity set and the
+worker on the last: left to itself, the scheduler may wake the worker on the
+caller's CPU and keep both there for a whole fit. Two blocks that share a CPU, with
+each other or with another program, train slower than one block alone. So a split
+fit measures how long each process waited, runnable, for a CPU that another task
+held (the kernel's run-queue delay, which excludes time stolen by a hypervisor);
+when either waited more than ``MAX_QUEUED`` of the fit, fits train in the calling
+process for the next ``HOLD`` seconds. A fit also stays in the process when it has
+one restart or fewer than ``CHUNK`` epochs, when a fit in another thread holds the
+worker, and where forking is unsafe or not allowed: in a daemonic process (a
+``multiprocessing.Pool`` worker), in a process running other threads, or when the
+fork fails. A forked child never uses its parent's worker.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from pathlib import Path
 import numpy as np
 
 CHUNK = 50  # epochs a block trains between two looks at the stopping rule
-MAX_BLOCKS = 2  # blocks of one fit: the caller's and one worker's
 MAX_QUEUED = 0.3  # share of a split fit's time a block may wait for a CPU
 HOLD = 1.0  # seconds that fits train in process after a block waited longer
 
@@ -337,12 +336,12 @@ class _Block:
         w1, b1, w2, b2 = (np.array([w[i] for w in inits]) for i in range(4))
         self.params = np.concatenate((_stack(w1, b1), w2, b2), axis=None)
         self.grad = np.empty_like(self.params)
+        self.start = np.empty_like(self.params)  # the weights at the start of the last chunk
         self.restarts = hi - lo
         self.state = _views(self.params, self.restarts, k, p)
         self.grads = _views(self.grad, self.restarts, k, p)
         self.buf = _workspace(self.target.size, self.restarts, k)
         self.step = cfg.learning_rate
-        self.starts = []  # the weights at the start of each chunk
 
     def _epochs(self, count: int, losses=None) -> None:
         # A diverging fit ends in non-finite weights, which NeuralNetModel rejects;
@@ -357,95 +356,73 @@ class _Block:
 
     def chunk(self, epochs: int) -> np.ndarray:
         """The per-restart losses, (epochs, hi - lo), of the next ``epochs`` epochs."""
-        self.starts.append(self.params.copy())
+        self.start[:] = self.params
         losses = np.empty((epochs, self.restarts))
         self._epochs(epochs, losses)
         return losses
 
-    def stop(self, at) -> None:
-        """Rewind to epoch e of chunk c for ``at`` = (c, e); None keeps the weights."""
-        if at is not None:
-            chunk, epochs = at
-            self.params[:] = self.starts[chunk]
-            self._epochs(epochs)
-
-    def weights(self):
-        return self.state
-
-
-class _Remote:
-    """A block trained by a worker process (``_serve``), which runs ahead on its own."""
-
-    def __init__(self, conn, job):
-        self.conn = conn
-        conn.send(job)
-
-    def _recv(self):
-        message = self.conn.recv()
-        if isinstance(message, Exception):
-            raise message
-        return message
-
-    def chunk(self, epochs: int) -> np.ndarray:
-        return self._recv()
-
-    def stop(self, at) -> None:
-        self.conn.send(at)
-
-    def weights(self):
-        # Skip the losses of chunks that the worker trained past the stop.
-        while isinstance(message := self._recv(), np.ndarray):
-            pass
-        weights, self.queued = message
-        return weights
+    def stop(self, epoch) -> None:
+        """Rewind to epoch ``epoch`` of the last chunk; None keeps the weights."""
+        if epoch is not None:
+            self.params[:] = self.start
+            self._epochs(epoch)
 
 
 def _serve(conn, parent_end):
-    """Worker process: train every block the caller sends until its pipe closes.
+    """Worker process: train blocks in lock-step with the caller until its pipe closes.
 
-    For each block it sends the losses of each chunk as soon as it has them, and
-    looks for the caller's stop, (chunk, epoch) or None, between chunks; then it
-    rewinds as told and sends the weights with the share of the block's time that
-    the worker waited for a CPU.
+    The caller sends (cpu, job) to build a block pinned to that CPU, then an epoch
+    count for each chunk, answered with the chunk's losses, then ("stop", e),
+    answered with the weights after rewinding the last chunk to epoch e (None keeps
+    them) and the share of the block's time that the worker waited for a CPU. An
+    exception is sent in place of the answer.
     """
     parent_end.close()  # a copy inherited from the caller would keep the pipe open
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     while True:
         try:
-            job = conn.recv()
+            message = conn.recv()
         except EOFError:
             return
         try:
-            clock = _clock()
-            cpu, job = job
-            _pin({cpu})
-            block, epochs = _Block(*job), job[3].epochs
-            for start in range(0, epochs, CHUNK):
-                conn.send(block.chunk(min(CHUNK, epochs - start)))
-                if conn.poll():
-                    break
-            block.stop(conn.recv())
-            conn.send((block.weights(), _queued_since(clock)))
+            if not isinstance(message, tuple):  # an epoch count
+                conn.send(block.chunk(message))
+            elif message[0] == "stop":
+                block.stop(message[1])
+                conn.send((block.state, _queued_since(clock)))
+            else:
+                clock = _clock()
+                cpu, job = message
+                _pin({cpu})
+                block = _Block(*job)
         except Exception as exc:
             conn.send(exc)
 
 
-_workers: list = []  # (process, connection) of each worker, forked on first use
-_workers_busy = threading.Lock()  # held by the one fit at a time that uses the workers
+def _recv(conn):
+    """The worker's next answer; an exception it sent is raised here."""
+    message = conn.recv()
+    if isinstance(message, Exception):
+        raise message
+    return message
+
+
+_worker = None  # (process, connection) of the worker, forked on first use
+_worker_busy = threading.Lock()  # held by the one fit at a time that uses the worker
 _serial_until = 0.0  # time.monotonic() before which fits train in process
 
 
-def _forget_workers() -> None:
-    """In a forked child: drop the parent's workers, which only the parent may use."""
-    global _workers_busy
-    for _, conn in _workers:
-        conn.close()
-    _workers.clear()
-    _workers_busy = threading.Lock()
+def _forget_worker() -> None:
+    """In a forked child: drop the parent's worker, which only the parent may use."""
+    global _worker, _worker_busy
+    if _worker is not None:
+        _worker[1].close()
+    _worker = None
+    _worker_busy = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _pin(cpus) -> None:
@@ -496,105 +473,117 @@ def _cpus() -> int:
     return int(max(1, min(cpus, _cpu_quota())))
 
 
-def _connections(n: int) -> list:
-    """Connections to ``n`` worker processes, forking the ones not yet running; []
-    when they cannot be forked safely, so that the fit trains in this process."""
+def _connection():
+    """The connection to the worker process, forking it if it is not running; None
+    when it cannot be forked safely, so that the fit trains in this process."""
+    global _worker
     import multiprocessing  # here, so that a process that never splits a fit never loads it
 
-    # A daemonic process may not have children. A fork copies only the calling
-    # thread, with any lock another thread holds inside NumPy or OpenBLAS.
-    if len(_workers) < n and (multiprocessing.current_process().daemon
-                              or threading.active_count() > 1):
-        return []
-    # Fork, not spawn: a spawned worker imports the caller's __main__ again, which
-    # reruns the top level of an unguarded script such as the README's library
-    # example. A forked worker only runs NumPy on its own arrays and pipe I/O, and
-    # OpenBLAS shuts its thread pool down around fork.
-    context = multiprocessing.get_context("fork")
-    while len(_workers) < n:
+    if _worker is None:
+        # A daemonic process may not have children. A fork copies only the calling
+        # thread, with any lock another thread holds inside NumPy or OpenBLAS.
+        if multiprocessing.current_process().daemon or threading.active_count() > 1:
+            return None
+        # Fork, not spawn: a spawned worker imports the caller's __main__ again, which
+        # reruns the top level of an unguarded script such as the README's library
+        # example. A forked worker only runs NumPy on its own arrays and pipe I/O, and
+        # OpenBLAS shuts its thread pool down around fork.
+        context = multiprocessing.get_context("fork")
         ours, theirs = context.Pipe()
         worker = context.Process(target=_serve, args=(theirs, ours), daemon=True)
         try:
             worker.start()
         except OSError:  # out of processes or memory: train in this process
             ours.close()
-            return []
+            return None
         finally:
             theirs.close()
-        _workers.append((worker, ours))
-    return [conn for _, conn in _workers[:n]]
+        _worker = (worker, ours)
+    return _worker[1]
 
 
-def _close_workers() -> None:
-    for worker, conn in _workers:
+def _close_worker() -> None:
+    global _worker
+    if _worker is not None:
+        worker, conn = _worker
         conn.close()
         worker.terminate()
         worker.join()
-    _workers.clear()
+        _worker = None
 
 
-def _train(z, p, k, cfg: TrainConfig, blocks: int, conns=()):
+def _train(z, p, k, cfg: TrainConfig, blocks: int, conn=None):
     """Train the restarts of ``cfg`` on the z-scored series in ``blocks`` contiguous
-    blocks; the joined (w_in, w_out, b2), the mean loss of each epoch and the largest
-    share of its time that a worker block or this thread waited for a CPU (0 when
-    every block trains here).
+    blocks; the joined (w_in, w_out, b2), the mean loss of each epoch and the larger
+    share of its time that the worker or this thread waited for a CPU (0 when every
+    block trains here).
 
-    Block b > 0 trains in the worker at ``conns[b - 1]``, or in this process, after
-    the blocks before it, when ``conns`` is empty; block 0 always trains here. With
-    workers, block b runs on the b-th CPU of this thread's affinity set (counted
-    round), and the set is restored afterwards. The stopping rule sees the losses of all restarts
-    in restart order, whatever the blocks.
+    The last block trains in the worker at ``conn`` when one is given, the others in
+    this process one after another. With the worker, this thread runs on the first
+    CPU of its affinity set and the worker on the last, and the set is restored
+    afterwards. The stopping rule sees the losses of all restarts in restart order,
+    whatever the blocks.
     """
     r = cfg.restarts
     bounds = [r * b // blocks for b in range(blocks + 1)]
     jobs = [(z, p, k, cfg, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    remote = bool(conns) and blocks > 1
+    remote = conn is not None
     if remote:
-        # One block per CPU: left to itself, the scheduler may wake a worker on the
+        # One block per CPU: left to itself, the scheduler may wake the worker on the
         # caller's CPU and keep both there for a whole fit while another CPU idles.
         mask = os.sched_getaffinity(0)
         cpus = sorted(mask)
         _pin(cpus[:1])
         clock = _clock()
     try:
-        parts = [_Block(*job) for job in (jobs[:1] if remote else jobs)]
         if remote:
-            parts += [_Remote(conn, (cpu, job))
-                      for conn, cpu, job in zip(conns, (cpus * blocks)[1:], jobs[1:])]
+            conn.send((cpus[-1], jobs.pop()))
+        parts = [_Block(*job) for job in jobs]
         prev_loss, stalled, curve, at = np.inf, 0, [], None
-        for c, start in enumerate(range(0, cfg.epochs, CHUNK)):
-            losses = np.hstack([part.chunk(min(CHUNK, cfg.epochs - start)) for part in parts])
-            for e, total in enumerate((losses.sum(axis=1) / r).tolist()):
+        for start in range(0, cfg.epochs, CHUNK):
+            epochs = min(CHUNK, cfg.epochs - start)
+            if remote:
+                conn.send(epochs)  # the worker trains its chunk while this thread does
+            losses = [part.chunk(epochs) for part in parts]
+            if remote:
+                losses.append(_recv(conn))
+            for e, total in enumerate((np.hstack(losses).sum(axis=1) / r).tolist()):
                 curve.append(total)
                 if prev_loss - total < cfg.tolerance:
                     stalled += 1
                     if stalled >= cfg.patience:
-                        at = (c, e)
+                        at = e
                         break
                 else:
                     stalled = 0
                 prev_loss = total
             if at is not None:
                 break
-        for part in reversed(parts):  # the workers hear the stop before block 0 replays
+        if remote:
+            conn.send(("stop", at))  # the worker rewinds while this thread does
+        for part in parts:
             part.stop(at)
-        weights = tuple(np.concatenate(layer) for layer in zip(*(b.weights() for b in parts)))
+        states = [part.state for part in parts]
+        if remote:
+            state, queued = _recv(conn)
+            states.append(state)
+        weights = tuple(np.concatenate(layer) for layer in zip(*states))
     except BaseException:
         if remote:
-            _close_workers()  # a worker may be mid-block; never reuse it
+            _close_worker()  # the worker may be mid-block; never reuse it
         raise
     finally:
         if remote:
             _pin(mask)
-    queued = max([_queued_since(clock)] + [part.queued for part in parts[1:]]) if remote else 0.0
-    return weights, curve, queued
+    return weights, curve, max(_queued_since(clock), queued) if remote else 0.0
 
 
 def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
     """Train ``cfg.restarts`` networks on lagged pairs from the z-scored series.
 
-    The restarts are split over up to ``MAX_BLOCKS`` of the CPUs this process may
-    use (see the module docstring); the result does not depend on the split.
+    The restarts are split between this process and a worker process when this
+    process may use two CPUs (see the module docstring); the result does not depend
+    on the split.
     """
     global _serial_until
     y = np.asarray(series, dtype=float)
@@ -611,15 +600,14 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
         return NeuralNetModel(weights=None, p=p, k=k, scaler=(center, 1.0), seed=cfg.seed)
 
     z = (y - center) / scale
-    blocks = min(_cpus(), cfg.restarts, MAX_BLOCKS) if cfg.epochs >= CHUNK else 1
-    # A fit in another thread that holds the workers leaves this one in this thread.
-    if (blocks > 1 and time.monotonic() >= _serial_until
-            and _workers_busy.acquire(blocking=False)):
+    # A fit in another thread that holds the worker leaves this one in this thread.
+    if (cfg.epochs >= CHUNK and cfg.restarts > 1 and _cpus() > 1
+            and time.monotonic() >= _serial_until and _worker_busy.acquire(blocking=False)):
         try:
-            conns = _connections(blocks - 1)
-            weights, loss_curve, queued = _train(z, p, k, cfg, blocks if conns else 1, conns)
+            conn = _connection()
+            weights, loss_curve, queued = _train(z, p, k, cfg, 1 if conn is None else 2, conn)
         finally:
-            _workers_busy.release()
+            _worker_busy.release()
         # Blocks that share a CPU, with each other or with another program, train
         # slower than one block alone: stay in this process for a while.
         if queued > MAX_QUEUED:

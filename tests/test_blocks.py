@@ -92,22 +92,24 @@ def test_fit_bits_do_not_depend_on_the_block_count(r, k, p, extra, lr, epochs, t
     (TrainConfig(epochs=3 * CHUNK + 7, restarts=5, seed=3), 3 * CHUNK + 7),
     (TrainConfig(learning_rate=0.05, epochs=3 * CHUNK, restarts=4, seed=4, tolerance=np.inf,
                  patience=CHUNK + 9), CHUNK + 10),
-], ids=["all-epochs", "stop-inside-a-chunk"])
+    (TrainConfig(learning_rate=0.05, epochs=3 * CHUNK, restarts=4, seed=4, tolerance=np.inf,
+                 patience=CHUNK), CHUNK + 1),
+], ids=["all-epochs", "stop-inside-a-chunk", "stop-on-a-chunk-boundary"])
 def test_a_worker_block_gives_the_in_process_bits(cfg, epochs_run):
     z = zscored(5, 150)
     alone = neuralnet._train(z, 4, 2, cfg, 1)
     assert len(alone[1]) == epochs_run
-    split = neuralnet._train(z, 4, 2, cfg, 2, neuralnet._connections(1))
+    split = neuralnet._train(z, 4, 2, cfg, 2, neuralnet._connection())
     assert_same_bits(split, alone)
     assert 0 <= split[2] <= 1  # the largest share of its time a process waited for a CPU
-    worker = neuralnet._workers[0][0]
-    assert_same_bits(neuralnet._train(z, 4, 2, cfg, 2, neuralnet._connections(1)), alone)
-    assert neuralnet._workers[0][0] is worker and worker.is_alive()  # the pool is reused
+    worker = neuralnet._worker[0]
+    assert_same_bits(neuralnet._train(z, 4, 2, cfg, 2, neuralnet._connection()), alone)
+    assert neuralnet._worker[0] is worker and worker.is_alive()  # the worker is reused
 
 
 def test_a_split_fit_runs_each_block_on_its_own_cpu(monkeypatch):
     # The caller's thread runs on the first CPU of its affinity set during the fit
-    # and gets its set back after it; the worker stays on the second.
+    # and gets its set back after it; the worker stays on the last.
     mask = os.sched_getaffinity(0)
     cfg = TrainConfig(epochs=CHUNK, restarts=4, seed=5)
     z = zscored(8, 90)
@@ -118,22 +120,21 @@ def test_a_split_fit_runs_each_block_on_its_own_cpu(monkeypatch):
         seen.append(os.sched_getaffinity(0))
         return block_chunk(self, epochs)
 
-    conns = neuralnet._connections(1)
+    conn = neuralnet._connection()
     monkeypatch.setattr(neuralnet._Block, "chunk", chunk)
-    split = neuralnet._train(z, 4, 2, cfg, 2, conns)
+    split = neuralnet._train(z, 4, 2, cfg, 2, conn)
     monkeypatch.undo()
     assert_same_bits(split, neuralnet._train(z, 4, 2, cfg, 1))
-    cpus = sorted(mask) * 2
-    assert seen == [{cpus[0]}]
+    assert seen == [{min(mask)}]
     assert os.sched_getaffinity(0) == mask
-    assert os.sched_getaffinity(neuralnet._workers[0][0].pid) == {cpus[1]}
+    assert os.sched_getaffinity(neuralnet._worker[0].pid) == {max(mask)}
 
 
 def test_a_diverging_worker_block_is_rejected_as_in_process(monkeypatch):
     z = zscored(1, 60)
     cfg = TrainConfig(learning_rate=1e8, epochs=CHUNK, restarts=4, seed=0)
     alone = neuralnet._train(z, 2, 1, cfg, 1)
-    split = neuralnet._train(z, 2, 1, cfg, 2, neuralnet._connections(1))
+    split = neuralnet._train(z, 2, 1, cfg, 2, neuralnet._connection())
     assert_same_bits(split, alone)
     assert not np.all(np.isfinite(split[0][2][2:]))  # the worker's restarts 2 and 3
     errors = []
@@ -143,6 +144,34 @@ def test_a_diverging_worker_block_is_rejected_as_in_process(monkeypatch):
             fit_network(z, 2, 1, cfg)
         errors.append(str(excinfo.value))
     assert errors == ["non-finite weights"] * 2
+
+
+def test_an_error_in_the_worker_reaches_the_caller(monkeypatch):
+    # The worker is forked after the patch, so its blocks fail and the caller's do not.
+    caller = os.getpid()
+    block_chunk = neuralnet._Block.chunk
+
+    def chunk(self, epochs):
+        if os.getpid() != caller:
+            raise ArithmeticError("the worker's block failed")
+        return block_chunk(self, epochs)
+
+    z = zscored(9, 100)
+    cfg = TrainConfig(epochs=CHUNK + 5, restarts=4, seed=6)
+    alone = serial_fit(monkeypatch, z, cfg)
+    neuralnet._close_worker()
+    monkeypatch.setattr(neuralnet._Block, "chunk", chunk)
+    conn = neuralnet._connection()
+    worker = neuralnet._worker[0]
+    with pytest.raises(ArithmeticError, match="the worker's block failed"):
+        neuralnet._train(z, 3, 2, cfg, 2, conn)
+    worker.join(timeout=10)
+    assert not worker.is_alive() and neuralnet._worker is None
+    monkeypatch.setattr(neuralnet._Block, "chunk", block_chunk)
+    monkeypatch.setattr(neuralnet, "_serial_until", 0.0)
+    before, after, *got = fit_in_this_process(z, cfg)
+    assert (before, after) == (False, True) and neuralnet._worker[0] is not worker
+    assert_same_bits(tuple(got), alone)
 
 
 def test_fit_network_uses_the_cpus_it_may_run_on(monkeypatch):
@@ -212,10 +241,10 @@ def test_a_cpu_quota_below_two_keeps_fits_in_process(monkeypatch):
 
 
 def fit_in_this_process(z, cfg):
-    """A fit, with the workers this process had before it and has after it."""
-    before = len(neuralnet._workers)
+    """A fit, with whether this process had a worker before it and has one after it."""
+    before = neuralnet._worker is not None
     fitted = fit_network(z, 3, 2, cfg)
-    return before, len(neuralnet._workers), fitted.weights, fitted.training_loss
+    return before, neuralnet._worker is not None, fitted.weights, fitted.training_loss
 
 
 def serial_fit(monkeypatch, z, cfg):
@@ -232,15 +261,15 @@ def test_a_fit_in_a_pool_worker_trains_in_that_worker(monkeypatch):
     z = zscored(4, 100)
     cfg = TrainConfig(epochs=CHUNK + 5, restarts=4, seed=2)
     alone = serial_fit(monkeypatch, z, cfg)
-    assert neuralnet._connections(1)
+    assert neuralnet._connection() is not None
     with multiprocessing.get_context("fork").Pool(1) as pool:
         before, after, *got = pool.apply(fit_in_this_process, (z, cfg))
-    assert (before, after) == (0, 0)
+    assert (before, after) == (False, False)
     assert_same_bits(tuple(got), alone)
 
 
 def test_a_fit_with_other_threads_running_does_not_fork(monkeypatch):
-    monkeypatch.setattr(neuralnet, "_workers", [])
+    monkeypatch.setattr(neuralnet, "_worker", None)
     z = zscored(6, 100)
     cfg = TrainConfig(epochs=CHUNK + 5, restarts=4, seed=3)
     alone = serial_fit(monkeypatch, z, cfg)
@@ -249,7 +278,7 @@ def test_a_fit_with_other_threads_running_does_not_fork(monkeypatch):
     thread.start()
     thread.join(timeout=120)
     before, after, *weights = got[0]
-    assert (before, after) == (0, 0)
+    assert (before, after) == (False, False)
     assert_same_bits(tuple(weights), alone)
 
 
@@ -257,18 +286,18 @@ def test_a_fork_that_fails_leaves_the_fit_in_process(monkeypatch):
     def start(self):
         raise OSError("Resource temporarily unavailable")
 
-    monkeypatch.setattr(neuralnet, "_workers", [])
+    monkeypatch.setattr(neuralnet, "_worker", None)
     z = zscored(7, 100)
     cfg = TrainConfig(epochs=CHUNK + 5, restarts=4, seed=4)
     alone = serial_fit(monkeypatch, z, cfg)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
     before, after, *weights = fit_in_this_process(z, cfg)
-    assert (before, after) == (0, 0)
+    assert (before, after) == (False, False)
     assert_same_bits(tuple(weights), alone)
 
 
 def test_fits_in_several_threads_share_the_workers_safely():
-    # One thread at a time holds the workers; the others train in their own thread.
+    # One thread at a time holds the worker; the others train in their own thread.
     # Every fit must give the bits of a fit made alone.
     z = zscored(3, 120)
     cfgs = [TrainConfig(epochs=CHUNK + 10, restarts=4, seed=seed) for seed in range(6)]

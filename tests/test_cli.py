@@ -880,6 +880,36 @@ class TestConfigHandling:
         assert result.exit_code == 2, result.output
         assert f"bad value for {key!r}" in result.output
 
+    @pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("cmd,key", [
+        ("decompose", "levels"), ("decompose", "frequency"), ("fit", "levels"),
+        ("fit", "seasonal_lag"), ("fit", "seed"), ("evaluate", "seed"),
+    ])
+    def test_values_that_int_would_truncate_are_config_errors(self, runner, tmp_path,
+                                                             networks_trained, cmd, key,
+                                                             value):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        inputs = {**FAST_TRAIN, "data": str(data), "seed": 1, "p_grid": "1", "levels": 1,
+                  "frequency": 12, "horizons": ["short"]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**inputs, key: value}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [cmd, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"bad value for {key!r}: {value!r} (expected int)" in result.output
+        assert networks_trained == []
+        assert not out.exists()
+
+    def test_whole_number_floats_are_integer_values(self, runner, tmp_path):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(data), "levels": 2.0, "frequency": 12.0}))
+        result = runner.invoke(main, ["decompose", "--config", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "decomposition_summary.json").read_text())["levels"] == 2
+
     @pytest.mark.parametrize("cmd,key,value", [
         ("fit", "horizon", 0), ("forecast", "horizon", 0), ("forecast", "horizon", -2),
         ("forecast", "level", 1.5), ("forecast", "level", 0), ("forecast", "level", 1),

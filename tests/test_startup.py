@@ -65,7 +65,8 @@ def test_a_finished_fit_leaves_no_worker_running(tmp_path):
             handle.write("value\\n" + "".join(f"{v}\\n" for v in y))
         with open("cfg.json", "w") as handle:
             json.dump({"train": {"epochs": neuralnet.CHUNK, "restarts": 2}}, handle)
-        atexit.register(lambda: print(json.dumps([w.pid for w, _ in neuralnet._workers])))
+        atexit.register(lambda: print(json.dumps(
+            [neuralnet._worker[0].pid] if neuralnet._worker else [])))
         sys.argv = ["epicast", "fit", "--config", "cfg.json", "--data", "series.csv",
                     "--seed", "1", "--levels", "1", "--p-grid", "1,2", "--horizon", "3",
                     "--out", "fit"]
