@@ -236,13 +236,13 @@ def decompose(config, data, value_column, frequency, out, levels):
     cfg = _load_config(config)
     series, keys = _read_series(cfg, data, value_column, frequency)
     j = _resolve(cfg, "levels", levels, kind=int, check=(lambda v: v >= 0, ">= 0"))
-    if j is None:
-        j = ewnet.default_levels(len(series))
-    digest = _config_digest({"cmd": "decompose", "levels": j, **keys})
     try:
+        if j is None:
+            j = ewnet.default_levels(len(series))
         decomp = wavelet.modwt_forward(series, j)
     except ValueError as exc:
         raise NumericError(str(exc))
+    digest = _config_digest({"cmd": "decompose", "levels": j, **keys})
 
     out_dir = _out_dir(cfg, out)
     header = ["t"] + [f"D{i}" for i in range(1, j + 1)] + ["SJ", "original"]

@@ -94,17 +94,29 @@ def _component_cfg(cfg: TrainConfig, component: int) -> TrainConfig:
     return replace(cfg, seed=seed)
 
 
+def _component_jobs(train: np.ndarray, cfg: EwnetConfig, p: int):
+    """The MODWT of ``train`` and the ``neuralnet.fit_networks`` job of each component."""
+    levels = cfg.levels if cfg.levels is not None else default_levels(train.size)
+    decomp = modwt_forward(train, levels, haar_filter())
+    return decomp, [(comp, p, hidden_neurons(p), _component_cfg(cfg.train_cfg, idx))
+                    for idx, comp in enumerate(decomp.components())]
+
+
+def _assemble(train, decomp, p: int, fitted: list) -> EwnetModel:
+    """The model of one lag order from its fitted components; the first component's
+    ValueError is raised."""
+    for net in fitted:
+        if isinstance(net, ValueError):
+            raise net
+    return EwnetModel(decomposition=decomp, component_models=fitted, chosen_p=p,
+                      train_series=train)
+
+
 def fit_ewnet(train, cfg: EwnetConfig, p: int) -> EwnetModel:
     """Fit one network of lag order ``p`` per MRA component (no selection step)."""
     train = np.asarray(train, dtype=float)
-    levels = cfg.levels if cfg.levels is not None else default_levels(train.size)
-    decomp = modwt_forward(train, levels, haar_filter())
-    models = [
-        neuralnet.fit_network(comp, p, hidden_neurons(p), _component_cfg(cfg.train_cfg, idx))
-        for idx, comp in enumerate(decomp.components())
-    ]
-    return EwnetModel(decomposition=decomp, component_models=models, chosen_p=p,
-                      train_series=train)
+    decomp, jobs = _component_jobs(train, cfg, p)
+    return _assemble(train, decomp, p, neuralnet.fit_networks(jobs))
 
 
 def forecast_ewnet(model: EwnetModel, h: int) -> np.ndarray:
@@ -126,20 +138,31 @@ def _score(actual, forecast, train, cfg: EwnetConfig) -> float:
 def select_p(train, val, cfg: EwnetConfig) -> int:
     """Grid-search the shared lag order by validation-window forecast error.
 
-    Each candidate refits the full ensemble on ``train`` only and forecasts
+    Each candidate fits the full ensemble on ``train`` only and forecasts
     len(val) steps; ties break toward the smaller lag.
     """
     train = np.asarray(train, dtype=float)
     val = np.asarray(val, dtype=float)
     if val.size == 0:
         raise ValueError("validation window must be non-empty")
+    # Every network of the grid is one batch, so that small candidates share the
+    # worker too; each candidate is then forecast and scored on its own.
+    candidates = []  # (p, its decomposition or the ValueError, its jobs)
+    for p in sorted(cfg.p_grid):
+        try:
+            candidates.append((p, *_component_jobs(train, cfg, p)))
+        except ValueError as exc:
+            candidates.append((p, exc, []))
+    fitted = iter(neuralnet.fit_networks([job for *_, jobs in candidates for job in jobs]))
     best_p = None
     best_score = math.inf
     errors: list[str] = []
-    for p in sorted(cfg.p_grid):
+    for p, decomp, jobs in candidates:
+        nets = [next(fitted) for _ in jobs]
         try:
-            candidate = fit_ewnet(train, cfg, p)
-            forecast = forecast_ewnet(candidate, val.size)
+            if isinstance(decomp, ValueError):
+                raise decomp
+            forecast = forecast_ewnet(_assemble(train, decomp, p, nets), val.size)
             score = _score(val, forecast, train, cfg)
         except ValueError as exc:
             errors.append(f"p={p}: {exc}")

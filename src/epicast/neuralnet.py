@@ -30,31 +30,24 @@ gradient holds the step and the epoch ends with one ``params -= grad`` on a
 flat vector that holds the weights. The model keeps (w_in, w_out, b2); the input
 layer is split per restart only for model.json.
 
-``fit_network`` splits the R restarts into two contiguous blocks (``_Block``)
-when the process may use two CPUs or more (``_cpus``: its affinity set, cut to its
-cgroup's CPU quota). Two is the only split measured; more blocks each add the
-per-epoch fixed cost. Block 0 trains in the calling process, block 1 in one worker
-process (``_serve``) forked on the first fit that needs it, which lives as long as
-the process. The two train in lock-step, ``CHUNK`` epochs at a time: the caller
-sends the worker the chunk's epoch count, trains its own block meanwhile, then
-receives the worker's per-restart losses, joins them in restart order and applies
-the stopping rule epoch by epoch. When the rule fires inside a chunk, both blocks
-rewind to their copy from the start of that chunk and replay up to the stopping
-epoch. Since no product mixes restarts, a fit's bits do not depend on the number of
-blocks, and ``taskset -c 0`` trains every fit in the calling process.
+``fit_network`` trains one network in the calling process. ``fit_networks`` trains
+a batch of (series, p, k, cfg) jobs, one network each: the J+1 components of an
+EWNet fit, or every network of a lag search. When the process may use two CPUs or
+more (``_cpus``: its affinity set, cut to its cgroup's CPU quota), a batch of two
+jobs or more whose estimated work (``_work``) reaches ``MIN_WORK`` is shared with
+one worker process (``_serve``), forked on the first batch that needs it, which
+lives as long as the process. Jobs go out largest first; the worker holds at most
+two, and the caller trains the next job itself and collects the worker's results
+between its own jobs (``_fan_out``). A network is a function of its job alone, so
+its bits do not depend on the process that trained it, and ``taskset -c 0`` trains
+every batch in the calling process.
 
-While a fit is split, the caller runs on the first CPU of its affinity set and the
-worker on the last: left to itself, the scheduler may wake the worker on the
-caller's CPU and keep both there for a whole fit. Two blocks that share a CPU, with
-each other or with another program, train slower than one block alone. So a split
-fit measures how long each process waited, runnable, for a CPU that another task
-held (the kernel's run-queue delay, which excludes time stolen by a hypervisor);
-when either waited more than ``MAX_QUEUED`` of the fit, fits train in the calling
-process for the next ``HOLD`` seconds. A fit also stays in the process when it has
-one restart or fewer than ``CHUNK`` epochs, when a fit in another thread holds the
-worker, and where forking is unsafe or not allowed: in a daemonic process (a
-``multiprocessing.Pool`` worker), in a process running other threads, or when the
-fork fails. A forked child never uses its parent's worker.
+While a batch is shared, the caller runs on the first CPU of its affinity set and
+the worker on the last: left to itself, the scheduler may wake the worker on the
+caller's CPU and keep both there. A batch stays in the calling process when a batch
+in another thread holds the worker, and where forking is unsafe or not allowed: in a
+daemonic process (a ``multiprocessing.Pool`` worker), in a process running other
+threads, or when the fork fails. A forked child never uses its parent's worker.
 """
 
 from __future__ import annotations
@@ -63,15 +56,12 @@ import numbers
 import os
 import signal
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-CHUNK = 50  # epochs a block trains between two looks at the stopping rule
-MAX_QUEUED = 0.3  # share of a split fit's time a block may wait for a CPU
-HOLD = 1.0  # seconds that fits train in process after a block waited longer
+MIN_WORK = 1_000_000  # estimated multiply-adds below which a batch trains in process
 
 
 @dataclass(frozen=True)
@@ -321,61 +311,85 @@ def _supervised_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return x, z[p:]
 
 
-class _Block:
-    """Restarts lo .. hi-1 of one fit, trained ``CHUNK`` epochs at a time.
+def _train(z, p, k, cfg: TrainConfig):
+    """Train the restarts of ``cfg`` on the z-scored series; (w_in, w_out, b2) and the
+    mean loss of each epoch.
 
     Each restart draws its initial weights from an RNG stream derived from
-    (seed, restart index), so a restart starts from the same weights in every block
-    and every process.
+    (seed, restart index). The stopping rule looks after every epoch, and the
+    stopping epoch takes no step.
     """
+    r = cfg.restarts
+    x_mat, target = _supervised_pairs(z, p)
+    xt = _design(x_mat)
+    inits = [_init_weights(np.random.default_rng([cfg.seed, i]), p, k) for i in range(r)]
+    w1, b1, w2, b2 = (np.array([w[i] for w in inits]) for i in range(4))
+    params = np.concatenate((_stack(w1, b1), w2, b2), axis=None)
+    grad = np.empty_like(params)
+    state, grads = _views(params, r, k, p), _views(grad, r, k, p)
+    buf = _workspace(target.size, r, k)
+    prev_loss, stalled, curve = np.inf, 0, []
+    # A diverging fit ends in non-finite weights, which NeuralNetModel rejects; its
+    # overflows on the way are not reported.
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.epochs):
+            total = float(_stacked_loss_and_grad(state, xt, target, buf, grads,
+                                                 cfg.learning_rate).sum()) / r
+            curve.append(total)
+            if prev_loss - total < cfg.tolerance:
+                stalled += 1
+                if stalled >= cfg.patience:
+                    break
+            else:
+                stalled = 0
+            prev_loss = total
+            params -= grad
+    return state, curve
 
-    def __init__(self, z, p, k, cfg, lo, hi):
-        x_mat, self.target = _supervised_pairs(z, p)
-        self.xt = _design(x_mat)
-        inits = [_init_weights(np.random.default_rng([cfg.seed, i]), p, k) for i in range(lo, hi)]
-        w1, b1, w2, b2 = (np.array([w[i] for w in inits]) for i in range(4))
-        self.params = np.concatenate((_stack(w1, b1), w2, b2), axis=None)
-        self.grad = np.empty_like(self.params)
-        self.start = np.empty_like(self.params)  # the weights at the start of the last chunk
-        self.restarts = hi - lo
-        self.state = _views(self.params, self.restarts, k, p)
-        self.grads = _views(self.grad, self.restarts, k, p)
-        self.buf = _workspace(self.target.size, self.restarts, k)
-        self.step = cfg.learning_rate
 
-    def _epochs(self, count: int, losses=None) -> None:
-        # A diverging fit ends in non-finite weights, which NeuralNetModel rejects;
-        # its overflows on the way are not reported, in this process or a worker.
-        with np.errstate(all="ignore"):
-            for i in range(count):
-                loss = _stacked_loss_and_grad(self.state, self.xt, self.target, self.buf,
-                                              self.grads, self.step)
-                if losses is not None:
-                    losses[i] = loss
-                self.params -= self.grad
+def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
+    """Train ``cfg.restarts`` networks on lagged pairs from the z-scored series, in this
+    process."""
+    y = np.asarray(series, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite values in training series")
+    if p < 1 or k < 1:
+        raise ValueError("p and k must be >= 1")
+    if y.size < p + 2:
+        raise ValueError(f"series of length {y.size} too short for p={p}")
 
-    def chunk(self, epochs: int) -> np.ndarray:
-        """The per-restart losses, (epochs, hi - lo), of the next ``epochs`` epochs."""
-        self.start[:] = self.params
-        losses = np.empty((epochs, self.restarts))
-        self._epochs(epochs, losses)
-        return losses
+    center = float(np.mean(y))
+    scale = float(np.std(y))
+    if scale <= 1e-12 * max(1.0, abs(center)):
+        return NeuralNetModel(weights=None, p=p, k=k, scaler=(center, 1.0), seed=cfg.seed)
 
-    def stop(self, epoch) -> None:
-        """Rewind to epoch ``epoch`` of the last chunk; None keeps the weights."""
-        if epoch is not None:
-            self.params[:] = self.start
-            self._epochs(epoch)
+    weights, loss_curve = _train((y - center) / scale, p, k, cfg)
+    model = NeuralNetModel(weights=weights, p=p, k=k, scaler=(center, scale), seed=cfg.seed)
+    model.training_loss = loss_curve  # mean full-batch loss per epoch, for diagnostics
+    return model
+
+
+def _attempt(job):
+    """The network of one (series, p, k, cfg) job, or the ValueError it raised."""
+    try:
+        return fit_network(*job)
+    except ValueError as exc:
+        return exc
+
+
+def _work(job) -> int:
+    """A job's estimated training cost: multiply-adds of its forward and backward
+    passes, if it runs every epoch."""
+    series, p, k, cfg = job
+    return cfg.epochs * cfg.restarts * max(np.size(series) - p, 0) * k * (p + 2)
 
 
 def _serve(conn, parent_end):
-    """Worker process: train blocks in lock-step with the caller until its pipe closes.
+    """Worker process: train the jobs the caller sends until its pipe closes.
 
-    The caller sends (cpu, job) to build a block pinned to that CPU, then an epoch
-    count for each chunk, answered with the chunk's losses, then ("stop", e),
-    answered with the weights after rewinding the last chunk to epoch e (None keeps
-    them) and the share of the block's time that the worker waited for a CPU. An
-    exception is sent in place of the answer.
+    The caller sends a CPU to run on, then (index, job) pairs, each answered with
+    (index, network or ValueError); any other exception is sent in place of the
+    answer.
     """
     parent_end.close()  # a copy inherited from the caller would keep the pipe open
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
@@ -384,32 +398,18 @@ def _serve(conn, parent_end):
             message = conn.recv()
         except EOFError:
             return
+        if isinstance(message, int):
+            _pin({message})
+            continue
+        index, job = message
         try:
-            if not isinstance(message, tuple):  # an epoch count
-                conn.send(block.chunk(message))
-            elif message[0] == "stop":
-                block.stop(message[1])
-                conn.send((block.state, _queued_since(clock)))
-            else:
-                clock = _clock()
-                cpu, job = message
-                _pin({cpu})
-                block = _Block(*job)
+            conn.send((index, _attempt(job)))
         except Exception as exc:
             conn.send(exc)
 
 
-def _recv(conn):
-    """The worker's next answer; an exception it sent is raised here."""
-    message = conn.recv()
-    if isinstance(message, Exception):
-        raise message
-    return message
-
-
 _worker = None  # (process, connection) of the worker, forked on first use
-_worker_busy = threading.Lock()  # held by the one fit at a time that uses the worker
-_serial_until = 0.0  # time.monotonic() before which fits train in process
+_worker_busy = threading.Lock()  # held by the one batch at a time that uses the worker
 
 
 def _forget_worker() -> None:
@@ -431,24 +431,6 @@ def _pin(cpus) -> None:
         os.sched_setaffinity(0, cpus)
     except OSError:
         pass
-
-
-def _clock() -> tuple[float, float]:
-    """Wall seconds and seconds this thread has waited, runnable, for a CPU that
-    another task held (Linux schedstat; 0 where the kernel does not report it)."""
-    try:
-        with open("/proc/thread-self/schedstat") as stats:
-            queued = int(stats.read().split()[1]) * 1e-9
-    except (OSError, IndexError, ValueError):
-        queued = 0.0
-    return time.perf_counter(), queued
-
-
-def _queued_since(start: tuple[float, float]) -> float:
-    """The share of the wall time since ``start`` (a ``_clock``) that this thread
-    waited for a CPU."""
-    wall, queued = (now - then for now, then in zip(_clock(), start))
-    return queued / wall if wall > 0 else 0.0
 
 
 def _cpu_quota(root: Path = Path("/sys/fs/cgroup")) -> float:
@@ -475,9 +457,9 @@ def _cpus() -> int:
 
 def _connection():
     """The connection to the worker process, forking it if it is not running; None
-    when it cannot be forked safely, so that the fit trains in this process."""
+    when it cannot be forked safely, so that the batch trains in this process."""
     global _worker
-    import multiprocessing  # here, so that a process that never splits a fit never loads it
+    import multiprocessing  # here, so that a process that never fans out never loads it
 
     if _worker is None:
         # A daemonic process may not have children. A fork copies only the calling
@@ -512,111 +494,66 @@ def _close_worker() -> None:
         _worker = None
 
 
-def _train(z, p, k, cfg: TrainConfig, blocks: int, conn=None):
-    """Train the restarts of ``cfg`` on the z-scored series in ``blocks`` contiguous
-    blocks; the joined (w_in, w_out, b2), the mean loss of each epoch and the larger
-    share of its time that the worker or this thread waited for a CPU (0 when every
-    block trains here).
+def _fan_out(jobs, work, conn) -> list:
+    """Train ``jobs`` in this process and in the worker at ``conn``; their results in
+    job order.
 
-    The last block trains in the worker at ``conn`` when one is given, the others in
-    this process one after another. With the worker, this thread runs on the first
-    CPU of its affinity set and the worker on the last, and the set is restored
-    afterwards. The stopping rule sees the losses of all restarts in restart order,
-    whatever the blocks.
+    Jobs go out largest ``work`` first. The worker holds at most two; this thread
+    trains the next job itself and, between its jobs, collects what the worker
+    finished. This thread runs on the first CPU of its affinity set and the worker on
+    the last; the set is restored afterwards.
     """
-    r = cfg.restarts
-    bounds = [r * b // blocks for b in range(blocks + 1)]
-    jobs = [(z, p, k, cfg, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    remote = conn is not None
-    if remote:
-        # One block per CPU: left to itself, the scheduler may wake the worker on the
-        # caller's CPU and keep both there for a whole fit while another CPU idles.
-        mask = os.sched_getaffinity(0)
-        cpus = sorted(mask)
-        _pin(cpus[:1])
-        clock = _clock()
+    results = [None] * len(jobs)
+    todo = sorted(range(len(jobs)), key=lambda i: (work[i], -i))  # popped largest first
+    held = set()  # indices of the jobs the worker holds
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    _pin(cpus[:1])
     try:
-        if remote:
-            conn.send((cpus[-1], jobs.pop()))
-        parts = [_Block(*job) for job in jobs]
-        prev_loss, stalled, curve, at = np.inf, 0, [], None
-        for start in range(0, cfg.epochs, CHUNK):
-            epochs = min(CHUNK, cfg.epochs - start)
-            if remote:
-                conn.send(epochs)  # the worker trains its chunk while this thread does
-            losses = [part.chunk(epochs) for part in parts]
-            if remote:
-                losses.append(_recv(conn))
-            for e, total in enumerate((np.hstack(losses).sum(axis=1) / r).tolist()):
-                curve.append(total)
-                if prev_loss - total < cfg.tolerance:
-                    stalled += 1
-                    if stalled >= cfg.patience:
-                        at = e
-                        break
-                else:
-                    stalled = 0
-                prev_loss = total
-            if at is not None:
-                break
-        if remote:
-            conn.send(("stop", at))  # the worker rewinds while this thread does
-        for part in parts:
-            part.stop(at)
-        states = [part.state for part in parts]
-        if remote:
-            state, queued = _recv(conn)
-            states.append(state)
-        weights = tuple(np.concatenate(layer) for layer in zip(*states))
+        conn.send(cpus[-1])
+        while todo or held:
+            # Collect what the worker finished; wait for it once nothing is left here.
+            while held and (not todo or conn.poll()):
+                message = conn.recv()
+                if isinstance(message, Exception):
+                    raise message
+                index, results[index] = message
+                held.remove(index)
+            while todo and len(held) < 2:
+                index = todo.pop()
+                conn.send((index, jobs[index]))
+                held.add(index)
+            if todo:
+                index = todo.pop()
+                results[index] = _attempt(jobs[index])
     except BaseException:
-        if remote:
-            _close_worker()  # the worker may be mid-block; never reuse it
+        _close_worker()  # the worker may hold jobs; never reuse it
         raise
     finally:
-        if remote:
-            _pin(mask)
-    return weights, curve, max(_queued_since(clock), queued) if remote else 0.0
+        _pin(mask)
+    return results
 
 
-def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
-    """Train ``cfg.restarts`` networks on lagged pairs from the z-scored series.
+def fit_networks(jobs) -> list:
+    """Train the network of each (series, p, k, cfg) job; each job's ``NeuralNetModel``,
+    or the ``ValueError`` it raised, in job order.
 
-    The restarts are split between this process and a worker process when this
-    process may use two CPUs (see the module docstring); the result does not depend
-    on the split.
+    A batch of two jobs or more whose estimated work reaches ``MIN_WORK`` is shared
+    with the worker process when this process may use two CPUs (see the module
+    docstring); a network's bits do not depend on where it trained.
     """
-    global _serial_until
-    y = np.asarray(series, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite values in training series")
-    if p < 1 or k < 1:
-        raise ValueError("p and k must be >= 1")
-    if y.size < p + 2:
-        raise ValueError(f"series of length {y.size} too short for p={p}")
-
-    center = float(np.mean(y))
-    scale = float(np.std(y))
-    if scale <= 1e-12 * max(1.0, abs(center)):
-        return NeuralNetModel(weights=None, p=p, k=k, scaler=(center, 1.0), seed=cfg.seed)
-
-    z = (y - center) / scale
-    # A fit in another thread that holds the worker leaves this one in this thread.
-    if (cfg.epochs >= CHUNK and cfg.restarts > 1 and _cpus() > 1
-            and time.monotonic() >= _serial_until and _worker_busy.acquire(blocking=False)):
+    jobs = list(jobs)
+    work = [_work(job) for job in jobs]
+    # A batch in another thread that holds the worker leaves this one in this thread.
+    if (len(jobs) > 1 and sum(work) >= MIN_WORK and _cpus() > 1
+            and _worker_busy.acquire(blocking=False)):
         try:
             conn = _connection()
-            weights, loss_curve, queued = _train(z, p, k, cfg, 1 if conn is None else 2, conn)
+            if conn is not None:
+                return _fan_out(jobs, work, conn)
         finally:
             _worker_busy.release()
-        # Blocks that share a CPU, with each other or with another program, train
-        # slower than one block alone: stay in this process for a while.
-        if queued > MAX_QUEUED:
-            _serial_until = time.monotonic() + HOLD
-    else:
-        weights, loss_curve, _ = _train(z, p, k, cfg, 1)
-    model = NeuralNetModel(weights=weights, p=p, k=k, scaler=(center, scale), seed=cfg.seed)
-    model.training_loss = loss_curve  # mean full-batch loss per epoch, for diagnostics
-    return model
+    return [_attempt(job) for job in jobs]
 
 
 def predict(model: NeuralNetModel, windows) -> np.ndarray:

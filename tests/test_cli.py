@@ -155,6 +155,14 @@ class TestDecompose:
         result = runner.invoke(main, ["decompose", "--data", str(data)])
         assert result.exit_code == 3
 
+    def test_default_levels_on_a_short_series_is_numeric_error(self, runner, tmp_path):
+        data = tmp_path / "series.csv"
+        write_series_csv(data, n=7)
+        result = runner.invoke(main, ["decompose", "--data", str(data), "--out", str(tmp_path)])
+        assert result.exit_code == 4, result.output
+        assert "need at least 8 training observations" in result.output
+        assert not (tmp_path / "decomposition.csv").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_levels_is_config_error(self, runner, tmp_path, source):
         data = tmp_path / "series.csv"

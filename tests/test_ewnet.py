@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from epicast import neuralnet
 from epicast.ewnet import (
     EwnetConfig,
     IntervalForecast,
@@ -135,6 +136,38 @@ class TestLagSelection:
         cfg = EwnetConfig(levels=2, p_grid=(2,), train_cfg=FAST)
         model = fit_ewnet_selected(y[:-10], y[-10:], cfg)
         assert model.train_series.size == y.size
+
+    def test_a_candidate_that_failed_in_the_worker_is_skipped_as_in_process(self, monkeypatch):
+        # Lag 8 stands in for a fit that diverged. Its networks are the largest of the
+        # batch, so the worker trains its first component, whose error names the
+        # candidate; in process, the candidate fails with the same message.
+        train = neuralnet._train
+
+        def diverging(z, p, k, cfg):
+            state, curve = train(z, p, k, cfg)
+            if p == 8:
+                state[2][:] = np.nan
+            return state, curve
+
+        fanned = []
+        fan_out = neuralnet._fan_out
+        monkeypatch.setattr(neuralnet, "_fan_out", lambda *a: fanned.append(1) or fan_out(*a))
+        monkeypatch.setattr(neuralnet, "MIN_WORK", 0)
+        monkeypatch.setattr(neuralnet, "_train", diverging)
+        y = lag4_series()
+        cfg = EwnetConfig(levels=1, p_grid=(2, 8), train_cfg=FAST)
+        got = []
+        neuralnet._close_worker()  # the next worker is forked with the patch
+        try:
+            for cpus in (2, 1):
+                monkeypatch.setattr(neuralnet, "_cpus", lambda: cpus)
+                with pytest.raises(ValueError) as excinfo:
+                    select_p(y[:-12], y[-12:], dataclasses.replace(cfg, p_grid=(8,)))
+                got.append((select_p(y[:-12], y[-12:], cfg), str(excinfo.value)))
+        finally:
+            neuralnet._close_worker()
+        assert fanned == [1, 1]
+        assert got == [(2, "no feasible lag order in the grid: p=8: non-finite weights")] * 2
 
 
 class TestPrecontrolInterval:

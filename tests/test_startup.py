@@ -64,7 +64,8 @@ def test_a_finished_fit_leaves_no_worker_running(tmp_path):
         with open("series.csv", "w") as handle:
             handle.write("value\\n" + "".join(f"{v}\\n" for v in y))
         with open("cfg.json", "w") as handle:
-            json.dump({"train": {"epochs": neuralnet.CHUNK, "restarts": 2}}, handle)
+            # The lag search's batch of four networks is about twice MIN_WORK.
+            json.dump({"train": {"epochs": 100, "restarts": 20}}, handle)
         atexit.register(lambda: print(json.dumps(
             [neuralnet._worker[0].pid] if neuralnet._worker else [])))
         sys.argv = ["epicast", "fit", "--config", "cfg.json", "--data", "series.csv",
