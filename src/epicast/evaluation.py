@@ -72,6 +72,8 @@ class RankTable:
         d, m = ranks.shape
         if d != len(self.datasets) or m != len(self.models):
             raise ValueError("rank matrix shape does not match labels")
+        if len(set(self.models)) != m:
+            raise ValueError(f"repeated model name in {self.models}")
         expected = m * (m + 1) / 2.0
         if not np.allclose(ranks.sum(axis=1), expected):
             raise ValueError("each row must sum to M(M+1)/2")

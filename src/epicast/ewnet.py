@@ -139,7 +139,9 @@ def select_p(train, val, cfg: EwnetConfig) -> int:
     """Grid-search the shared lag order by validation-window forecast error.
 
     Each candidate fits the full ensemble on ``train`` only and forecasts
-    len(val) steps; ties break toward the smaller lag.
+    len(val) steps; ties break toward the smaller lag. A candidate whose networks
+    fail is skipped; a decomposition that fails fails every candidate alike, so its
+    ValueError is raised as it is.
     """
     train = np.asarray(train, dtype=float)
     val = np.asarray(val, dtype=float)
@@ -147,12 +149,7 @@ def select_p(train, val, cfg: EwnetConfig) -> int:
         raise ValueError("validation window must be non-empty")
     # Every network of the grid is one batch, so that small candidates share the
     # worker too; each candidate is then forecast and scored on its own.
-    candidates = []  # (p, its decomposition or the ValueError, its jobs)
-    for p in sorted(cfg.p_grid):
-        try:
-            candidates.append((p, *_component_jobs(train, cfg, p)))
-        except ValueError as exc:
-            candidates.append((p, exc, []))
+    candidates = [(p, *_component_jobs(train, cfg, p)) for p in sorted(cfg.p_grid)]
     fitted = iter(neuralnet.fit_networks([job for *_, jobs in candidates for job in jobs]))
     best_p = None
     best_score = math.inf
@@ -160,8 +157,6 @@ def select_p(train, val, cfg: EwnetConfig) -> int:
     for p, decomp, jobs in candidates:
         nets = [next(fitted) for _ in jobs]
         try:
-            if isinstance(decomp, ValueError):
-                raise decomp
             forecast = forecast_ewnet(_assemble(train, decomp, p, nets), val.size)
             score = _score(val, forecast, train, cfg)
         except ValueError as exc:
@@ -203,6 +198,8 @@ def precontrol_interval(point, residuals) -> IntervalForecast:
     residuals = np.asarray(residuals, dtype=float)
     if residuals.size < 2:
         raise ValueError("need at least 2 residuals")
+    if not np.all(np.isfinite(residuals)):
+        raise ValueError("in-sample residuals must be finite")
     half_width = 1.5 * float(np.std(residuals, ddof=1))
     return IntervalForecast(
         point=point,

@@ -4,14 +4,11 @@ Sigmoid hidden units, linear output, full-batch gradient descent on the L2
 loss, trained on z-scored data. Several independently seeded restarts are
 trained and their predictions averaged.
 
-Restarts are stacked restart-major: the input layers with their biases form one
-(R*k, p+1) matrix, rows r*k .. r*k+k-1 for restart r. Activations are
+Restarts are stacked on a leading axis: the input layers with their biases form
+one (R, k, p+1) array, the output weights one (R, k) array. Activations are
 feature-major, (R, k, m), so every per-restart operation runs along contiguous
-rows. Every product is per restart: the hidden layer is one batched
-(R, k, p+1) @ (p+1, m) product, the output layer one batched (R, 1, k) @ (R, k, m)
-product with the (R, k) output weights. A 2-D GEMM over all R*k rows would round
-differently when the row count changes; the batched products give every restart
-the same bits however many restarts are stacked beside it.
+rows. The hidden layer is one batched (R, k, p+1) @ (p+1, m) product, the output
+layer one batched (R, 1, k) @ (R, k, m) product.
 
 The inputs enter as the negated, transposed design matrix -[x, 1].T
 (``_design``), so the hidden-layer product yields the negated pre-activations and
@@ -27,8 +24,8 @@ design matrix in one batched (R, k, n) @ (n, p+1) product, and only the result i
 scaled by the output weights, so no (R, k, n) outer product is formed. The
 learning rate is folded into the 1/n scaling of the output error, so the
 gradient holds the step and the epoch ends with one ``params -= grad`` on a
-flat vector that holds the weights. The model keeps (w_in, w_out, b2); the input
-layer is split per restart only for model.json.
+flat vector that holds the weights. The model keeps (w_in, w_out, b2); model.json
+splits the input layer into its weights and biases.
 
 ``fit_network`` trains one network in the calling process. ``fit_networks`` trains
 a batch of (series, p, k, cfg) jobs, one network each: the J+1 components of an
@@ -42,12 +39,13 @@ between its own jobs (``_fan_out``). A network is a function of its job alone, s
 its bits do not depend on the process that trained it, and ``taskset -c 0`` trains
 every batch in the calling process.
 
-While a batch is shared, the caller runs on the first CPU of its affinity set and
-the worker on the last: left to itself, the scheduler may wake the worker on the
-caller's CPU and keep both there. A batch stays in the calling process when a batch
-in another thread holds the worker, and where forking is unsafe or not allowed: in a
-daemonic process (a ``multiprocessing.Pool`` worker), in a process running other
-threads, or when the fork fails. A forked child never uses its parent's worker.
+The worker is pinned to the last CPU of the caller's affinity set once, when it is
+forked: left unpinned, it was woken on the caller's CPU and kept there. The caller
+is not pinned: it stays runnable through a batch, and pinning it measured level. A
+batch stays in the calling process when a batch in another thread holds the worker,
+and where forking is unsafe or not allowed: in a daemonic process (a
+``multiprocessing.Pool`` worker), in a process running other threads, or when the
+fork fails. A forked child never uses its parent's worker.
 """
 
 from __future__ import annotations
@@ -98,7 +96,7 @@ class TrainConfig:
 class NeuralNetModel:
     """Averaged ensemble of restart networks plus the training-series scaler.
 
-    ``weights`` is the trainer's stacked state (w_in, w_out, b2): the (R*k, p+1)
+    ``weights`` is the trainer's stacked state (w_in, w_out, b2): the (R, k, p+1)
     input layer with its bias column, the (R, k) output weights and the (R,)
     output biases. A zero-variance training series yields a constant predictor:
     ``weights`` None, forecasting the scaler's center.
@@ -118,8 +116,9 @@ class NeuralNetModel:
         if self.weights is None:
             return
         w_in, w_out, b2 = self.weights
-        r, rk = b2.size, b2.size * self.k
-        if r < 1 or (w_in.shape, w_out.shape, b2.shape) != ((rk, self.p + 1), (r, self.k), (r,)):
+        r = b2.size
+        if r < 1 or (w_in.shape, w_out.shape, b2.shape) != ((r, self.k, self.p + 1),
+                                                             (r, self.k), (r,)):
             raise ValueError("inconsistent weight dimensions")
         if not all(np.all(np.isfinite(w)) for w in self.weights):
             raise ValueError("non-finite weights")
@@ -138,7 +137,7 @@ class NeuralNetModel:
             w_in, w_out, b2 = self.weights
             restarts = [{"input_to_hidden": w1.tolist(), "hidden_bias": b1.tolist(),
                          "hidden_to_output": w2.tolist(), "output_bias": float(b)}
-                        for w1, b1, w2, b in zip(*_unstack(w_in, self.k), w_out, b2)]
+                        for w1, b1, w2, b in zip(w_in[..., :-1], w_in[..., -1], w_out, b2)]
         return {
             "p": self.p,
             "k": self.k,
@@ -210,22 +209,14 @@ def _sigmoid_neg(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _stack(w1, b1):
-    """Restart-major (R*k, p+1) input layer from (R, k, p) weights and (R, k) biases."""
-    r, k, p = w1.shape
-    return np.concatenate((w1, b1[:, :, None]), axis=2).reshape(r * k, p + 1)
-
-
-def _unstack(w_in, k):
-    """Inverse of ``_stack``: (R, k, p) input weights and (R, k) biases."""
-    rk, p1 = w_in.shape
-    w_in = w_in.reshape(rk // k, k, p1)
-    return w_in[:, :, :-1], w_in[:, :, -1]
+    """(R, k, p+1) input layer from (R, k, p) weights and (R, k) biases."""
+    return np.concatenate((w1, b1[:, :, None]), axis=2)
 
 
 def _views(flat: np.ndarray, r: int, k: int, p: int):
     """(w_in, w_out, b2) views of a flat vector that holds a stacked state."""
-    rk = r * k
-    return flat[:rk * (p + 1)].reshape(rk, p + 1), flat[rk * (p + 1):-r].reshape(r, k), flat[-r:]
+    size = r * k * (p + 1)
+    return flat[:size].reshape(r, k, p + 1), flat[size:-r].reshape(r, k), flat[-r:]
 
 
 def _design(windows: np.ndarray, center: float = 0.0, scale: float = 1.0) -> np.ndarray:
@@ -242,7 +233,7 @@ def _forward(xt, state, hidden=None, out=None):
     """Hidden activations (R, k, m) and outputs (R, m) of ``state`` on the ``_design``
     matrix ``xt``, written into ``hidden`` and ``out`` when given."""
     w_in, w_out, b2 = state
-    hidden = np.matmul(w_in.reshape(*w_out.shape, -1), xt, out=hidden)
+    hidden = np.matmul(w_in, xt, out=hidden)
     _sigmoid_neg(hidden, out=hidden)
     out = np.matmul(w_out[:, None, :], hidden, out=None if out is None else out[:, None])[:, 0]
     out += b2[:, None]
@@ -272,7 +263,6 @@ def _stacked_loss_and_grad(state, xt, y, buf, grads, step=1.0):
     _, w_out, _ = state
     hidden, d_pre, err = buf
     g_in, g_out, g_b2 = grads
-    r, k = w_out.shape
     n = y.size
     _forward(xt, state, hidden, err)
     err -= y
@@ -287,8 +277,8 @@ def _stacked_loss_and_grad(state, xt, y, buf, grads, step=1.0):
     np.subtract(hidden, 1.0, out=d_pre)
     d_pre *= hidden
     d_pre *= d_out[:, None]
-    np.matmul(d_pre, xt.T, out=g_in.reshape(r, k, -1))
-    g_in *= w_out.reshape(r * k, 1)
+    np.matmul(d_pre, xt.T, out=g_in)
+    g_in *= w_out[:, :, None]
     return loss
 
 
@@ -302,7 +292,7 @@ def _loss_and_grad(params, x, y):
     state = (_stack(w1, b1), w2, b2)
     grads = [np.empty_like(w) for w in state]
     loss = _stacked_loss_and_grad(state, _design(x), y, _workspace(len(y), r, k), grads)
-    return loss, (*_unstack(grads[0], k), *grads[1:])
+    return loss, (grads[0][..., :-1], grads[0][..., -1], *grads[1:])
 
 
 def _supervised_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -384,24 +374,23 @@ def _work(job) -> int:
     return cfg.epochs * cfg.restarts * max(np.size(series) - p, 0) * k * (p + 2)
 
 
-def _serve(conn, parent_end):
-    """Worker process: train the jobs the caller sends until its pipe closes.
+def _serve(conn, parent_end, cpu):
+    """Worker process: on ``cpu``, train the jobs the caller sends until its pipe closes.
 
-    The caller sends a CPU to run on, then (index, job) pairs, each answered with
-    (index, network or ValueError); any other exception is sent in place of the
-    answer.
+    Each (index, job) pair is answered with (index, network or ValueError); any other
+    exception is sent in place of the answer.
     """
     parent_end.close()  # a copy inherited from the caller would keep the pipe open
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:  # the system refuses: run where the scheduler puts it
+        pass
     while True:
         try:
-            message = conn.recv()
+            index, job = conn.recv()
         except EOFError:
             return
-        if isinstance(message, int):
-            _pin({message})
-            continue
-        index, job = message
         try:
             conn.send((index, _attempt(job)))
         except Exception as exc:
@@ -423,14 +412,6 @@ def _forget_worker() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _pin(cpus) -> None:
-    """Run this thread on ``cpus`` only; where the system refuses, leave it as it is."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
 
 
 def _cpu_quota(root: Path = Path("/sys/fs/cgroup")) -> float:
@@ -472,7 +453,8 @@ def _connection():
         # OpenBLAS shuts its thread pool down around fork.
         context = multiprocessing.get_context("fork")
         ours, theirs = context.Pipe()
-        worker = context.Process(target=_serve, args=(theirs, ours), daemon=True)
+        worker = context.Process(target=_serve, daemon=True,
+                                 args=(theirs, ours, max(os.sched_getaffinity(0))))
         try:
             worker.start()
         except OSError:  # out of processes or memory: train in this process
@@ -500,17 +482,12 @@ def _fan_out(jobs, work, conn) -> list:
 
     Jobs go out largest ``work`` first. The worker holds at most two; this thread
     trains the next job itself and, between its jobs, collects what the worker
-    finished. This thread runs on the first CPU of its affinity set and the worker on
-    the last; the set is restored afterwards.
+    finished.
     """
     results = [None] * len(jobs)
     todo = sorted(range(len(jobs)), key=lambda i: (work[i], -i))  # popped largest first
     held = set()  # indices of the jobs the worker holds
-    mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
-    _pin(cpus[:1])
     try:
-        conn.send(cpus[-1])
         while todo or held:
             # Collect what the worker finished; wait for it once nothing is left here.
             while held and (not todo or conn.poll()):
@@ -529,8 +506,6 @@ def _fan_out(jobs, work, conn) -> list:
     except BaseException:
         _close_worker()  # the worker may hold jobs; never reuse it
         raise
-    finally:
-        _pin(mask)
     return results
 
 

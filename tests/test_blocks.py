@@ -4,7 +4,7 @@ it trained.
 ``neuralnet.fit_networks`` shares a batch of (series, p, k, cfg) jobs between this
 process and one worker process. The property below compares a fanned-out batch
 with the same jobs trained here one after another; other tests cover the worker's
-error path, CPU pinning, the dispatch rule, and the cases where
+error path, the worker's CPU, the dispatch rule, and the cases where
 a batch trains in its own process because forking is unsafe or fails.
 """
 
@@ -98,9 +98,8 @@ def test_the_worker_holds_at_most_two_jobs(fan_out, monkeypatch):
             self.conn, self.held, self.most = conn, 0, 0
 
         def send(self, message):
-            if isinstance(message, tuple):
-                self.held += 1
-                self.most = max(self.most, self.held)
+            self.held += 1
+            self.most = max(self.most, self.held)
             self.conn.send(message)
 
         def recv(self):
@@ -129,13 +128,14 @@ def test_the_worker_holds_at_most_two_jobs(fan_out, monkeypatch):
     assert 0 < len(here) < len(batch)
 
 
-def test_a_fan_out_runs_each_process_on_its_own_cpu(fan_out, monkeypatch):
-    # This thread runs on the first CPU of its affinity set while it trains its share
-    # of a batch, and gets its set back after it; the worker stays on the last.
+def test_a_fan_out_pins_the_worker_and_leaves_the_caller_alone(fan_out, monkeypatch):
+    # The worker runs on the last CPU of the caller's affinity set from its fork on;
+    # the caller keeps its whole set while it trains its share of a batch, and after.
     mask = os.sched_getaffinity(0)
     batch = [(series(seed, 90), 2, 1, TrainConfig(epochs=20, restarts=4, seed=seed))
              for seed in range(4)]
     want = in_process(batch)
+    neuralnet._close_worker()
     neuralnet._connection()  # forked before the patch: the worker does not record
     seen = []
     train = neuralnet._train
@@ -148,7 +148,7 @@ def test_a_fan_out_runs_each_process_on_its_own_cpu(fan_out, monkeypatch):
     got = fit_networks(batch)
     monkeypatch.setattr(neuralnet, "_train", train)
     assert all(map(same_bits, got, want))
-    assert seen and all(cpus == {min(mask)} for cpus in seen)
+    assert seen and all(cpus == mask for cpus in seen)
     assert os.sched_getaffinity(0) == mask
     assert os.sched_getaffinity(neuralnet._worker[0].pid) == {max(mask)}
 

@@ -341,6 +341,16 @@ class TestForecast:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 4
 
+    def test_a_nan_in_sample_residual_fails_numeric(self, runner, tmp_path):
+        model = self._fitted_model(runner, tmp_path, ["--p", "2"])
+        doc = json.loads(model.read_text())
+        doc["in_sample_residuals"][3] = float("nan")
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["forecast", "--model", str(model), "--out", str(tmp_path)])
+        assert result.exit_code == 4, result.output
+        assert "in-sample residuals must be finite" in result.output
+        assert not (tmp_path / "forecast.csv").exists()
+
     def test_missing_model_file(self, runner, tmp_path):
         result = runner.invoke(main, ["forecast", "--model", str(tmp_path / "nope.json")])
         assert result.exit_code == 3
@@ -701,6 +711,14 @@ class TestStats:
         result = runner.invoke(main, ["stats", "--ranks", str(ranks)])
         assert result.exit_code == 3
         assert f"row 'c1' has {row.count(',') + 1} cells, the header 3" in result.output
+
+    def test_a_repeated_model_name_is_data_error(self, runner, tmp_path):
+        ranks = tmp_path / "ranks.csv"
+        ranks.write_text("case,A,A\nc1,1,2\nc2,2,1\n")
+        result = runner.invoke(main, ["stats", "--ranks", str(ranks), "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert "bad rank table" in result.output and "repeated model name" in result.output
+        assert not (tmp_path / "stats.json").exists()
 
     def test_rejects_invalid_row_sums(self, runner, tmp_path):
         ranks = tmp_path / "ranks.csv"

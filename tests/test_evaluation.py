@@ -67,6 +67,11 @@ class TestRankTable:
             RankTable(models=("a", "b"), datasets=("d1",),
                       ranks=np.array([[1.0, 3.0]]), metric="mase")
 
+    def test_rejects_repeated_model_names(self):
+        with pytest.raises(ValueError, match="repeated model name"):
+            RankTable(models=("a", "b", "a"), datasets=("d1",),
+                      ranks=np.array([[1.0, 2.0, 3.0]]), metric="mase")
+
     def test_mean_ranks(self):
         table = RankTable(models=("a", "b"), datasets=("d1", "d2"),
                           ranks=np.array([[1.0, 2.0], [2.0, 1.0]]), metric="mase")

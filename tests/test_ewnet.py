@@ -131,6 +131,13 @@ class TestLagSelection:
                 hits += 1
         assert hits >= 8
 
+    def test_a_failed_decomposition_is_one_error_not_one_per_lag(self):
+        # The decomposition does not depend on p, so every candidate would fail alike.
+        y = lag4_series()
+        with pytest.raises(ValueError) as excinfo:
+            select_p(y[:7], y[7:12], EwnetConfig(p_grid=(1, 2, 3), train_cfg=FAST))
+        assert str(excinfo.value) == "need at least 8 training observations"
+
     def test_selected_refits_on_train_plus_val(self):
         y = lag4_series()
         cfg = EwnetConfig(levels=2, p_grid=(2,), train_cfg=FAST)
@@ -190,6 +197,12 @@ class TestPrecontrolInterval:
     def test_requires_two_residuals(self):
         with pytest.raises(ValueError):
             precontrol_interval(np.array([1.0]), [0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_residuals(self, bad):
+        # One NaN would give nan bounds, which the bracket check lets through.
+        with pytest.raises(ValueError, match="in-sample residuals must be finite"):
+            precontrol_interval(np.array([10.0, 11.0]), [1.0, bad, -1.0])
 
     def test_in_sample_residual_length(self):
         y = lag4_series()

@@ -46,7 +46,6 @@ from epicast.neuralnet import (
     _stack,
     _stacked_loss_and_grad,
     _supervised_pairs,
-    _unstack,
     _workspace,
     fit_network,
     fitted_values,
@@ -276,7 +275,7 @@ def test_fit_bitwise_equals_restart_major_loop(r, k, p, extra, lr, epochs, toler
         return
     assert model.training_loss == curve
     w_in, w_out, out_bias = model.weights
-    for got, want in zip([*_unstack(w_in, k), w_out, out_bias], [w1, b1, w2, b2]):
+    for got, want in zip([w_in[..., :-1], w_in[..., -1], w_out, out_bias], [w1, b1, w2, b2]):
         assert np.array_equal(got, want)
 
 
@@ -351,7 +350,7 @@ def test_fixed_seed_fit_matches_reference(cfg, stops_early):
     assert len(model.training_loss) == len(curve)
     assert (len(curve) < cfg.epochs) == stops_early
     w_in, w_out, out_bias = model.weights
-    for got, want in zip([*_unstack(w_in, 4), w_out, out_bias], [w1, b1, w2, b2]):
+    for got, want in zip([w_in[..., :-1], w_in[..., -1], w_out, out_bias], [w1, b1, w2, b2]):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -365,7 +364,7 @@ def test_fixed_seed_fit_matches_block_diagonal_layout(cfg, stops_early):
     assert (len(curve) < cfg.epochs) == stops_early
     assert_close(model.training_loss, curve, 1e-12)
     w_in, w_out, out_bias = model.weights
-    for got, want in zip([*_unstack(w_in, 4), w_out, out_bias], [w1, b1, w2, b2]):
+    for got, want in zip([w_in[..., :-1], w_in[..., -1], w_out, out_bias], [w1, b1, w2, b2]):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -376,7 +375,7 @@ def test_forward_matches_per_restart_loop():
     model = fit_network(series, 5, 3, TrainConfig(epochs=40, restarts=4, seed=1))
     center, scale = model.scaler
     w_in, w_out, out_bias = model.weights
-    restarts = list(zip(*_unstack(w_in, 3), w_out, out_bias))
+    restarts = list(zip(w_in[..., :-1], w_in[..., -1], w_out, out_bias))
 
     def one_step(window):
         z = (window - center) / scale

@@ -14,7 +14,6 @@ from epicast.neuralnet import (
     _design,
     _forward,
     _loss_and_grad,
-    _unstack,
     fit_network,
     fitted_values,
     forecast_recursive,
@@ -123,7 +122,7 @@ class TestFitNetwork:
         y = ar1_series(seed=1)
         m1 = fit_network(y, 2, 1, TrainConfig(epochs=50, restarts=2, seed=0))
         m2 = fit_network(y, 2, 1, TrainConfig(epochs=50, restarts=2, seed=1))
-        first_input_layer = [_unstack(m.weights[0], 1)[0][0] for m in (m1, m2)]
+        first_input_layer = [m.weights[0][0, :, :-1] for m in (m1, m2)]
         assert not np.array_equal(*first_input_layer)
 
     def test_restarts_share_no_output_weights(self):
@@ -264,6 +263,22 @@ class TestSerialization:
         for got, want in zip(clone.weights, model.weights):
             assert np.array_equal(got, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.integers(1, 6), k=st.integers(1, 5), p=st.integers(1, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_json_round_trip_keeps_every_layout_bytewise(self, r, k, p, seed):
+        # The (R, k, p+1) input layer splits into model.json's per-restart weights and
+        # biases and stacks back to the same bytes, whatever R, k and p.
+        rng = np.random.default_rng(seed)
+        w_in, w_out = rng.normal(size=(r, k, p + 1)), rng.normal(size=(r, k))
+        model = NeuralNetModel(weights=(w_in, w_out, rng.normal(size=r)), p=p, k=k,
+                               scaler=(rng.normal(), rng.uniform(0.1, 10.0)), seed=seed)
+        doc = model.to_dict()
+        clone = NeuralNetModel.from_dict(json.loads(json.dumps(doc)))
+        for got, want in zip(clone.weights, model.weights):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert clone.to_dict() == doc
+
     def test_v1_component_format(self):
         model = NeuralNetModel.from_dict(COMPONENT_V1)
         assert model.to_dict() == COMPONENT_V1
@@ -304,7 +319,7 @@ class TestSerialization:
                 NeuralNetModel.from_dict(doc)
         w_in, w_out, b2 = NeuralNetModel.from_dict(COMPONENT_V1).weights
         with pytest.raises(ValueError):
-            NeuralNetModel(weights=(w_in[:, :2], w_out, b2), p=2, k=2,
+            NeuralNetModel(weights=(w_in[..., :2], w_out, b2), p=2, k=2,
                            scaler=(0.0, 1.0), seed=0)
         with pytest.raises(ValueError):
             NeuralNetModel.from_dict({**COMPONENT_V1, "restarts": []})
