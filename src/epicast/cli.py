@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import click
 import numpy as np
 
-from . import baselines, core, evaluation, ewnet, neuralnet, wavelet
+from . import core, evaluation, ewnet, neuralnet, wavelet
 from .core import DataError, TimeSeries, UndefinedMetricError
 
 MODEL_SCHEMA_VERSION = 1
@@ -33,7 +33,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 TRAIN_KEYS = ("learning_rate", "epochs", "restarts", "tolerance", "patience")
-HORIZON_KINDS = ("short", "medium", "long")
 AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 IN_UNIT_INTERVAL = (lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
 # Checked with isinstance: os.path.isfile() reads an int as a file descriptor.
@@ -153,7 +152,7 @@ def _read_series(cfg: dict, data, value_column, frequency) -> tuple[TimeSeries, 
     """The input series and its digest keys: the value column and the sha256 of the file."""
     path = _resolve(cfg, "data", data, required=True, check=PATH)
     value_column = _resolve(cfg, "value_column", value_column, default="value")
-    frequency = _resolve(cfg, "frequency", frequency, default=1, kind=int)
+    frequency = _resolve(cfg, "frequency", frequency, default=1, kind=int, check=AT_LEAST_ONE)
     if not (os.path.isfile(path) and os.access(path, os.R_OK)):
         # A wrong path is a configuration mistake, not bad data.
         raise ConfigError(f"no readable data file: {path}")
@@ -406,7 +405,8 @@ def _parse_external(pairs) -> dict[str, str]:
 @main.command()
 @shared_options
 @click.option("--seed", type=int, default=None)
-@click.option("--horizon", "horizons", multiple=True, type=click.Choice(HORIZON_KINDS),
+@click.option("--horizon", "horizons", multiple=True,
+              type=click.Choice(tuple(evaluation.WEEKLY_STEPS)),
               help="May repeat; default all three.")
 @click.option("--p-grid", default=None)
 @click.option("--metric", type=click.Choice(["mase", "smape"]), default=None)
@@ -419,9 +419,13 @@ def evaluate(config, data, value_column, frequency, out, seed,
     out_dir = _out_dir(cfg, out)
     e_cfg = _ewnet_config(cfg, None, p_grid, metric, seed)
     settings = dataclasses.asdict(e_cfg)
-    horizons = list(horizons) or _resolve(cfg, "horizons", None, default=list(HORIZON_KINDS))
+    horizons = list(horizons) or _resolve(cfg, "horizons", None,
+                                          default=list(evaluation.WEEKLY_STEPS))
     if not isinstance(horizons, list) or not horizons:
         raise ConfigError("'horizons' must be a non-empty list")
+    for i, kind in enumerate(horizons):
+        if kind in horizons[:i]:
+            raise ConfigError(f"horizon {kind!r} is given twice")
     external_cfg = _resolve(cfg, "external_forecasts", None, default={})
     if not isinstance(external_cfg, dict) or not all(
             isinstance(path, str) for path in external_cfg.values()):
@@ -466,21 +470,16 @@ def evaluate(config, data, value_column, frequency, out, seed,
             except (TypeError, ValueError):
                 raise ConfigError(f"unknown horizon {kind!r} (use short, medium or long)")
             try:
-                evaluation.backtest_split(len(series), spec)
+                evaluation.backtest_split(len(series), spec, external_points)
             except ValueError as exc:
                 raise CliDataError(f"{case}: {exc}")
-            for name, values in external_points.items():
-                if values.size < spec.steps:
-                    raise CliDataError(f"{case}: external forecast {name!r} has {values.size} "
-                                       f"rows, {spec.steps} needed")
-            plan.append((case, series, spec,
-                         {name: values[:spec.steps] for name, values in external_points.items()}))
+            plan.append((case, series, spec))
 
     reports = []
-    for case, series, spec, externals in plan:
+    for case, series, spec in plan:
         try:
             reports.append((case, evaluation.rolling_evaluate(series, spec, e_cfg,
-                                                              external=externals)))
+                                                              external=external_points)))
         except UndefinedMetricError as exc:
             raise NumericError(str(exc))
         except ValueError as exc:
@@ -499,7 +498,7 @@ def evaluate(config, data, value_column, frequency, out, seed,
         "horizon": dataclasses.asdict(report.horizon),
         "split": {"train": report.split.train_len, "val": report.split.val_len,
                   "test": report.split.test_len},
-        "results": {c.forecaster: {**c.metrics.as_dict(),
+        "results": {c.forecaster: {**dataclasses.asdict(c.metrics),
                                    **({"coverage": c.coverage} if c.coverage is not None else {})}
                     for c in report.cells},
     } for case, report in reports]}, seed=seed, digest=digest)

@@ -48,9 +48,6 @@ class MetricSet:
     mase: float
     smape: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {"rmse": self.rmse, "mae": self.mae, "mase": self.mase, "smape": self.smape}
-
 
 def validation_len(n: int, h: int) -> int:
     """Validation-window length for lag selection on ``n`` points at horizon ``h``:

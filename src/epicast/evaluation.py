@@ -74,6 +74,8 @@ class RankTable:
             raise ValueError("rank matrix shape does not match labels")
         if len(set(self.models)) != m:
             raise ValueError(f"repeated model name in {self.models}")
+        if len(set(self.datasets)) != d:
+            raise ValueError(f"repeated case name in {self.datasets}")
         expected = m * (m + 1) / 2.0
         if not np.allclose(ranks.sum(axis=1), expected):
             raise ValueError("each row must sum to M(M+1)/2")
@@ -125,12 +127,19 @@ class EvaluationReport:
         return {c.forecaster: getattr(c.metrics, metric) for c in self.cells}
 
 
-def backtest_split(n: int, horizon: HorizonSpec) -> SplitSpec:
-    """The train/validation/test split of an ``n``-point backtest at ``horizon``;
-    a series that leaves fewer than 8 training points is a ValueError."""
+def backtest_split(n: int, horizon: HorizonSpec, external: dict | None = None) -> SplitSpec:
+    """The train/validation/test split of an ``n``-point backtest at ``horizon``; a
+    series that leaves fewer than 8 training points is a ValueError, and so is an
+    ``external`` forecast named like a built-in or shorter than the horizon."""
     # Checked before SplitSpec, which rejects fewer than 3 training points itself.
     if n - horizon.steps - core.validation_len(n - horizon.steps, horizon.steps) < 8:
         raise ValueError(f"series of length {n} too short for horizon {horizon.steps}")
+    for name, point in (external or {}).items():
+        if name in BUILTIN_FORECASTERS:
+            raise ValueError(f"external forecast name {name!r} is a built-in forecaster's")
+        if np.size(point) < horizon.steps:
+            raise ValueError(f"external forecast {name!r} has {np.size(point)} rows, "
+                             f"{horizon.steps} needed")
     return SplitSpec.for_series(n, test_len=horizon.steps)
 
 
@@ -142,19 +151,13 @@ def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,
 
     The EWNet forecaster selects its lag order on the validation window, is
     refit on train + validation, and additionally reports pre-control interval
-    coverage. ``external`` maps names to precomputed h-step forecasts; their
-    names (none may be a built-in's) and lengths are checked before any model
-    is trained.
+    coverage. ``external`` maps names to precomputed forecasts of at least
+    ``steps`` values, of which the first ``steps`` are scored; ``backtest_split``
+    checks them before any model is trained.
     """
     values = series.values
-    split = backtest_split(values.size, horizon)
     external = {name: np.asarray(point, dtype=float) for name, point in (external or {}).items()}
-    for name, point in external.items():
-        if name in BUILTIN_FORECASTERS:
-            raise ValueError(f"external forecast name {name!r} is a built-in forecaster's")
-        if point.size != horizon.steps:
-            raise ValueError(f"external forecast {name!r} has length {point.size}, "
-                             f"expected {horizon.steps}")
+    split = backtest_split(values.size, horizon, external)
     train = values[: split.train_len]
     val = values[split.train_len: split.train_len + split.val_len]
     test = values[split.train_len + split.val_len:]
@@ -170,7 +173,7 @@ def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,
         baselines.rwd_forecast(fit_span, horizon.steps),
         baselines.arnn_forecast(fit_span, horizon.steps, cfg.train_cfg, p_grid=cfg.p_grid),
     )))
-    forecasts.update(external)
+    forecasts.update((name, point[:horizon.steps]) for name, point in external.items())
     cells = tuple(
         EvaluationCell(forecaster=name,
                        metrics=core.metric_set(test, point, fit_span, cfg.seasonal_lag),
@@ -236,8 +239,8 @@ def _wilcoxon_exact_p(ranks: np.ndarray, w_plus: float) -> float:
     counts[0] = 1.0
     for r in doubled:
         shifted = np.zeros_like(counts)
-        shifted[r:] = counts[:-r] if r else counts
-        counts = counts + shifted if r else 2 * counts
+        shifted[r:] = counts[:-r]
+        counts = counts + shifted
     counts /= counts.sum()
     w2 = int(round(2.0 * w_plus))
     lower = counts[: w2 + 1].sum()
@@ -251,8 +254,6 @@ def _wilcoxon_normal_p(diffs: np.ndarray, ranks: np.ndarray, w_plus: float) -> f
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, tie_counts = np.unique(np.abs(diffs), return_counts=True)
     var -= np.sum(tie_counts**3 - tie_counts) / 48.0
-    if var <= 0:
-        raise ValueError("degenerate variance (all differences tied)")
     from scipy import stats
     # Continuity correction toward the mean.
     z = (w_plus - mu - 0.5 * np.sign(w_plus - mu)) / math.sqrt(var)

@@ -62,6 +62,10 @@ class EwnetModel:
             raise ValueError("one model required per detail plus the smooth")
         if any(net.p != self.chosen_p for net in self.component_models):
             raise ValueError(f"every component network must have p = chosen_p = {self.chosen_p}")
+        if not self.decomposition.n == self.train_series.size >= self.chosen_p:
+            raise ValueError(f"train_series has {self.train_series.size} points and its "
+                             f"decomposition {self.decomposition.n}; both need one length "
+                             f">= chosen_p = {self.chosen_p}")
 
     @property
     def chosen_k(self) -> int:
@@ -135,6 +139,15 @@ def _score(actual, forecast, train, cfg: EwnetConfig) -> float:
     return core.mase(actual, forecast, train, cfg.seasonal_lag)
 
 
+def _finite_validation(val) -> np.ndarray:
+    """``val`` as a float array; a non-finite value is a ValueError that names it."""
+    val = np.asarray(val, dtype=float)
+    if not np.all(np.isfinite(val)):
+        bad = int(np.flatnonzero(~np.isfinite(val))[0])
+        raise ValueError(f"non-finite validation value {val[bad]} at position {bad}")
+    return val
+
+
 def select_p(train, val, cfg: EwnetConfig) -> int:
     """Grid-search the shared lag order by validation-window forecast error.
 
@@ -144,7 +157,7 @@ def select_p(train, val, cfg: EwnetConfig) -> int:
     ValueError is raised as it is.
     """
     train = np.asarray(train, dtype=float)
-    val = np.asarray(val, dtype=float)
+    val = _finite_validation(val)
     if val.size == 0:
         raise ValueError("validation window must be non-empty")
     # Every network of the grid is one batch, so that small candidates share the
@@ -246,8 +259,6 @@ def _lag_windows(model: EwnetModel, val: np.ndarray) -> np.ndarray:
     base = haar_filter()
     levels = model.decomposition.levels
     p = model.chosen_p
-    if model.train_series.size < p:
-        raise ValueError("series shorter than the lag order")
     reach = (2 ** levels - 1) * (base.width - 1)
     width = max(p + 2 * reach, 2)  # modwt_forward needs two points (p = 1, J = 0)
     series = np.concatenate([model.train_series, val[:-1]])
@@ -270,10 +281,7 @@ def validation_abs_residuals(model: EwnetModel, val) -> np.ndarray:
     depend on, with reach r = 2^J - 1 for Haar (``_lag_windows``), and each
     component network then predicts all steps in one pass.
     """
-    val = np.asarray(val, dtype=float)
-    if not np.all(np.isfinite(val)):
-        bad = int(np.flatnonzero(~np.isfinite(val))[0])
-        raise ValueError(f"non-finite validation value {val[bad]} at position {bad}")
+    val = _finite_validation(val)
     pred = np.zeros(val.size)
     for net, lags in zip(model.component_models, _lag_windows(model, val)):
         pred += neuralnet.predict(net, lags)

@@ -226,13 +226,11 @@ def modwt_forward(series, levels: int, filter_pair: FilterPair | None = None) ->
 
 def _circulant(taps: np.ndarray, n: int) -> np.ndarray:
     """N x N matrix with row t holding taps at columns (t - m) mod N, filter taps wrapped."""
+    from scipy.linalg import circulant
+
     wrapped = np.zeros(n)
-    for m, tap in enumerate(taps):
-        wrapped[m % n] += tap
-    matrix = np.empty((n, n))
-    for t in range(n):
-        matrix[t] = wrapped[np.mod(t - np.arange(n), n)]
-    return matrix
+    np.add.at(wrapped, np.arange(taps.size) % n, taps)
+    return circulant(wrapped)
 
 
 def modwt_matrix_oracle(series, levels: int, filter_pair: FilterPair | None = None) -> WaveletDecomposition:
@@ -268,7 +266,5 @@ def mra_reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
     """Pointwise sum of all detail components and the smooth."""
     total = decomp.smooth.copy()
     for detail in decomp.details:
-        if detail.size != total.size:
-            raise ValueError("component length mismatch")
         total += detail
     return total

@@ -414,6 +414,18 @@ class TestForecast:
         assert message in result.output
         assert not (tmp_path / "forecast.csv").exists()
 
+    def test_a_series_shorter_than_the_lag_is_a_malformed_model(self, runner, tmp_path):
+        model = self._fitted_model(runner, tmp_path, ["--p", "3", "--levels", "1"])
+        doc = json.loads(model.read_text())
+        doc["train_series"] = doc["train_series"][:2]
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["forecast", "--model", str(model), "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert result.output == ("Error: malformed model file: ValueError: train_series has 2 "
+                                 "points and its decomposition 2; both need one length >= "
+                                 "chosen_p = 3\n")
+        assert not (tmp_path / "forecast.csv").exists()
+
     def test_non_numeric_weight_names_component_restart_and_key(self, runner, tmp_path):
         model = self._fitted_model(runner, tmp_path, ["--p", "2"])
         doc = json.loads(model.read_text())
@@ -611,6 +623,25 @@ class TestEvaluate:
         assert networks_trained == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_repeated_horizon_is_config_error(self, runner, tmp_path, networks_trained,
+                                                source):
+        data = tmp_path / "cases.csv"
+        write_series_csv(data, n=100, seed=5)
+        cfg = {**FAST_TRAIN, "data": str(data), "frequency": 12, "seed": 1, "p_grid": "1"}
+        flags = []
+        if source == "config":
+            cfg["horizons"] = ["short", "long", "short"]
+        else:
+            flags = ["--horizon", "short", "--horizon", "short"]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["evaluate", "--config", str(tmp_path / "cfg.json"),
+                                      *flags, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "horizon 'short' is given twice" in result.output
+        assert networks_trained == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("second", ["same-stem", "explicit-name"])
     def test_repeated_dataset_names_are_config_errors(self, runner, tmp_path,
                                                       networks_trained, second):
@@ -718,6 +749,14 @@ class TestStats:
         result = runner.invoke(main, ["stats", "--ranks", str(ranks), "--out", str(tmp_path)])
         assert result.exit_code == 3, result.output
         assert "bad rank table" in result.output and "repeated model name" in result.output
+        assert not (tmp_path / "stats.json").exists()
+
+    def test_a_repeated_case_is_data_error(self, runner, tmp_path):
+        ranks = tmp_path / "ranks.csv"
+        ranks.write_text("case,A,B,C\nd:short,1,2,3\nd:short,1,2,3\n")
+        result = runner.invoke(main, ["stats", "--ranks", str(ranks), "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert "bad rank table" in result.output and "repeated case name" in result.output
         assert not (tmp_path / "stats.json").exists()
 
     def test_rejects_invalid_row_sums(self, runner, tmp_path):
@@ -924,6 +963,34 @@ class TestConfigHandling:
         result = runner.invoke(main, [cmd, "--config", str(cfg), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert f"bad value for {key!r}: {value!r} (expected int)" in result.output
+        assert networks_trained == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [0, -5])
+    @pytest.mark.parametrize("cmd,source", [
+        ("evaluate", "flag"), ("evaluate", "config"), ("evaluate", "datasets"),
+        ("decompose", "flag"), ("profile", "config"),
+    ])
+    def test_a_frequency_below_one_is_config_error(self, runner, tmp_path, networks_trained,
+                                                   cmd, source, value):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        cfg = {**FAST_TRAIN, "seed": 1, "p_grid": "1", "horizons": ["short"]}
+        flags = []
+        if source == "datasets":
+            cfg["datasets"] = [{"data": str(data), "frequency": value}]
+        else:
+            cfg["data"] = str(data)
+            if source == "config":
+                cfg["frequency"] = value
+            else:
+                flags = ["--frequency", str(value)]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [cmd, "--config", str(tmp_path / "cfg.json"), *flags,
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"bad value for 'frequency': {value} (expected >= 1)" in result.output
         assert networks_trained == []
         assert not out.exists()
 

@@ -12,6 +12,7 @@ from epicast.evaluation import (
     HorizonSpec,
     RankTable,
     _average_ranks,
+    backtest_split,
     friedman_chi2,
     hurst_exponent,
     iman_f,
@@ -71,6 +72,12 @@ class TestRankTable:
         with pytest.raises(ValueError, match="repeated model name"):
             RankTable(models=("a", "b", "a"), datasets=("d1",),
                       ranks=np.array([[1.0, 2.0, 3.0]]), metric="mase")
+
+    def test_rejects_repeated_case_names(self):
+        # One case counted twice would make up a dataset for Friedman and MCB.
+        with pytest.raises(ValueError, match=r"repeated case name in \('c1', 'c1'\)"):
+            RankTable(models=("a", "b"), datasets=("c1", "c1"),
+                      ranks=np.array([[1.0, 2.0], [1.0, 2.0]]), metric="mase")
 
     def test_mean_ranks(self):
         table = RankTable(models=("a", "b"), datasets=("d1", "d2"),
@@ -360,8 +367,38 @@ class TestRollingEvaluate:
             rolling_evaluate(series, HorizonSpec("short", 3), EwnetConfig(),
                              external={"bad": np.zeros(2)})
 
+    def test_a_longer_external_forecast_is_scored_on_its_first_steps(self):
+        series = TimeSeries(values=np.random.default_rng(0).normal(size=60) + 10)
+        cfg = EwnetConfig(levels=1, p_grid=(1,), train_cfg=TrainConfig(epochs=2, restarts=1))
+        report = rolling_evaluate(series, HorizonSpec("short", 3), cfg,
+                                  external={"exact": [9.0, 10.0, 11.0],
+                                            "longer": [9.0, 10.0, 11.0, 1e6, 1e6]})
+        cells = {c.forecaster: c.metrics for c in report.cells}
+        assert cells["longer"] == cells["exact"]
+        np.testing.assert_array_equal(report.forecasts["longer"], [9.0, 10.0, 11.0])
+
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_series_too_short(self, n):
         series = TimeSeries(values=np.arange(float(n)))
         with pytest.raises(ValueError, match=f"series of length {n} too short for horizon 3"):
             rolling_evaluate(series, HorizonSpec("short", 3), EwnetConfig())
+
+
+class TestBacktestSplit:
+    def test_split_of_a_long_enough_series(self):
+        split = backtest_split(120, HorizonSpec("long", 12), {"x": np.zeros(20)})
+        assert (split.train_len, split.val_len, split.test_len) == (84, 24, 12)
+
+    @pytest.mark.parametrize("external,message", [
+        ({"x": np.zeros(3)}, "external forecast 'x' has 3 rows, 12 needed"),
+        ({"x": np.zeros(12), "ARNN": np.zeros(12)},
+         "external forecast name 'ARNN' is a built-in forecaster's"),
+    ], ids=["short", "builtin-name"])
+    def test_rejects_an_external_forecast(self, external, message):
+        with pytest.raises(ValueError) as excinfo:
+            backtest_split(120, HorizonSpec("long", 12), external)
+        assert str(excinfo.value) == message
+
+    def test_checks_the_series_before_the_forecasts(self):
+        with pytest.raises(ValueError, match="series of length 20 too short for horizon 12"):
+            backtest_split(20, HorizonSpec("long", 12), {"x": np.zeros(3)})

@@ -7,6 +7,7 @@ import pytest
 from epicast import neuralnet
 from epicast.ewnet import (
     EwnetConfig,
+    EwnetModel,
     IntervalForecast,
     conformal_interval,
     default_levels,
@@ -19,7 +20,7 @@ from epicast.ewnet import (
     validation_abs_residuals,
 )
 from epicast.neuralnet import TrainConfig
-from epicast.wavelet import mra_reconstruct
+from epicast.wavelet import modwt_forward, mra_reconstruct
 
 FAST = TrainConfig(learning_rate=0.05, epochs=120, restarts=2, seed=0)
 
@@ -101,6 +102,20 @@ class TestFitForecast:
         with pytest.raises(ValueError, match="chosen_p"):
             dataclasses.replace(model, chosen_p=3)
 
+    @pytest.mark.parametrize("train_len,decomp_len", [(2, 2), (12, 10)],
+                             ids=["shorter-than-the-lag", "decomposition-of-another-length"])
+    def test_the_training_series_must_fit_the_lag_and_the_decomposition(self, train_len,
+                                                                        decomp_len):
+        y = lag4_series()
+        nets = [neuralnet.NeuralNetModel(weights=None, p=3, k=2, scaler=(10.0, 1.0), seed=0)
+                for _ in range(2)]
+        with pytest.raises(ValueError) as excinfo:
+            EwnetModel(decomposition=modwt_forward(y[:decomp_len], 1), component_models=nets,
+                       chosen_p=3, train_series=y[:train_len])
+        assert str(excinfo.value) == (
+            f"train_series has {train_len} points and its decomposition {decomp_len}; "
+            "both need one length >= chosen_p = 3")
+
     def test_component_seeds_differ(self):
         y = lag4_series()
         model = fit_ewnet(y, EwnetConfig(levels=2, train_cfg=FAST), p=2)
@@ -137,6 +152,17 @@ class TestLagSelection:
         with pytest.raises(ValueError) as excinfo:
             select_p(y[:7], y[7:12], EwnetConfig(p_grid=(1, 2, 3), train_cfg=FAST))
         assert str(excinfo.value) == "need at least 8 training observations"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_validation_value_fails_before_any_network_trains(self, monkeypatch,
+                                                                            bad):
+        monkeypatch.setattr(neuralnet, "fit_networks", lambda jobs: pytest.fail("trained"))
+        y = lag4_series()
+        val = y[-6:].copy()
+        val[3] = bad
+        with pytest.raises(ValueError) as excinfo:
+            select_p(y[:-6], val, EwnetConfig(levels=2, p_grid=(1, 2), train_cfg=FAST))
+        assert str(excinfo.value) == f"non-finite validation value {bad} at position 3"
 
     def test_selected_refits_on_train_plus_val(self):
         y = lag4_series()
