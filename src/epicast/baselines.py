@@ -29,17 +29,20 @@ def rwd_forecast(train, h: int) -> np.ndarray:
     return train[-1] + drift * np.arange(1, h + 1)
 
 
-def arnn_forecast(train, h: int, cfg: TrainConfig, p_grid=tuple(range(1, 21))) -> np.ndarray:
-    """Non-wavelet ARNN: EWNet with zero wavelet levels, one network on the raw series.
-
-    The lag order is selected on the last 20% of the series by ``ewnet.select_p``,
-    then the network is refit on the whole series. Its restarts draw from EWNet's
-    component-0 seed stream.
-    """
+def arnn_search(train, cfg: TrainConfig, p_grid=tuple(range(1, 21))):
+    """ARNN's ``ewnet.select_lags`` search: EWNet with zero levels, scored on the last
+    20% of ``train``; its restarts draw from EWNet's component-0 seed stream."""
     train = np.asarray(train, dtype=float)
+    val_len = max(1, int(round(0.2 * train.size)))
+    return (train[:-val_len], train[-val_len:],
+            ewnet.EwnetConfig(levels=0, p_grid=tuple(p_grid), train_cfg=cfg))
+
+
+def arnn_forecast(train, h: int, cfg: TrainConfig, p_grid=tuple(range(1, 21))) -> np.ndarray:
+    """Non-wavelet ARNN: the lag order is selected by ``arnn_search``, then the network
+    is refit on the whole series."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    val_len = max(1, int(round(0.2 * train.size)))
-    e_cfg = ewnet.EwnetConfig(levels=0, p_grid=tuple(p_grid), train_cfg=cfg)
-    p = ewnet.select_p(train[:-val_len], train[-val_len:], e_cfg)
+    head, tail, e_cfg = arnn_search(train, cfg, p_grid)
+    p = ewnet.select_p(head, tail, e_cfg)
     return ewnet.forecast_ewnet(ewnet.fit_ewnet(train, e_cfg, p), h)

@@ -340,8 +340,8 @@ def fit(config, data, value_column, frequency, out, seed,
             val_len = core.validation_len(values.size, horizon)
             train, val = values[:-val_len], values[-val_len:]
             p = ewnet.select_p(train, val, e_cfg)
-            model = ewnet.fit_ewnet(values, e_cfg, p)
-            head = ewnet.fit_ewnet(train, e_cfg, p)
+            model, head = map(core.unwrap, ewnet.fit_ewnets([(values, e_cfg, p),
+                                                             (train, e_cfg, p)]))
             cal = ewnet.validation_abs_residuals(head, val)
         residuals = ewnet.in_sample_residuals(model)
     except ValueError as exc:
@@ -465,8 +465,7 @@ def evaluate(config, data, value_column, frequency, out, seed,
         for kind in horizons:
             case = f"{keys['name']}:{kind}"
             try:
-                spec = evaluation.HorizonSpec.for_frequency(
-                    kind, 52 if series.frequency == 52 else 12)
+                spec = evaluation.HorizonSpec.for_frequency(kind, series.frequency)
             except (TypeError, ValueError):
                 raise ConfigError(f"unknown horizon {kind!r} (use short, medium or long)")
             try:
@@ -475,11 +474,13 @@ def evaluate(config, data, value_column, frequency, out, seed,
                 raise CliDataError(f"{case}: {exc}")
             plan.append((case, series, spec))
 
+    # Every case trains in one backtest; the first case in plan order that failed is reported.
     reports = []
-    for case, series, spec in plan:
+    backtest = evaluation.backtest([(series, spec) for _, series, spec in plan], e_cfg,
+                                   external=external_points)
+    for (case, *_), report in zip(plan, backtest):
         try:
-            reports.append((case, evaluation.rolling_evaluate(series, spec, e_cfg,
-                                                              external=external_points)))
+            reports.append((case, core.unwrap(report)))
         except UndefinedMetricError as exc:
             raise NumericError(str(exc))
         except ValueError as exc:

@@ -49,6 +49,21 @@ class MetricSet:
     smape: float
 
 
+def attempt(fn, *args):
+    """``fn(*args)``, or the ValueError it raised: a batch entry that fails alone."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+def unwrap(entry):
+    """A batch entry's value; an entry that is a ValueError is raised."""
+    if isinstance(entry, ValueError):
+        raise entry
+    return entry
+
+
 def validation_len(n: int, h: int) -> int:
     """Validation-window length for lag selection on ``n`` points at horizon ``h``:
     twice the horizon, capped at a quarter of the series, and at least one point."""

@@ -32,12 +32,11 @@ class HorizonSpec:
 
     @classmethod
     def for_frequency(cls, kind: str, frequency: int) -> "HorizonSpec":
-        """Short/medium/long spans: 13/26/52 weekly, 3/6/12 monthly."""
+        """Short/medium/long spans: 13/26/52 at frequency 52 (weekly), and the monthly
+        3/6/12 at any other frequency."""
         table = WEEKLY_STEPS if frequency == 52 else MONTHLY_STEPS
         if kind not in table:
             raise ValueError(f"unknown horizon kind {kind!r}")
-        if frequency not in (12, 52):
-            raise ValueError("frequency-derived horizons need weekly or monthly data")
         return cls(kind=kind, steps=table[kind])
 
 
@@ -143,27 +142,19 @@ def backtest_split(n: int, horizon: HorizonSpec, external: dict | None = None) -
     return SplitSpec.for_series(n, test_len=horizon.steps)
 
 
-def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,
-                     external: dict | None = None) -> EvaluationReport:
-    """Hold out the last ``steps`` points as test and the ``core.validation_len``
-    points before them as validation, fit EWNet, RW, RWD and ARNN on the prefix,
-    and score the test span.
-
-    The EWNet forecaster selects its lag order on the validation window, is
-    refit on train + validation, and additionally reports pre-control interval
-    coverage. ``external`` maps names to precomputed forecasts of at least
-    ``steps`` values, of which the first ``steps`` are scored; ``backtest_split``
-    checks them before any model is trained.
-    """
-    values = series.values
-    external = {name: np.asarray(point, dtype=float) for name, point in (external or {}).items()}
-    split = backtest_split(values.size, horizon, external)
-    train = values[: split.train_len]
-    val = values[split.train_len: split.train_len + split.val_len]
-    test = values[split.train_len + split.val_len:]
+def _plan_case(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig, external: dict):
+    """A case's horizon, split, test window, train + validation and lag searches."""
+    split = backtest_split(len(series), horizon, external)
+    train, val, test = np.split(series.values, [split.train_len, split.train_len + split.val_len])
     fit_span = np.concatenate([train, val])
+    return horizon, split, test, fit_span, [
+        (train, val, cfg), baselines.arnn_search(fit_span, cfg.train_cfg, cfg.p_grid)]
 
-    model = ewnet.fit_ewnet_selected(train, val, cfg)
+
+def _report(case, ewnet_fit, arnn_fit, cfg: EwnetConfig, external: dict) -> EvaluationReport:
+    """A case's report from its EWNet and ARNN refits (or their ValueErrors)."""
+    horizon, split, test, fit_span, _ = case
+    model = core.unwrap(ewnet_fit)
     point = ewnet.forecast_ewnet(model, horizon.steps)
     band = ewnet.precontrol_interval(point, ewnet.in_sample_residuals(model))
     coverage = float(np.mean((test >= band.lower) & (test <= band.upper)))
@@ -171,7 +162,7 @@ def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,
         point,
         baselines.rw_forecast(fit_span, horizon.steps),
         baselines.rwd_forecast(fit_span, horizon.steps),
-        baselines.arnn_forecast(fit_span, horizon.steps, cfg.train_cfg, p_grid=cfg.p_grid),
+        ewnet.forecast_ewnet(core.unwrap(arnn_fit), horizon.steps),
     )))
     forecasts.update((name, point[:horizon.steps]) for name, point in external.items())
     cells = tuple(
@@ -180,6 +171,39 @@ def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,
                        coverage=coverage if i == 0 else None)
         for i, (name, point) in enumerate(forecasts.items()))
     return EvaluationReport(horizon=horizon, split=split, cells=cells, forecasts=forecasts)
+
+
+def backtest(cases, cfg: EwnetConfig, external: dict | None = None) -> list:
+    """Backtest each (series, horizon) case: its report, or the ValueError it raised alone.
+
+    Hold out the last ``steps`` points as test and the ``core.validation_len``
+    points before them as validation, fit EWNet, RW, RWD and ARNN on the prefix,
+    and score the test span. The EWNet forecaster selects its lag order on the
+    validation window, is refit on train + validation, and additionally reports
+    pre-control interval coverage; ARNN is ``baselines.arnn_forecast`` on train +
+    validation. ``external`` maps names to precomputed forecasts of at least ``steps``
+    values, of which the first ``steps`` are scored; ``backtest_split`` checks them
+    before any model is trained. The lag searches of every case train as one batch,
+    then all the refits as another, so that independent cases share the worker.
+    """
+    external = {name: np.asarray(point, dtype=float) for name, point in (external or {}).items()}
+    plans = [core.attempt(_plan_case, series, horizon, cfg, external)
+             for series, horizon in cases]
+    # Each search's refit trains on its case's train + validation, with its settings.
+    searches = [(plan[3], search) for plan in plans if not isinstance(plan, ValueError)
+                for search in plan[4]]
+    lags = ewnet.select_lags([search for _, search in searches])
+    fits = iter(ewnet.fit_ewnets([(span, search[2], p)
+                                  for (span, search), p in zip(searches, lags)]))
+    return [plan if isinstance(plan, ValueError) else
+            core.attempt(_report, plan, next(fits), next(fits), cfg, external)
+            for plan in plans]
+
+
+def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,
+                     external: dict | None = None) -> EvaluationReport:
+    """The ``backtest`` of one case; its ValueError is raised."""
+    return core.unwrap(backtest([(series, horizon)], cfg, external)[0])
 
 
 def friedman_chi2(table: RankTable, alpha: float = 0.05) -> TestResult:

@@ -106,21 +106,39 @@ def _component_jobs(train: np.ndarray, cfg: EwnetConfig, p: int):
                     for idx, comp in enumerate(decomp.components())]
 
 
-def _assemble(train, decomp, p: int, fitted: list) -> EwnetModel:
-    """The model of one lag order from its fitted components; the first component's
-    ValueError is raised."""
-    for net in fitted:
-        if isinstance(net, ValueError):
-            raise net
-    return EwnetModel(decomposition=decomp, component_models=fitted, chosen_p=p,
-                      train_series=train)
+def _assemble(train, decomp, jobs, p: int, fitted) -> EwnetModel:
+    """The model of one lag order, taking one network per job from ``fitted``; the
+    first component's ValueError is raised."""
+    nets = [next(fitted) for _ in jobs]
+    return EwnetModel(decomposition=decomp, component_models=[core.unwrap(n) for n in nets],
+                      chosen_p=p, train_series=train)
+
+
+def _fit_plan(train, cfg: EwnetConfig, p):
+    """One fit's (train, decomposition, component jobs, p), the arguments of ``_assemble``."""
+    train = np.asarray(train, dtype=float)
+    p = core.unwrap(p)
+    return (train, *_component_jobs(train, cfg, p), p)
+
+
+def _fit_all(plans) -> list:
+    """Each ``_fit_plan``'s model or ValueError, its networks trained in one batch."""
+    jobs = [job for plan in plans if not isinstance(plan, ValueError) for job in plan[2]]
+    fitted = iter(neuralnet.fit_networks(jobs) if jobs else [])
+    return [plan if isinstance(plan, ValueError) else core.attempt(_assemble, *plan, fitted)
+            for plan in plans]
+
+
+def fit_ewnets(fits) -> list:
+    """Fit one network of lag order p per MRA component of each (train, cfg, p) in one
+    batch: each fit's model, or the ValueError it raised alone. A p that is a
+    ValueError (a failed ``select_lags`` entry) is that fit's result."""
+    return _fit_all([core.attempt(_fit_plan, *fit) for fit in fits])
 
 
 def fit_ewnet(train, cfg: EwnetConfig, p: int) -> EwnetModel:
     """Fit one network of lag order ``p`` per MRA component (no selection step)."""
-    train = np.asarray(train, dtype=float)
-    decomp, jobs = _component_jobs(train, cfg, p)
-    return _assemble(train, decomp, p, neuralnet.fit_networks(jobs))
+    return core.unwrap(fit_ewnets([(train, cfg, p)])[0])
 
 
 def forecast_ewnet(model: EwnetModel, h: int) -> np.ndarray:
@@ -148,29 +166,23 @@ def _finite_validation(val) -> np.ndarray:
     return val
 
 
-def select_p(train, val, cfg: EwnetConfig) -> int:
-    """Grid-search the shared lag order by validation-window forecast error.
-
-    Each candidate fits the full ensemble on ``train`` only and forecasts
-    len(val) steps; ties break toward the smaller lag. A candidate whose networks
-    fail is skipped; a decomposition that fails fails every candidate alike, so its
-    ValueError is raised as it is.
-    """
+def _search_plan(train, val, cfg: EwnetConfig):
+    """A lag search's windows and settings, and the ``_fit_plan`` of each candidate."""
     train = np.asarray(train, dtype=float)
     val = _finite_validation(val)
     if val.size == 0:
         raise ValueError("validation window must be non-empty")
-    # Every network of the grid is one batch, so that small candidates share the
-    # worker too; each candidate is then forecast and scored on its own.
-    candidates = [(p, *_component_jobs(train, cfg, p)) for p in sorted(cfg.p_grid)]
-    fitted = iter(neuralnet.fit_networks([job for *_, jobs in candidates for job in jobs]))
+    return train, val, cfg, [_fit_plan(train, cfg, p) for p in sorted(cfg.p_grid)]
+
+
+def _best_p(train, val, cfg: EwnetConfig, candidates, models) -> int:
+    """The best candidate's lag, each taking its model (or ValueError) from ``models``."""
     best_p = None
     best_score = math.inf
     errors: list[str] = []
-    for p, decomp, jobs in candidates:
-        nets = [next(fitted) for _ in jobs]
+    for *_, p in candidates:
         try:
-            forecast = forecast_ewnet(_assemble(train, decomp, p, nets), val.size)
+            forecast = forecast_ewnet(core.unwrap(next(models)), val.size)
             score = _score(val, forecast, train, cfg)
         except ValueError as exc:
             errors.append(f"p={p}: {exc}")
@@ -181,6 +193,26 @@ def select_p(train, val, cfg: EwnetConfig) -> int:
     if best_p is None:
         raise ValueError("no feasible lag order in the grid: " + "; ".join(errors))
     return best_p
+
+
+def select_lags(searches) -> list:
+    """Each (train, val, cfg) search's lag order, or the ValueError it raised alone.
+
+    Every candidate of every search fits its ensemble on ``train`` in one batch, so
+    that independent searches share the worker, and forecasts len(val) steps; the best
+    validation score wins, ties toward the smaller lag. A candidate whose networks fail
+    is skipped; a decomposition that fails fails the whole search.
+    """
+    plans = [core.attempt(_search_plan, *search) for search in searches]
+    models = iter(_fit_all([candidate for plan in plans if not isinstance(plan, ValueError)
+                            for candidate in plan[3]]))
+    return [plan if isinstance(plan, ValueError) else core.attempt(_best_p, *plan, models)
+            for plan in plans]
+
+
+def select_p(train, val, cfg: EwnetConfig) -> int:
+    """The lag order ``select_lags`` chooses for one search; its ValueError is raised."""
+    return core.unwrap(select_lags([(train, val, cfg)])[0])
 
 
 def fit_ewnet_selected(train, val, cfg: EwnetConfig) -> EwnetModel:

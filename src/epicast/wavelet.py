@@ -248,7 +248,8 @@ def modwt_matrix_oracle(series, levels: int, filter_pair: FilterPair | None = No
         coeff = u_j @ y
         wave_coeffs.append(coeff)
         details.append(u_j.T @ coeff)
-    v_top = _circulant(modwt_filters(base, levels).scaling, y.size)
+    # Zero levels keep the series whole, as in modwt_forward: the filter is a unit impulse.
+    v_top = _circulant(modwt_filters(base, levels).scaling if levels else np.ones(1), y.size)
     scaling_coeff = v_top @ y
     smooth = v_top.T @ scaling_coeff
 

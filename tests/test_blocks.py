@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from epicast import neuralnet
-from epicast.neuralnet import TrainConfig, fit_network, fit_networks
+from epicast.neuralnet import TrainConfig, fit_network, fit_networks, forecast_recursive
 
 
 def series(seed, n):
@@ -295,3 +295,24 @@ def test_fit_network_trains_in_this_process(monkeypatch):
     monkeypatch.setattr(neuralnet, "_worker", None)
     model = fit_network(series(5, 120), 3, 2, TrainConfig(epochs=60, restarts=4, seed=1))
     assert neuralnet._worker is None and len(model.training_loss) == 60
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["shared", "in-process"])
+def test_recursive_forecasts_of_fitted_networks_lie_within_the_output_bound(fan_out,
+                                                                           monkeypatch, cpus):
+    # Each hidden unit lies in [0, 1], so a network's output in z-units is bounded by
+    # |b2| + sum |w2|, averaged over restarts; so is every step of a recursive forecast,
+    # however far it runs. A large learning rate drives the weights far from their start.
+    monkeypatch.setattr(neuralnet, "_cpus", lambda: cpus)
+    batch = [(series(seed, n), p, k, TrainConfig(learning_rate=0.5, epochs=80, restarts=3,
+                                                 seed=seed))
+             for seed, (n, p, k) in enumerate([(40, 1, 1), (90, 3, 2), (150, 8, 4)])]
+    fan_out.clear()
+    nets = fit_networks(batch)
+    assert fan_out == ([len(batch)] if cpus == 2 else [])
+    for (y, *_), net in zip(batch, nets):
+        _, w_out, b2 = net.weights
+        center, scale = net.scaler
+        bound = np.mean(np.abs(b2) + np.abs(w_out).sum(axis=1))
+        z = (forecast_recursive(net, y, 500) - center) / scale
+        assert np.all(np.abs(z) <= bound + 1e-9 * (bound + abs(center) / scale))

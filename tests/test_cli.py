@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicast import core, neuralnet
+from epicast import core, ewnet, neuralnet
 from epicast.cli import _write_csv, main
 
 FAST_TRAIN = {"train": {"learning_rate": 0.05, "epochs": 60, "restarts": 2}}
@@ -229,6 +229,25 @@ class TestFit:
         assert len(doc["component_models"]) == 3
         assert len(doc["train_series"]) == 120
         assert doc["calibration_abs_residuals"] is None
+
+    def test_one_batch_for_the_refit_and_the_head_writes_the_model_of_separate_fits(
+            self, runner, tmp_path, monkeypatch):
+        batches = []
+        fit_ewnets = ewnet.fit_ewnets
+        monkeypatch.setattr(ewnet, "fit_ewnets",
+                            lambda fits: batches.append(len(fits)) or fit_ewnets(fits))
+        models = []
+        for separate in (False, True):
+            if separate:
+                monkeypatch.setattr(ewnet, "fit_ewnets",
+                                    lambda fits: [fit_ewnets([fit])[0] for fit in fits])
+            out = tmp_path / str(separate)
+            out.mkdir()
+            result = self._fit(runner, out, ["--p-grid", "1-2", "--horizon", "4"])
+            assert result.exit_code == 0, result.output
+            models.append((out / "model.json").read_bytes())
+        assert batches == [2]
+        assert models[0] == models[1]
 
     def test_selection_stores_calibration_residuals(self, runner, tmp_path):
         result = self._fit(runner, tmp_path, ["--p-grid", "1-2", "--horizon", "4"])
@@ -459,6 +478,37 @@ class TestEvaluate:
         assert "coverage" in case["results"]["EWNet"]
         for metric in ("rmse", "mae", "mase", "smape"):
             assert (tmp_path / f"ranks_{metric}.csv").exists()
+
+    @pytest.mark.parametrize("order", ["ab", "ba"])
+    def test_of_two_failing_cases_the_earlier_is_reported(self, runner, tmp_path,
+                                                          monkeypatch, order):
+        # Case a fails at its refit, after every lag search; case b, a constant series,
+        # fails in its lag search. Whichever comes first in the plan is reported.
+        write_series_csv(tmp_path / "a.csv", n=120, seed=5)
+        (tmp_path / "b.csv").write_text("value\n" + "5.0\n" * 120)
+        fit_network = neuralnet.fit_network
+
+        def failing(series, *args):
+            if len(series) == 117:  # a:short's train + validation
+                raise ValueError("diverged")
+            return fit_network(series, *args)
+
+        monkeypatch.setattr(neuralnet, "fit_network", failing)
+        monkeypatch.setattr(neuralnet, "_cpus", lambda: 1)  # so that every fit is patched
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST_TRAIN, "seed": 1, "p_grid": "1,2",
+                                   "horizons": ["short"],
+                                   "datasets": [{"data": str(tmp_path / f"{name}.csv"),
+                                                 "frequency": 12} for name in order]}))
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        undefined = "MASE undefined: constant training series"
+        assert result.output == {
+            "ab": "Error: a:short: diverged\n",
+            "ba": f"Error: b:short: no feasible lag order in the grid: p=1: {undefined}; "
+                  f"p=2: {undefined}\n"}[order]
+        assert not (tmp_path / "out").exists()
 
     def test_multi_dataset_ranks_feed_stats(self, runner, tmp_path):
         paths = []

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from epicast import neuralnet
 from epicast.core import TimeSeries
 from epicast.evaluation import (
     BUILTIN_FORECASTERS,
     HorizonSpec,
     RankTable,
     _average_ranks,
+    backtest,
     backtest_split,
     friedman_chi2,
     hurst_exponent,
@@ -47,9 +49,11 @@ class TestHorizonSpec:
         with pytest.raises(ValueError):
             HorizonSpec.for_frequency("decade", 52)
 
-    def test_unsupported_frequency(self):
-        with pytest.raises(ValueError):
-            HorizonSpec.for_frequency("short", 4)
+    @pytest.mark.parametrize("freq", [1, 4, 7, 365])
+    def test_any_other_frequency_takes_the_monthly_spans(self, freq):
+        # As the CLI and README document; this once raised for every frequency but 12 and 52.
+        assert [HorizonSpec.for_frequency(kind, freq).steps
+                for kind in ("short", "medium", "long")] == [3, 6, 12]
 
 
 class TestRankTable:
@@ -382,6 +386,38 @@ class TestRollingEvaluate:
         series = TimeSeries(values=np.arange(float(n)))
         with pytest.raises(ValueError, match=f"series of length {n} too short for horizon 3"):
             rolling_evaluate(series, HorizonSpec("short", 3), EwnetConfig())
+
+
+class TestBacktest:
+    def test_a_case_list_equals_rolling_evaluate_case_by_case(self, monkeypatch):
+        # Two datasets x two horizons, and a case too short to split, which fails alone.
+        rng = np.random.default_rng(11)
+        series = [TimeSeries(values=30.0 + np.cumsum(rng.normal(size=n)), frequency=12)
+                  for n in (90, 130)]
+        cases = [(s, HorizonSpec.for_frequency(kind, 12)) for s in series
+                 for kind in ("short", "long")]
+        cases.insert(2, (TimeSeries(values=np.arange(12.0)), HorizonSpec("short", 3)))
+        cfg = EwnetConfig(levels=1, p_grid=(1, 3),
+                          train_cfg=TrainConfig(learning_rate=0.05, epochs=30, restarts=2,
+                                                seed=4))
+        external = {"flat": np.full(12, 30.0)}
+        batches = []
+        fit_networks = neuralnet.fit_networks
+        monkeypatch.setattr(neuralnet, "fit_networks",
+                            lambda jobs: batches.append(len(jobs)) or fit_networks(jobs))
+        got = backtest(cases, cfg, external)
+        # Per case, the searches train 2 lags x 2 components (EWNet) and 2 lags (ARNN),
+        # and the refits 2 components and 1 network: one batch each for the four cases.
+        assert batches == [4 * (2 * 2 + 2), 4 * (2 + 1)]
+        assert str(got.pop(2)) == "series of length 12 too short for horizon 3"
+        del cases[2]
+        for report, (s, horizon) in zip(got, cases):
+            want = rolling_evaluate(s, horizon, cfg, external)
+            assert (report.horizon, report.split, report.cells) == \
+                (want.horizon, want.split, want.cells)
+            assert list(report.forecasts) == list(want.forecasts)
+            for name, point in want.forecasts.items():
+                assert report.forecasts[name].tobytes() == point.tobytes()
 
 
 class TestBacktestSplit:

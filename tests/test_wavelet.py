@@ -140,7 +140,7 @@ class TestReconstruction:
 
 
 class TestMatrixOracleAgreement:
-    @pytest.mark.parametrize("n,levels", [(16, 2), (45, 3), (96, 4), (128, 5)])
+    @pytest.mark.parametrize("n,levels", [(16, 0), (16, 2), (45, 3), (96, 4), (128, 5)])
     def test_fast_path_matches_oracle(self, n, levels):
         rng = np.random.default_rng(7)
         y = rng.normal(scale=5.0, size=n)
