@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import ewnet
+from . import core, ewnet
 from .neuralnet import TrainConfig
 
 
@@ -39,10 +39,9 @@ def arnn_search(train, cfg: TrainConfig, p_grid=tuple(range(1, 21))):
 
 
 def arnn_forecast(train, h: int, cfg: TrainConfig, p_grid=tuple(range(1, 21))) -> np.ndarray:
-    """Non-wavelet ARNN: the lag order is selected by ``arnn_search``, then the network
-    is refit on the whole series."""
+    """Non-wavelet ARNN: the ``ewnet.fit_selected`` model of ``arnn_search``, whose
+    refit spans the whole series."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    head, tail, e_cfg = arnn_search(train, cfg, p_grid)
-    p = ewnet.select_p(head, tail, e_cfg)
-    return ewnet.forecast_ewnet(ewnet.fit_ewnet(train, e_cfg, p), h)
+    model = ewnet.fit_selected([arnn_search(train, cfg, p_grid)])[0]
+    return ewnet.forecast_ewnet(core.unwrap(model), h)

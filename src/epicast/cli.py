@@ -124,9 +124,7 @@ def _resolve(cfg: dict, key: str, flag_value, default=None, required=False, kind
         return default
     if kind is not None:
         try:
-            if kind is int and _truncates(value):
-                raise ValueError(value)
-            value = kind(value)
+            value = core.whole(value, key) if kind is int else kind(value)
         except (TypeError, ValueError):
             raise ConfigError(f"bad value for {key!r}: {value!r} (expected {kind.__name__})")
     if check is not None and not check[0](value):
@@ -163,16 +161,10 @@ def _read_series(cfg: dict, data, value_column, frequency) -> tuple[TimeSeries, 
     return series, {"value_column": value_column, "data_sha256": _file_sha256(path)}
 
 
-def _truncates(value) -> bool:
-    """Whether ``int`` would truncate a config value: a bool (a typo, not 0 or 1) or a
-    float that is not a whole number."""
-    return isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
-
-
 def _train_value(value, default):
     """A 'train' value as the type of its default. A value that ``int`` would
     truncate is passed on as it is, for TrainConfig to reject."""
-    return value if _truncates(value) else type(default)(value)
+    return value if core.truncates(value) else type(default)(value)
 
 
 def _ewnet_config(cfg: dict, levels, p_grid, metric, seed) -> ewnet.EwnetConfig:
@@ -288,7 +280,7 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
         raise CliDataError(f"unsupported model schema version {version!r}")
     try:
         train = np.array(doc["train_series"], dtype=float)
-        decomposition = wavelet.modwt_forward(train, int(doc["levels"]))
+        decomposition = wavelet.modwt_forward(train, core.whole(doc["levels"], "levels"))
         for key in ("filter", "boundary"):
             if doc[key] != getattr(decomposition, key):
                 raise ValueError(f"{key!r} is {doc[key]!r}, but the model is rebuilt "
@@ -297,13 +289,13 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
             decomposition=decomposition,
             component_models=[_component_from_dict(c, d)
                               for c, d in enumerate(doc["component_models"])],
-            chosen_p=int(doc["chosen_p"]),
+            chosen_p=core.whole(doc["chosen_p"], "chosen_p"),
             train_series=train,
         )
         residuals = np.array(doc["in_sample_residuals"], dtype=float)
         cal = doc.get("calibration_abs_residuals")
         cal_arr = None if cal is None else np.array(cal, dtype=float)
-        seed = int(doc.get("seed", 0))
+        seed = core.whole(doc.get("seed", 0), "seed")
     except (KeyError, TypeError, ValueError) as exc:
         raise CliDataError(f"malformed model file: {type(exc).__name__}: {exc}")
     return model, residuals, cal_arr, seed

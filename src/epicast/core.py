@@ -64,6 +64,19 @@ def unwrap(entry):
     return entry
 
 
+def truncates(value) -> bool:
+    """Whether ``int`` would truncate ``value``: a bool (a typo, not 0 or 1) or a
+    float that is not a whole number."""
+    return isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+
+
+def whole(value, name: str) -> int:
+    """``int(value)``; a value that ``int`` would truncate is a ValueError naming ``name``."""
+    if truncates(value):
+        raise ValueError(f"{name!r} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def validation_len(n: int, h: int) -> int:
     """Validation-window length for lag selection on ``n`` points at horizon ``h``:
     twice the horizon, capped at a quarter of the series, and at least one point."""

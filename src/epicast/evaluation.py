@@ -158,11 +158,13 @@ def _report(case, ewnet_fit, arnn_fit, cfg: EwnetConfig, external: dict) -> Eval
     point = ewnet.forecast_ewnet(model, horizon.steps)
     band = ewnet.precontrol_interval(point, ewnet.in_sample_residuals(model))
     coverage = float(np.mean((test >= band.lower) & (test <= band.upper)))
+    if isinstance(arnn_fit, ValueError):  # named, so that it is not read as EWNet's
+        raise type(arnn_fit)(f"ARNN: {arnn_fit}")
     forecasts = dict(zip(BUILTIN_FORECASTERS, (
         point,
         baselines.rw_forecast(fit_span, horizon.steps),
         baselines.rwd_forecast(fit_span, horizon.steps),
-        ewnet.forecast_ewnet(core.unwrap(arnn_fit), horizon.steps),
+        ewnet.forecast_ewnet(arnn_fit, horizon.steps),
     )))
     forecasts.update((name, point[:horizon.steps]) for name, point in external.items())
     cells = tuple(
@@ -183,18 +185,18 @@ def backtest(cases, cfg: EwnetConfig, external: dict | None = None) -> list:
     pre-control interval coverage; ARNN is ``baselines.arnn_forecast`` on train +
     validation. ``external`` maps names to precomputed forecasts of at least ``steps``
     values, of which the first ``steps`` are scored; ``backtest_split`` checks them
-    before any model is trained. The lag searches of every case train as one batch,
-    then all the refits as another, so that independent cases share the worker.
+    before any model is trained. Every case's searches go to one ``ewnet.fit_selected``
+    call, whose lag searches train as one batch and refits as another, so that
+    independent cases share the worker. An ARNN error is reported with an ``ARNN: ``
+    prefix, after any error of EWNet's.
     """
     external = {name: np.asarray(point, dtype=float) for name, point in (external or {}).items()}
     plans = [core.attempt(_plan_case, series, horizon, cfg, external)
              for series, horizon in cases]
-    # Each search's refit trains on its case's train + validation, with its settings.
-    searches = [(plan[3], search) for plan in plans if not isinstance(plan, ValueError)
-                for search in plan[4]]
-    lags = ewnet.select_lags([search for _, search in searches])
-    fits = iter(ewnet.fit_ewnets([(span, search[2], p)
-                                  for (span, search), p in zip(searches, lags)]))
+    # Both searches of a case refit on its train + validation: EWNet's train and
+    # validation, and ARNN's head and tail, each concatenate to ``fit_span``.
+    fits = iter(ewnet.fit_selected([search for plan in plans
+                                    if not isinstance(plan, ValueError) for search in plan[4]]))
     return [plan if isinstance(plan, ValueError) else
             core.attempt(_report, plan, next(fits), next(fits), cfg, external)
             for plan in plans]

@@ -98,14 +98,6 @@ def _component_cfg(cfg: TrainConfig, component: int) -> TrainConfig:
     return replace(cfg, seed=seed)
 
 
-def _component_jobs(train: np.ndarray, cfg: EwnetConfig, p: int):
-    """The MODWT of ``train`` and the ``neuralnet.fit_networks`` job of each component."""
-    levels = cfg.levels if cfg.levels is not None else default_levels(train.size)
-    decomp = modwt_forward(train, levels, haar_filter())
-    return decomp, [(comp, p, hidden_neurons(p), _component_cfg(cfg.train_cfg, idx))
-                    for idx, comp in enumerate(decomp.components())]
-
-
 def _assemble(train, decomp, jobs, p: int, fitted) -> EwnetModel:
     """The model of one lag order, taking one network per job from ``fitted``; the
     first component's ValueError is raised."""
@@ -118,7 +110,10 @@ def _fit_plan(train, cfg: EwnetConfig, p):
     """One fit's (train, decomposition, component jobs, p), the arguments of ``_assemble``."""
     train = np.asarray(train, dtype=float)
     p = core.unwrap(p)
-    return (train, *_component_jobs(train, cfg, p), p)
+    levels = cfg.levels if cfg.levels is not None else default_levels(train.size)
+    decomp = modwt_forward(train, levels, haar_filter())
+    return train, decomp, [(comp, p, hidden_neurons(p), _component_cfg(cfg.train_cfg, idx))
+                           for idx, comp in enumerate(decomp.components())], p
 
 
 def _fit_all(plans) -> list:
@@ -215,16 +210,18 @@ def select_p(train, val, cfg: EwnetConfig) -> int:
     return core.unwrap(select_lags([(train, val, cfg)])[0])
 
 
-def fit_ewnet_selected(train, val, cfg: EwnetConfig) -> EwnetModel:
-    """Select the lag order on the validation window, then refit.
+def fit_selected(searches) -> list:
+    """Each (train, val, cfg) search's model, or the ValueError it raised alone: its
+    ``select_lags`` lag refit on train + validation, so that it sees the latest points.
+    The searches train as one ``select_lags`` batch, the refits as one ``fit_ewnets``."""
+    searches = list(searches)
+    return fit_ewnets([(None if isinstance(p, ValueError) else np.concatenate([train, val]),
+                        cfg, p) for (train, val, cfg), p in zip(searches, select_lags(searches))])
 
-    The final refit uses train + validation so the model sees the most recent
-    observations before forecasting the test span.
-    """
-    train = np.asarray(train, dtype=float)
-    val = np.asarray(val, dtype=float)
-    p = select_p(train, val, cfg)
-    return fit_ewnet(np.concatenate([train, val]), cfg, p)
+
+def fit_ewnet_selected(train, val, cfg: EwnetConfig) -> EwnetModel:
+    """The ``fit_selected`` model of one search; its ValueError is raised."""
+    return core.unwrap(fit_selected([(train, val, cfg)])[0])
 
 
 def in_sample_residuals(model: EwnetModel) -> np.ndarray:

@@ -59,6 +59,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import core
+
 MIN_WORK = 1_000_000  # estimated multiply-adds below which a batch trains in process
 
 
@@ -111,8 +113,9 @@ class NeuralNetModel:
     def __post_init__(self):
         if self.p < 1 or self.k < 1:
             raise ValueError(f"p and k must be >= 1, got p={self.p}, k={self.k}")
-        if self.scaler[1] <= 0:
-            raise ValueError("scale must be positive")
+        if not (np.isfinite(self.scaler[0]) and 0 < self.scaler[1] < np.inf):
+            raise ValueError(f"scaler needs a finite center and a finite scale > 0, "
+                             f"got {self.scaler}")
         if self.weights is None:
             return
         w_in, w_out, b2 = self.weights
@@ -150,7 +153,7 @@ class NeuralNetModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NeuralNetModel":
-        p, k, restarts = int(d["p"]), int(d["k"]), d["restarts"]
+        p, k, restarts = core.whole(d["p"], "p"), core.whole(d["k"], "k"), d["restarts"]
         weights = None
         if restarts:
             w1, b1, w2, b2 = (_restart_weights(restarts, key, shape) for key, shape in (
@@ -158,7 +161,8 @@ class NeuralNetModel:
                 ("hidden_to_output", (k,)), ("output_bias", ())))
             weights = (_stack(w1, b1), w2, b2)
         model = cls(weights=weights, p=p, k=k,
-                    scaler=(float(d["scaler"][0]), float(d["scaler"][1])), seed=int(d["seed"]))
+                    scaler=(float(d["scaler"][0]), float(d["scaler"][1])),
+                    seed=core.whole(d["seed"], "seed"))
         if (d["constant"], float(d["constant_value"])) != (model.constant, model.constant_value):
             raise ValueError("'constant' and 'constant_value' disagree with the restarts "
                              "and scaler")

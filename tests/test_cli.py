@@ -249,6 +249,20 @@ class TestFit:
         assert batches == [2]
         assert models[0] == models[1]
 
+    def test_a_constant_series_has_no_feasible_lag_order(self, runner, tmp_path):
+        data = tmp_path / "series.csv"
+        data.write_text("value\n" + "5.0\n" * 60)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FAST_TRAIN))
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--data", str(data),
+                                      "--seed", "1", "--p-grid", "1,2",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        undefined = "MASE undefined: constant training series"
+        assert result.output == ("Error: no feasible lag order in the grid: "
+                                 f"p=1: {undefined}; p=2: {undefined}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_selection_stores_calibration_residuals(self, runner, tmp_path):
         result = self._fit(runner, tmp_path, ["--p-grid", "1-2", "--horizon", "4"])
         assert result.exit_code == 0, result.output
@@ -420,8 +434,28 @@ class TestForecast:
         (lambda doc: doc.update(filter="d4"), "'filter' is 'd4'"),
         (lambda doc: doc.update(boundary="reflection"), "'boundary' is 'reflection'"),
         (zero_lag_order, "component 0: p and k must be >= 1, got p=0, k=1"),
+        # int() would truncate these; a bool is a typo, not 0 or 1.
+        (lambda doc: doc.update(levels=3.5), "ValueError: 'levels' must be a whole number, "
+                                             "got 3.5\n"),
+        (lambda doc: doc.update(levels=True), "'levels' must be a whole number, got True\n"),
+        (lambda doc: doc.update(chosen_p=3.7), "'chosen_p' must be a whole number, got 3.7\n"),
+        (lambda doc: doc.update(seed=1.9), "'seed' must be a whole number, got 1.9\n"),
+        (lambda doc: doc["component_models"][0].update(p=3.5),
+         "component 0: 'p' must be a whole number, got 3.5\n"),
+        (lambda doc: doc["component_models"][1].update(k=2.5),
+         "component 1: 'k' must be a whole number, got 2.5\n"),
+        (lambda doc: doc["component_models"][2].update(seed=True),
+         "component 2: 'seed' must be a whole number, got True\n"),
+        *((lambda doc, scaler=scaler: doc["component_models"][1].update(scaler=scaler),
+           "component 1: scaler needs a finite center and a finite scale > 0, got "
+           f"{tuple(scaler)}\n")
+          for scaler in ([np.nan, 2.0], [np.inf, 2.0], [1.0, np.nan], [1.0, np.inf],
+                         [1.0, 0.0])),
     ], ids=["wrong-length-hidden-bias", "missing-hidden-bias", "dropped-component",
-            "non-integer-seed", "filter-d4", "boundary-reflection", "zero-lag-order"])
+            "non-integer-seed", "filter-d4", "boundary-reflection", "zero-lag-order",
+            "fractional-levels", "bool-levels", "fractional-chosen-p", "fractional-seed",
+            "fractional-component-p", "fractional-component-k", "bool-component-seed",
+            "nan-center", "inf-center", "nan-scale", "inf-scale", "zero-scale"])
     def test_malformed_model_is_data_error(self, runner, tmp_path, damage, message):
         model = self._fitted_model(runner, tmp_path, ["--p", "2"])
         doc = json.loads(model.read_text())
@@ -509,6 +543,30 @@ class TestEvaluate:
             "ba": f"Error: b:short: no feasible lag order in the grid: p=1: {undefined}; "
                   f"p=2: {undefined}\n"}[order]
         assert not (tmp_path / "out").exists()
+
+    def test_an_arnn_failure_is_named(self, runner, tmp_path):
+        # Under sMAPE, EWNet's search on a constant series succeeds; ARNN's search always
+        # scores MASE, which is undefined on it, so ARNN fails alone.
+        data = tmp_path / "c.csv"
+        data.write_text("value\n" + "5.0\n" * 60)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST_TRAIN, "p_grid": "1,2"}))
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg), "--data", str(data),
+                                      "--frequency", "12", "--seed", "1", "--metric", "smape",
+                                      "--horizon", "short", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        undefined = "MASE undefined: constant training series"
+        assert result.output == ("Error: c:short: ARNN: no feasible lag order in the grid: "
+                                 f"p=1: {undefined}; p=2: {undefined}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_an_external_flag_without_a_path_is_config_error(self, runner, tmp_path,
+                                                            networks_trained):
+        result = runner.invoke(main, ["evaluate", "--seed", "1", "--external", "foo",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output.endswith("Error: --external expects name=path, got 'foo'\n")
+        assert networks_trained == []
 
     def test_multi_dataset_ranks_feed_stats(self, runner, tmp_path):
         paths = []
@@ -778,6 +836,15 @@ class TestStats:
             runner, tmp_path, lambda path: ["stats", "--ranks", str(path)],
             write_ranks_csv, "stats.json")
 
+    def test_rejects_a_single_model(self, runner, tmp_path):
+        ranks = tmp_path / "ranks.csv"
+        ranks.write_text("case,a\nc0,1\nc1,1\n")
+        result = runner.invoke(main, ["stats", "--ranks", str(ranks), "--out", str(tmp_path)])
+        assert result.exit_code == 3
+        assert result.output == ("Error: rank CSV needs a header 'case,<model>,...' "
+                                 "with >= 2 models\n")
+        assert not (tmp_path / "stats.json").exists()
+
     def test_rejects_mean_ranks_only(self, runner, tmp_path):
         ranks = tmp_path / "ranks.csv"
         ranks.write_text("case,a,b\nmean,1.4,1.6\n")
@@ -884,6 +951,16 @@ class TestConfigHandling:
         cfg.write_text("{not json")
         result = runner.invoke(main, ["decompose", "--config", str(cfg)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("cmd", ["decompose", "fit", "forecast", "evaluate", "stats",
+                                     "profile"])
+    def test_a_config_root_that_is_not_an_object_is_config_error(self, runner, tmp_path, cmd):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        result = runner.invoke(main, [cmd, "--config", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == "Error: config root must be a JSON object\n"
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_flag_overrides_config(self, runner, tmp_path):
         data = tmp_path / "series.csv"

@@ -13,6 +13,7 @@ from epicast.ewnet import (
     default_levels,
     fit_ewnet,
     fit_ewnet_selected,
+    fit_selected,
     forecast_ewnet,
     in_sample_residuals,
     precontrol_interval,
@@ -201,6 +202,55 @@ class TestLagSelection:
             neuralnet._close_worker()
         assert fanned == [1, 1]
         assert got == [(2, "no feasible lag order in the grid: p=8: non-finite weights")] * 2
+
+
+class TestFitSelected:
+    def test_two_searches_train_in_two_batches_the_models_of_separate_fits(self, monkeypatch):
+        y = lag4_series()
+        searches = [
+            (y[:-10], y[-10:], EwnetConfig(levels=2, p_grid=(2, 4), train_cfg=FAST)),
+            (y[:150], y[150:170], EwnetConfig(levels=1, p_grid=(1, 3, 4),
+                                              train_cfg=dataclasses.replace(FAST, seed=7))),
+        ]
+        # The sequence fit_selected replaces: select on train, refit on train + validation.
+        spelled_out = [fit_ewnet(np.concatenate([train, val]), cfg, select_p(train, val, cfg))
+                       for train, val, cfg in searches]
+        one_by_one = [fit_ewnet_selected(*search) for search in searches]
+        batches = []
+        fit_networks = neuralnet.fit_networks
+        monkeypatch.setattr(neuralnet, "fit_networks",
+                            lambda jobs: batches.append(len(jobs)) or fit_networks(jobs))
+        got = fit_selected(searches)
+        # 2 lags x 3 components and 3 lags x 2 components, then 3 + 2 components.
+        assert batches == [12, 5]
+
+        def state(model):
+            return (model.chosen_p, model.train_series.tobytes(),
+                    [net.to_dict() for net in model.component_models],
+                    forecast_ewnet(model, 7).tobytes())
+
+        for model, *expected in zip(got, spelled_out, one_by_one):
+            assert [state(model)] * 2 == [state(e) for e in expected]
+
+    def test_a_failing_search_is_its_items_value_error(self):
+        y = lag4_series()
+        cfg = EwnetConfig(levels=1, p_grid=(1, 2), train_cfg=FAST)
+        undefined = "MASE undefined: constant training series"
+        searches = [
+            (y[:7], y[7:12], EwnetConfig(p_grid=(1, 2), train_cfg=FAST)),
+            (np.full(30, 5.0), np.full(5, 5.0), cfg),
+            (y[:-10], y[-10:], cfg),
+            (y[:30], 5.0, cfg),  # a validation scalar, which train + validation cannot join
+        ]
+        got = fit_selected(searches)
+        assert [str(entry) for entry in got[:2]] == [
+            "need at least 8 training observations",
+            f"no feasible lag order in the grid: p=1: {undefined}; p=2: {undefined}"]
+        assert str(got[3]).startswith("no feasible lag order in the grid: p=1: length mismatch")
+        assert [type(entry) for entry in got] == [ValueError, ValueError, EwnetModel, ValueError]
+        alone = fit_ewnet_selected(*searches[2])
+        assert [net.to_dict() for net in got[2].component_models] == [
+            net.to_dict() for net in alone.component_models]
 
 
 class TestPrecontrolInterval:

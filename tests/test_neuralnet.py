@@ -327,6 +327,14 @@ class TestSerialization:
             with pytest.raises(ValueError, match="p and k must be >= 1"):
                 NeuralNetModel(weights=None, p=p, k=k, scaler=(0.0, 1.0), seed=0)
 
+    @pytest.mark.parametrize("scaler", [(np.nan, 2.0), (np.inf, 2.0), (-np.inf, 2.0),
+                                        (1.0, np.nan), (1.0, np.inf), (1.0, 0.0), (1.0, -2.0)])
+    def test_the_scaler_needs_a_finite_center_and_a_finite_positive_scale(self, scaler):
+        for weights in (None, NeuralNetModel.from_dict(COMPONENT_V1).weights):
+            with pytest.raises(ValueError, match="scaler needs a finite center and a finite "
+                                                 r"scale > 0, got \("):
+                NeuralNetModel(weights=weights, p=2, k=2, scaler=scaler, seed=0)
+
     def test_constant_keys_are_derived(self):
         constant = fit_network(np.full(30, 4.2), 2, 1, TrainConfig(epochs=5, restarts=1))
         doc = constant.to_dict()
