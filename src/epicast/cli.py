@@ -161,6 +161,14 @@ def _read_series(cfg: dict, data, value_column, frequency) -> tuple[TimeSeries, 
     return series, {"value_column": value_column, "data_sha256": _file_sha256(path)}
 
 
+def _bounded_levels(levels, n: int, error: type[Exception]):
+    """``levels``, unless it exceeds floor(log2 n), where a level's filter outgrows the series."""
+    if levels is not None and levels > n.bit_length() - 1:
+        raise error(f"bad value for 'levels': {levels} (expected at most floor(log2 N) = "
+                    f"{n.bit_length() - 1} for a series of N = {n} points)")
+    return levels
+
+
 def _train_value(value, default):
     """A 'train' value as the type of its default. A value that ``int`` would
     truncate is passed on as it is, for TrainConfig to reject."""
@@ -226,7 +234,8 @@ def decompose(config, data, value_column, frequency, out, levels):
     """Write the MODWT decomposition as CSV columns t, D1..DJ, SJ, original."""
     cfg = _load_config(config)
     series, keys = _read_series(cfg, data, value_column, frequency)
-    j = _resolve(cfg, "levels", levels, kind=int, check=(lambda v: v >= 0, ">= 0"))
+    j = _bounded_levels(_resolve(cfg, "levels", levels, kind=int, check=(lambda v: v >= 0, ">= 0")),
+                        len(series), ConfigError)
     try:
         if j is None:
             j = ewnet.default_levels(len(series))
@@ -280,7 +289,8 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
         raise CliDataError(f"unsupported model schema version {version!r}")
     try:
         train = np.array(doc["train_series"], dtype=float)
-        decomposition = wavelet.modwt_forward(train, core.whole(doc["levels"], "levels"))
+        decomposition = wavelet.modwt_forward(train, _bounded_levels(
+            core.whole(doc["levels"], "levels"), train.size, ValueError))
         for key in ("filter", "boundary"):
             if doc[key] != getattr(decomposition, key):
                 raise ValueError(f"{key!r} is {doc[key]!r}, but the model is rebuilt "
@@ -319,6 +329,7 @@ def fit(config, data, value_column, frequency, out, seed,
     series, keys = _read_series(cfg, data, value_column, frequency)
     horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int, check=AT_LEAST_ONE)
     e_cfg = _ewnet_config(cfg, levels, p_grid, metric, seed)
+    _bounded_levels(e_cfg.levels, len(series), ConfigError)
     # The digest keeps the horizon among the fit settings: it sizes the validation window.
     digest = _config_digest({"cmd": "fit", "config": {**dataclasses.asdict(e_cfg),
                                                       "horizon": horizon},
@@ -438,6 +449,7 @@ def evaluate(config, data, value_column, frequency, out, seed,
     datasets = []
     for entry in entries:
         series, keys = _read_series(entry, None, None, None)
+        _bounded_levels(e_cfg.levels, len(series), ConfigError)
         name = entry.get("name") or Path(entry["data"]).stem
         if any(name == other["name"] for _, other in datasets):
             raise ConfigError(f"two datasets are named {name!r}; give each a distinct 'name'")

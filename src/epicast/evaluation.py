@@ -1,11 +1,12 @@
 """Rolling-window backtesting, rank aggregation, and nonparametric model comparison.
 
-Only the p-values and MCB's critical value need ``scipy.stats``; it is imported
-where they are computed, so that importing this module (and the CLI) does not load it.
+The comparison tests' p-values and MCB's critical value (normal, chi-square and F
+tails, and the normal-range quantile) are computed with NumPy and ``math`` alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -208,6 +209,49 @@ def rolling_evaluate(series: TimeSeries, horizon: HorizonSpec, cfg: EwnetConfig,
     return core.unwrap(backtest([(series, horizon)], cfg, external)[0])
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * np.array([math.erfc(-v / math.sqrt(2.0)) for v in x])
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with whole ``df``: the finite sums of Abramowitz & Stegun
+    26.4.4-5, each term in logs so that exp(-x/2) cannot underflow before its factor."""
+    if x <= 0:
+        return 1.0
+    odd, log_x = df % 2, math.log(x)
+    total = math.erfc(math.sqrt(x / 2.0)) if odd else 0.0
+    log_term = -x / 2.0 + (0.5 * (log_x + math.log(2.0 / math.pi)) if odd else 0.0)
+    for i in range(1, df // 2 + 1):
+        total += math.exp(log_term)
+        log_term += log_x - math.log(2 * i + odd)
+    return min(total, 1.0)
+
+
+def _f_sf(x: float, d1: int, d2: int) -> float:
+    """P(F > x) for F with (d1, d2) df: I_y(d2/2, d1/2) at y = d2 / (d2 + d1 x), y and 1 - y
+    from logs, by the modified Lentz method (Numerical Recipes 3rd ed., 6.4), which converges
+    fast for y < (a + 1) / (a + b + 2); above that, I_y(a, b) = 1 - I_{1-y}(b, a)."""
+    ratio = d1 * x / d2
+    if ratio <= 0:
+        return 1.0
+    a, b, log_y, log_rest = d2 / 2.0, d1 / 2.0, -math.log1p(ratio), -math.log1p(1.0 / ratio)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * log_y + b * log_rest)
+    flip = math.exp(log_y) >= (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, log_y = b, a, log_rest
+    f, c, d, y = 1.0, 1.0, 0.0, math.exp(log_y)
+    for j in range(1, 20000):
+        k = j // 2
+        num = (-(a + k) * (a + b + k) if j % 2 else k * (b - k)) * y / ((a + j - 1) * (a + j))
+        d = 1.0 / (1.0 + num * d or 1e-300)
+        c = 1.0 + num / c or 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) <= 1e-16:
+            break
+    return 1.0 - front / (a * f) if flip else front / (a * f)
+
+
 def friedman_chi2(table: RankTable, alpha: float = 0.05) -> TestResult:
     """Friedman statistic 12D/(M(M+1)) * [sum R_m^2 - M(M+1)^2/4] on mean ranks."""
     d, m = table.ranks.shape
@@ -215,8 +259,7 @@ def friedman_chi2(table: RankTable, alpha: float = 0.05) -> TestResult:
         raise ValueError("need at least 2 datasets and 2 models")
     mean_ranks = table.mean_ranks()
     statistic = 12.0 * d / (m * (m + 1)) * (np.sum(mean_ranks**2) - m * (m + 1) ** 2 / 4.0)
-    from scipy import stats
-    p_value = stats.chi2.sf(statistic, df=m - 1)
+    p_value = _chi2_sf(statistic, m - 1)
     return TestResult.from_p(statistic, df=str(m - 1), p_value=p_value, alpha=alpha)
 
 
@@ -229,8 +272,7 @@ def iman_f(chi2: float, m: int, d: int, alpha: float = 0.05) -> TestResult:
         raise ValueError("chi-square statistic too large for the Iman F transform")
     statistic = (d - 1) * chi2 / denom
     df1, df2 = m - 1, (m - 1) * (d - 1)
-    from scipy import stats
-    p_value = stats.f.sf(statistic, df1, df2)
+    p_value = _f_sf(statistic, df1, df2)
     return TestResult.from_p(statistic, df=f"({df1}, {df2})", p_value=p_value, alpha=alpha)
 
 
@@ -280,10 +322,9 @@ def _wilcoxon_normal_p(diffs: np.ndarray, ranks: np.ndarray, w_plus: float) -> f
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, tie_counts = np.unique(np.abs(diffs), return_counts=True)
     var -= np.sum(tie_counts**3 - tie_counts) / 48.0
-    from scipy import stats
     # Continuity correction toward the mean.
     z = (w_plus - mu - 0.5 * np.sign(w_plus - mu)) / math.sqrt(var)
-    return min(1.0, 2.0 * stats.norm.sf(abs(z)))
+    return min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
 
 
 def wilcoxon_signed_rank(errors_a, errors_b, alpha: float = 0.05) -> TestResult:
@@ -310,10 +351,32 @@ class McbEntry:
     significantly_worse: bool
 
 
+@functools.cache
+def _range_quadrature() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """256 Gauss-Legendre nodes z on [-9, 9], their weights times the normal density, and Phi(z)."""
+    nodes, weights = np.polynomial.legendre.leggauss(256)
+    z = 9.0 * nodes
+    return z, 9.0 * weights * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi), _normal_cdf(z)
+
+
 def _studentized_range_q(alpha: float, m: int) -> float:
-    from scipy import stats
-    # Normal-based Tukey quantile: infinite error degrees of freedom.
-    return float(stats.studentized_range.ppf(1.0 - alpha, m, np.inf))
+    """Tukey's q at infinite error df: the root of P(q) = 1 - alpha for the cdf of the range
+    of m standard normals, P(q) = m * integral of phi(z) [Phi(z) - Phi(z - q)]^(m-1) dz, by
+    Newton steps on dP/dq at the same nodes; a step that leaves the root's bracket bisects it."""
+    z, weighted_density, cdf = _range_quadrature()
+    lo, hi, q = 0.0, 40.0, 3.0
+    for _ in range(100):
+        inner = cdf - _normal_cdf(z - q)
+        shifted_density = np.exp(-0.5 * (z - q) ** 2) / math.sqrt(2.0 * math.pi)
+        excess = float(m * (weighted_density @ inner ** (m - 1))) - (1.0 - alpha)
+        slope = float(m * (m - 1) * (weighted_density @ (inner ** (m - 2) * shifted_density)))
+        step = excess / slope if slope else math.inf
+        # Below an excess of 1e-15 the quadrature's rounding, not q, sets P(q).
+        if abs(step) <= 1e-12 * q or abs(excess) <= 1e-15:
+            return q - step
+        lo, hi = (q, hi) if excess < 0 else (lo, q)
+        q = q - step if lo < q - step < hi else 0.5 * (lo + hi)
+    return q
 
 
 def mcb_analysis(table: RankTable, alpha: float = 0.05,

@@ -226,11 +226,9 @@ def modwt_forward(series, levels: int, filter_pair: FilterPair | None = None) ->
 
 def _circulant(taps: np.ndarray, n: int) -> np.ndarray:
     """N x N matrix with row t holding taps at columns (t - m) mod N, filter taps wrapped."""
-    from scipy.linalg import circulant
-
     wrapped = np.zeros(n)
     np.add.at(wrapped, np.arange(taps.size) % n, taps)
-    return circulant(wrapped)
+    return wrapped[(np.arange(n)[:, None] - np.arange(n)) % n]
 
 
 def modwt_matrix_oracle(series, levels: int, filter_pair: FilterPair | None = None) -> WaveletDecomposition:

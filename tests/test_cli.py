@@ -176,6 +176,26 @@ class TestDecompose:
         assert "bad value for 'levels'" in result.output
         assert not (tmp_path / "decomposition.csv").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_levels_above_log2_n_is_config_error(self, runner, tmp_path, source):
+        # floor(log2 60) = 5: level 5 decomposes, while level 6 or 200 would wrap the
+        # level's filter around the series more than once.
+        data = tmp_path / "series.csv"
+        write_series_csv(data, n=60)
+        cfg = tmp_path / "cfg.json"
+        for levels, code in ((5, 0), (6, 2), (200, 2)):
+            cfg.write_text(json.dumps({} if source == "flag" else {"levels": levels}))
+            flag = ["--levels", str(levels)] if source == "flag" else []
+            out = tmp_path / str(levels)
+            result = runner.invoke(main, ["decompose", "--config", str(cfg), "--data",
+                                          str(data), *flag, "--out", str(out)])
+            assert result.exit_code == code, result.output
+            assert (out / "decomposition.csv").exists() == (code == 0)
+            if code:
+                assert result.output == (f"Error: bad value for 'levels': {levels} (expected at "
+                                         "most floor(log2 N) = 5 for a series of N = 60 "
+                                         "points)\n")
+
 
 class TestFit:
     def test_seed_is_mandatory(self, runner, tmp_path):
@@ -201,6 +221,23 @@ class TestFit:
         result = runner.invoke(main, ["fit", "--data", str(data), "--seed", "1",
                                       "--p-grid", "1", *flags, "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_levels_above_log2_n_is_config_error(self, runner, tmp_path, networks_trained,
+                                                  source):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FAST_TRAIN if source == "flag" else {**FAST_TRAIN, "levels": 7}))
+        flag = ["--levels", "7"] if source == "flag" else []
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--data", str(data),
+                                      "--seed", "1", "--p-grid", "1", *flag,
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert ("bad value for 'levels': 7 (expected at most floor(log2 N) = 6 for a series "
+                "of N = 120 points)") in result.output
+        assert networks_trained == []
         assert not (tmp_path / "model.json").exists()
 
     def test_zero_levels_fits_one_network_on_the_series(self, runner, tmp_path):
@@ -438,6 +475,11 @@ class TestForecast:
         (lambda doc: doc.update(levels=3.5), "ValueError: 'levels' must be a whole number, "
                                              "got 3.5\n"),
         (lambda doc: doc.update(levels=True), "'levels' must be a whole number, got True\n"),
+        # The 120-point train_series allows floor(log2 120) = 6 levels.
+        (lambda doc: doc.update(levels=7), "ValueError: bad value for 'levels': 7 (expected "
+                                           "at most floor(log2 N) = 6 for a series of N = 120 "
+                                           "points)\n"),
+        (lambda doc: doc.update(levels=1e300), "ValueError: bad value for 'levels': 1000000"),
         (lambda doc: doc.update(chosen_p=3.7), "'chosen_p' must be a whole number, got 3.7\n"),
         (lambda doc: doc.update(seed=1.9), "'seed' must be a whole number, got 1.9\n"),
         (lambda doc: doc["component_models"][0].update(p=3.5),
@@ -453,7 +495,8 @@ class TestForecast:
                          [1.0, 0.0])),
     ], ids=["wrong-length-hidden-bias", "missing-hidden-bias", "dropped-component",
             "non-integer-seed", "filter-d4", "boundary-reflection", "zero-lag-order",
-            "fractional-levels", "bool-levels", "fractional-chosen-p", "fractional-seed",
+            "fractional-levels", "bool-levels", "levels-7", "levels-1e300",
+            "fractional-chosen-p", "fractional-seed",
             "fractional-component-p", "fractional-component-k", "bool-component-seed",
             "nan-center", "inf-center", "nan-scale", "inf-scale", "zero-scale"])
     def test_malformed_model_is_data_error(self, runner, tmp_path, damage, message):
@@ -512,6 +555,22 @@ class TestEvaluate:
         assert "coverage" in case["results"]["EWNet"]
         for metric in ("rmse", "mae", "mase", "smape"):
             assert (tmp_path / f"ranks_{metric}.csv").exists()
+
+    def test_levels_above_log2_n_is_config_error(self, runner, tmp_path, networks_trained):
+        write_series_csv(tmp_path / "long.csv", n=200, seed=2)
+        write_series_csv(tmp_path / "short.csv", n=120, seed=2)
+        cfg = tmp_path / "cfg.json"
+        datasets = [{"data": str(tmp_path / name), "frequency": 12}
+                    for name in ("long.csv", "short.csv")]
+        cfg.write_text(json.dumps({**FAST_TRAIN, "levels": 7, "datasets": datasets}))
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg), "--seed", "1",
+                                      "--horizon", "short", "--p-grid", "1",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert ("bad value for 'levels': 7 (expected at most floor(log2 N) = 6 for a series "
+                "of N = 120 points)") in result.output
+        assert networks_trained == []
+        assert not (tmp_path / "evaluation.json").exists()
 
     @pytest.mark.parametrize("order", ["ab", "ba"])
     def test_of_two_failing_cases_the_earlier_is_reported(self, runner, tmp_path,

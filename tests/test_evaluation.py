@@ -1,4 +1,7 @@
 import itertools
+import math
+import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +16,9 @@ from epicast.evaluation import (
     HorizonSpec,
     RankTable,
     _average_ranks,
+    _chi2_sf,
+    _f_sf,
+    _studentized_range_q,
     backtest,
     backtest_split,
     friedman_chi2,
@@ -262,8 +268,6 @@ class TestMcb:
 
     def test_default_critical_constant(self):
         # Frozen Tukey quantile q_{0.05} for 23 groups, infinite df.
-        from epicast.evaluation import _studentized_range_q
-
         assert _studentized_range_q(0.05, 23) == pytest.approx(5.1132, abs=2e-3)
 
     def test_separated_model_flagged_worse(self):
@@ -283,6 +287,79 @@ class TestMcb:
         table = random_rank_table(10, 3, 1)
         entries = mcb_analysis(table, critical_constant=50.0)
         assert not any(e.significantly_worse for e in entries)
+
+
+class TestDistributions:
+    """The NumPy/math tail probabilities and range quantile against scipy.stats."""
+
+    def test_chi2_sf_matches_scipy(self):
+        x = np.r_[0.0, np.geomspace(1e-4, 500.0, 80)]
+        for df in range(1, 30):
+            np.testing.assert_allclose([_chi2_sf(v, df) for v in x], stats.chi2.sf(x, df),
+                                       rtol=1e-9, atol=0, err_msg=f"df={df}")
+
+    def test_f_sf_matches_scipy(self):
+        x = np.r_[0.0, np.geomspace(1e-4, 1e3, 60)]
+        for d1 in range(1, 30):
+            for d2 in (1, 5, 29, 145, 1000):
+                # atol: scipy's own tail loses digits below ~1e-290 (3.6e-4 relative at
+                # 3e-302 against mpmath) and gives 0 where this gives denormals.
+                np.testing.assert_allclose([_f_sf(v, d1, d2) for v in x],
+                                           stats.f.sf(x, d1, d2), rtol=1e-9, atol=1e-300,
+                                           err_msg=f"d1={d1}, d2={d2}")
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_range_quantile_matches_scipy(self, alpha):
+        m = np.arange(2, 31)
+        np.testing.assert_allclose([_studentized_range_q(alpha, int(k)) for k in m],
+                                   stats.studentized_range.ppf(1.0 - alpha, m, np.inf),
+                                   rtol=1e-9, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(df=st.integers(1, 60), d2=st.integers(1, 2000),
+           x=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2))
+    def test_tail_probabilities_lie_in_the_unit_interval_and_do_not_increase(self, df, d2, x):
+        # Sums and fractions round, so x a few ulps apart may break the order by as much.
+        lo, hi = sorted(x)
+        for sf in (lambda v: _chi2_sf(v, df), lambda v: _f_sf(v, df, d2)):
+            assert 0.0 <= sf(hi) <= sf(lo) * (1.0 + 1e-12)
+            assert sf(lo) <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(0.0, 1e4))
+    def test_chi2_with_two_df_is_exponential(self, x):
+        assert _chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2.0), rel=1e-12, abs=0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(alpha=st.floats(1e-3, 0.9))
+    def test_range_of_two_normals_is_root_two_times_the_normal_quantile(self, alpha):
+        # The range of two standard normals is |Z1 - Z2| = sqrt(2) |Z|, and
+        # Phi^-1(1 - alpha/2) = -Phi^-1(alpha/2), which does not round 1 - alpha/2.
+        expected = -math.sqrt(2.0) * statistics.NormalDist().inv_cdf(alpha / 2.0)
+        assert _studentized_range_q(alpha, 2) == pytest.approx(expected, rel=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(df=st.integers(1, 60), d2=st.integers(1, 2000))
+    def test_a_zero_statistic_has_p_one(self, df, d2):
+        assert _chi2_sf(0.0, df) == 1.0
+        assert _f_sf(0.0, df, d2) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(df=st.integers(1, 60), d2=st.integers(1, 2000),
+           x=st.floats(1e6, np.finfo(float).max))
+    def test_a_huge_statistic_has_a_finite_p_and_warns_nothing(self, df, d2, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (_chi2_sf(x, df), _f_sf(x, df, d2), _f_sf(x, d2, df)):
+                assert math.isfinite(p) and p >= 0.0
+
+    def test_a_zero_friedman_statistic_has_p_one(self):
+        # Each model holds every rank once, so the mean ranks are equal.
+        ranks = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 1.0], [3.0, 1.0, 2.0]])
+        result = friedman_chi2(RankTable(models=("a", "b", "c"), datasets=("x", "y", "z"),
+                                         ranks=ranks, metric="mase"))
+        assert result.statistic == pytest.approx(0.0, abs=1e-12)
+        assert result.p_value == 1.0
 
 
 class TestHurst:

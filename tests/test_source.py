@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports at its top level is used in it."""
+"""Source hygiene: every name a module imports at its top level is used in it, and no
+module imports scipy, which is a test dependency only."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,14 @@ def test_every_top_level_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported_names(tree) if name not in used] == []
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(epicast.__file__)],
+                         ids=[path.stem for path in MODULES] + ["__init__"])
+def test_no_module_imports_scipy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert [name for name in modules if name.split(".")[0] == "scipy"] == []

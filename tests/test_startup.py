@@ -1,6 +1,6 @@
 """Start-up cost and process lifetime.
 
-Only the model-comparison statistics load ``scipy.stats``; importing the CLI
+No command loads scipy, which is a test dependency only; importing the CLI
 loads no process-pool machinery, and a finished ``epicast fit`` leaves no worker
 process behind. Each check runs in a fresh interpreter, since this test process
 has already imported scipy through other test modules.
@@ -81,11 +81,20 @@ def test_a_finished_fit_leaves_no_worker_running(tmp_path):
             os.kill(pid, 0)
 
 
-def test_only_stats_loads_scipy_stats(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
+    # A finder placed first on sys.meta_path makes any import of scipy raise, so a
+    # command that needs scipy fails here even where scipy is installed.
     result = run_python("""
         import json, sys
         import numpy as np
         from click.testing import CliRunner
+
+        class NoScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError(f"{name} is blocked")
+
+        sys.meta_path.insert(0, NoScipy())
         from epicast.cli import main
 
         y = 30.0 + np.cumsum(np.random.default_rng(3).normal(size=60))
@@ -95,7 +104,7 @@ def test_only_stats_loads_scipy_stats(tmp_path):
             json.dump({"train": {"epochs": 1, "restarts": 2}}, handle)
         common = ["--config", "cfg.json", "--data", "series.csv"]
         runner = CliRunner()
-        codes = {}
+        outputs = {}
         for name, argv in [
             ("fit", ["fit", *common, "--seed", "1", "--levels", "1", "--p-grid", "1,2",
                      "--horizon", "3", "--out", "fit"]),
@@ -107,15 +116,15 @@ def test_only_stats_loads_scipy_stats(tmp_path):
             ("evaluate", ["evaluate", *common, "--frequency", "12", "--seed", "1",
                           "--p-grid", "1,2", "--horizon", "short", "--horizon", "long",
                           "--out", "evaluate"]),
+            ("stats", ["stats", "--ranks", "evaluate/ranks_mase.csv", "--out", "stats"]),
         ]:
-            codes[name] = runner.invoke(main, argv).exit_code
-        before = "scipy.stats" in sys.modules
-        codes["stats"] = runner.invoke(
-            main, ["stats", "--ranks", "evaluate/ranks_mase.csv", "--out", "stats"]).exit_code
-        print(json.dumps({"codes": codes, "before_stats": before,
-                          "after_stats": "scipy.stats" in sys.modules}))
+            run = runner.invoke(main, argv)
+            outputs[name] = [run.exit_code, run.output]
+        print(json.dumps({"outputs": outputs, "loaded": sorted(
+            m for m in sys.modules if m.split(".")[0] == "scipy")}))
     """, tmp_path)
-    assert result["codes"] == {name: 0 for name in (
-        "fit", "forecast", "decompose", "profile", "evaluate", "stats")}
-    assert result["before_stats"] is False
-    assert result["after_stats"] is True
+    assert {name: code for name, (code, _) in result["outputs"].items()} == {
+        name: 0 for name in ("fit", "forecast", "decompose", "profile", "evaluate", "stats")
+    }, result["outputs"]
+    assert result["loaded"] == []
+    assert (tmp_path / "stats" / "stats.json").is_file()
