@@ -37,6 +37,7 @@ AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 IN_UNIT_INTERVAL = (lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
 # Checked with isinstance: os.path.isfile() reads an int as a file descriptor.
 PATH = (lambda v: isinstance(v, str), "a path string")
+INTERVAL = (lambda v: v in ("precontrol", "conformal"), "'precontrol' or 'conformal'")
 
 
 class ConfigError(click.ClickException):
@@ -112,9 +113,9 @@ def _resolve(cfg: dict, key: str, flag_value, default=None, required=False, kind
              check=None):
     """The flag, else the config key (JSON null counts as unset), else ``default``.
 
-    ``kind`` (e.g. ``int``) converts a flag or config value, and ``check``, a
-    (predicate, description) pair, bounds the converted value; a value either
-    rejects, or one that ``int`` would truncate, is a config error.
+    ``kind``, ``int`` or ``float``, takes a flag or config value through ``core.number``
+    (``int`` as a whole number), and ``check``, a (predicate, description) pair, bounds
+    the converted value; a value either rejects is a config error.
     """
     value = flag_value if flag_value is not None else cfg.get(key)
     if value is None:
@@ -124,8 +125,8 @@ def _resolve(cfg: dict, key: str, flag_value, default=None, required=False, kind
         return default
     if kind is not None:
         try:
-            value = core.whole(value, key) if kind is int else kind(value)
-        except (TypeError, ValueError):
+            value = core.number(value, key, whole=kind is int)
+        except ValueError:
             raise ConfigError(f"bad value for {key!r}: {value!r} (expected {kind.__name__})")
     if check is not None and not check[0](value):
         raise ConfigError(f"bad value for {key!r}: {value!r} (expected {check[1]})")
@@ -169,12 +170,6 @@ def _bounded_levels(levels, n: int, error: type[Exception]):
     return levels
 
 
-def _train_value(value, default):
-    """A 'train' value as the type of its default. A value that ``int`` would
-    truncate is passed on as it is, for TrainConfig to reject."""
-    return value if core.truncates(value) else type(default)(value)
-
-
 def _ewnet_config(cfg: dict, levels, p_grid, metric, seed) -> ewnet.EwnetConfig:
     levels = _resolve(cfg, "levels", levels, kind=int)
     grid = _parse_grid(_resolve(cfg, "p_grid", p_grid, default="1-20"))
@@ -187,9 +182,8 @@ def _ewnet_config(cfg: dict, levels, p_grid, metric, seed) -> ewnet.EwnetConfig:
     try:
         if not isinstance(train, dict) or not set(train) <= set(TRAIN_KEYS):
             raise ValueError(f"keys must be among {', '.join(TRAIN_KEYS)}")
-        train_cfg = dataclasses.replace(
-            base, **{key: _train_value(value, getattr(base, key)) for key, value in train.items()})
-    except (TypeError, ValueError) as exc:
+        train_cfg = dataclasses.replace(base, **train)
+    except ValueError as exc:
         raise ConfigError(f"bad 'train' config {train!r}: {exc}")
     try:
         return ewnet.EwnetConfig(
@@ -288,9 +282,9 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
     if version != MODEL_SCHEMA_VERSION:
         raise CliDataError(f"unsupported model schema version {version!r}")
     try:
-        train = np.array(doc["train_series"], dtype=float)
+        train = core.numbers(doc["train_series"], "'train_series'")
         decomposition = wavelet.modwt_forward(train, _bounded_levels(
-            core.whole(doc["levels"], "levels"), train.size, ValueError))
+            core.number(doc["levels"], "'levels'", whole=True), train.size, ValueError))
         for key in ("filter", "boundary"):
             if doc[key] != getattr(decomposition, key):
                 raise ValueError(f"{key!r} is {doc[key]!r}, but the model is rebuilt "
@@ -299,13 +293,13 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
             decomposition=decomposition,
             component_models=[_component_from_dict(c, d)
                               for c, d in enumerate(doc["component_models"])],
-            chosen_p=core.whole(doc["chosen_p"], "chosen_p"),
+            chosen_p=core.number(doc["chosen_p"], "'chosen_p'", whole=True),
             train_series=train,
         )
-        residuals = np.array(doc["in_sample_residuals"], dtype=float)
+        residuals = core.numbers(doc["in_sample_residuals"], "'in_sample_residuals'")
         cal = doc.get("calibration_abs_residuals")
-        cal_arr = None if cal is None else np.array(cal, dtype=float)
-        seed = core.whole(doc.get("seed", 0), "seed")
+        cal_arr = None if cal is None else core.numbers(cal, "'calibration_abs_residuals'")
+        seed = core.number(doc.get("seed", 0), "'seed'", whole=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliDataError(f"malformed model file: {type(exc).__name__}: {exc}")
     return model, residuals, cal_arr, seed
@@ -367,7 +361,7 @@ def forecast(config, model_path, horizon, interval, level, out):
     cfg = _load_config(config)
     model_path = _resolve(cfg, "model", model_path, required=True, check=PATH)
     horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int, check=AT_LEAST_ONE)
-    interval = _resolve(cfg, "interval", interval, default="precontrol")
+    interval = _resolve(cfg, "interval", interval, default="precontrol", check=INTERVAL)
     level = _resolve(cfg, "level", level, default=0.9, kind=float, check=IN_UNIT_INTERVAL)
     model, residuals, cal, seed = _model_from_json(_read_json(model_path, CliDataError))
     # Identify the model by content, not path, so identical models yield

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,17 +65,23 @@ def unwrap(entry):
     return entry
 
 
-def truncates(value) -> bool:
-    """Whether ``int`` would truncate ``value``: a bool (a typo, not 0 or 1) or a
-    float that is not a whole number."""
-    return isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+def number(value, name: str, whole: bool = False) -> float | int:
+    """``value``, a number read from a file or a setting, as a float, or with ``whole`` as an
+    int. Anything but a Python or NumPy int or float (a bool is a typo, not 0 or 1), a fraction
+    with ``whole``, or an int past the float range is a ValueError naming ``name``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        if whole and (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+            return int(value)
+        if not whole and not (isinstance(value, int) and abs(value) > sys.float_info.max):
+            return float(value)
+    raise ValueError(f"{name} must be a {'whole ' if whole else ''}number, got {value!r}")
 
 
-def whole(value, name: str) -> int:
-    """``int(value)``; a value that ``int`` would truncate is a ValueError naming ``name``."""
-    if truncates(value):
-        raise ValueError(f"{name!r} must be a whole number, got {value!r}")
-    return int(value)
+def numbers(values, name: str) -> np.ndarray:
+    """A JSON array of ``number``s as a float array; a bad item is named ``name[i]``."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    return np.array([number(value, f"{name}[{i}]") for i, value in enumerate(values)])
 
 
 def validation_len(n: int, h: int) -> int:

@@ -360,21 +360,27 @@ def _range_quadrature() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _studentized_range_q(alpha: float, m: int) -> float:
-    """Tukey's q at infinite error df: the root of P(q) = 1 - alpha for the cdf of the range
-    of m standard normals, P(q) = m * integral of phi(z) [Phi(z) - Phi(z - q)]^(m-1) dz, by
-    Newton steps on dP/dq at the same nodes; a step that leaves the root's bracket bisects it."""
+    """Tukey's q at infinite error df: the root of log T(q) = log alpha for the upper tail T =
+    1 - P of the range of m standard normals, P(q) = m * integral of phi(z) [Phi(z) - Phi(z -
+    q)]^(m-1) dz, by Newton steps on dP/dq at the same nodes; a step that leaves the root's
+    bracket bisects it. For a small alpha's relative accuracy, T is integrated directly, as
+    m * integral of phi(z) Phi(z)^(m-1) (1 - (1 - r)^(m-1)) dz with r = Phi(z - q) / Phi(z)."""
     z, weighted_density, cdf = _range_quadrature()
     lo, hi, q = 0.0, 40.0, 3.0
     for _ in range(100):
-        inner = cdf - _normal_cdf(z - q)
+        shifted = _normal_cdf(z - q)
+        with np.errstate(divide="ignore"):  # r = 1, log1p(-1), where both cdfs round to 1
+            beyond = -np.expm1((m - 1) * np.log1p(-shifted / cdf))
+        tail = float(m * (weighted_density @ (cdf ** (m - 1) * beyond)))
         shifted_density = np.exp(-0.5 * (z - q) ** 2) / math.sqrt(2.0 * math.pi)
-        excess = float(m * (weighted_density @ inner ** (m - 1))) - (1.0 - alpha)
-        slope = float(m * (m - 1) * (weighted_density @ (inner ** (m - 2) * shifted_density)))
-        step = excess / slope if slope else math.inf
-        # Below an excess of 1e-15 the quadrature's rounding, not q, sets P(q).
+        excess = (math.log(tail) if tail > 0.0 else -math.inf) - math.log(alpha)
+        slope = float(m * (m - 1) * (weighted_density @ ((cdf - shifted) ** (m - 2)
+                                                         * shifted_density)))
+        step = -excess * tail / slope if slope else math.inf  # d log T / dq = -slope / T
+        # Below an excess of 1e-15 the quadrature's rounding, not q, sets log T(q).
         if abs(step) <= 1e-12 * q or abs(excess) <= 1e-15:
             return q - step
-        lo, hi = (q, hi) if excess < 0 else (lo, q)
+        lo, hi = (q, hi) if excess > 0 else (lo, q)
         q = q - step if lo < q - step < hi else 0.5 * (lo + hi)
     return q
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -31,23 +30,24 @@ class EwnetConfig:
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if not self.p_grid:
-            raise ValueError("p_grid must be non-empty")
-        if not all(_positive_int(p) for p in self.p_grid):
-            raise ValueError(f"p_grid lags must be positive integers, got {tuple(self.p_grid)}")
-        if len(set(self.p_grid)) != len(self.p_grid):
-            # select_p would train the same candidate once per repeat.
-            raise ValueError(f"p_grid has a repeated lag: {tuple(self.p_grid)}")
-        if self.levels is not None and self.levels < 0:
-            raise ValueError("levels must be >= 0")
+        grid = tuple(_at_least(p, 1, "p_grid lag") for p in self.p_grid)
+        if not grid or len(set(grid)) != len(grid):
+            # select_p would train a repeated lag's candidate once per repeat.
+            raise ValueError(f"p_grid must be non-empty and repeat no lag, got {grid}")
         if self.selection_metric not in ("mase", "smape"):
             raise ValueError("selection_metric must be 'mase' or 'smape'")
-        if not _positive_int(self.seasonal_lag):
-            raise ValueError(f"seasonal_lag must be a positive integer, got {self.seasonal_lag!r}")
+        object.__setattr__(self, "p_grid", grid)
+        object.__setattr__(self, "seasonal_lag", _at_least(self.seasonal_lag, 1, "seasonal_lag"))
+        if self.levels is not None:
+            object.__setattr__(self, "levels", _at_least(self.levels, 0, "levels"))
 
 
-def _positive_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
+def _at_least(value, low: int, name: str) -> int:
+    """``value`` as a whole number (``core.number``) of at least ``low``."""
+    value = core.number(value, name, whole=True)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 @dataclass

@@ -50,11 +50,10 @@ fork fails. A forked child never uses its parent's worker.
 
 from __future__ import annotations
 
-import numbers
 import os
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -74,14 +73,9 @@ class TrainConfig:
     patience: int = 25
 
     def __post_init__(self):
-        # A bool is an int to Python; as a setting it is a typo, not 1 or 1.0.
-        for key in ("epochs", "restarts", "patience", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        for key in ("learning_rate", "tolerance"):
-            if isinstance(getattr(self, key), bool):
-                raise ValueError(f"{key} must be a number, got {getattr(self, key)!r}")
+        for f in fields(self):  # every setting is a number, whole where its default is an int
+            object.__setattr__(self, f.name, core.number(getattr(self, f.name), f.name,
+                                                         whole=isinstance(f.default, int)))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < np.inf:
@@ -153,17 +147,18 @@ class NeuralNetModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NeuralNetModel":
-        p, k, restarts = core.whole(d["p"], "p"), core.whole(d["k"], "k"), d["restarts"]
+        p, k = (core.number(d[key], repr(key), whole=True) for key in ("p", "k"))
         weights = None
-        if restarts:
-            w1, b1, w2, b2 = (_restart_weights(restarts, key, shape) for key, shape in (
+        if d["restarts"]:
+            w1, b1, w2, b2 = (_restart_weights(d["restarts"], key, shape) for key, shape in (
                 ("input_to_hidden", (k, p)), ("hidden_bias", (k,)),
                 ("hidden_to_output", (k,)), ("output_bias", ())))
             weights = (_stack(w1, b1), w2, b2)
-        model = cls(weights=weights, p=p, k=k,
-                    scaler=(float(d["scaler"][0]), float(d["scaler"][1])),
-                    seed=core.whole(d["seed"], "seed"))
-        if (d["constant"], float(d["constant_value"])) != (model.constant, model.constant_value):
+        center, scale = core.numbers(d["scaler"], "'scaler'").tolist()
+        model = cls(weights=weights, p=p, k=k, scaler=(center, scale),
+                    seed=core.number(d["seed"], "'seed'", whole=True))
+        if ((d["constant"], core.number(d["constant_value"], "'constant_value'"))
+                != (model.constant, model.constant_value)):
             raise ValueError("'constant' and 'constant_value' disagree with the restarts "
                              "and scaler")
         return model
@@ -174,14 +169,11 @@ def _restart_weights(restarts: list, key: str, shape: tuple[int, ...]) -> np.nda
 
     A list of the wrong length, or anything but a JSON number where a number
     belongs, is reported by restart index and key, e.g. "restart 0: 'hidden_bias'
-    has 3 values, expected 2" or "restart 1: 'output_bias' is not a number: 'x'".
+    has 3 values, expected 2" or "restart 1: 'output_bias' must be a number, got 'x'".
     """
     def check(values, shape, where):
         if not shape:
-            if isinstance(values, list):
-                raise ValueError(f"{where} is a list, expected a number")
-            if isinstance(values, bool) or not isinstance(values, (int, float)):
-                raise ValueError(f"{where} is not a number: {values!r}")
+            core.number(values, where)
         elif not isinstance(values, list):
             raise ValueError(f"{where} is not a list of {shape[0]} values")
         elif len(values) != shape[0]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -466,7 +467,8 @@ class TestForecast:
         (lambda doc: doc["component_models"][0]["restarts"][1].pop("hidden_bias"),
          "KeyError: 'hidden_bias'"),
         (lambda doc: doc["component_models"].pop(), "one model required per detail"),
-        (lambda doc: doc.update(seed="x"), "invalid literal for int()"),
+        (lambda doc: doc.update(seed="x"), "ValueError: 'seed' must be a whole number, "
+                                           "got 'x'\n"),
         # The loader rebuilds a Haar, periodic MODWT, whatever these keys say.
         (lambda doc: doc.update(filter="d4"), "'filter' is 'd4'"),
         (lambda doc: doc.update(boundary="reflection"), "'boundary' is 'reflection'"),
@@ -493,12 +495,42 @@ class TestForecast:
            f"{tuple(scaler)}\n")
           for scaler in ([np.nan, 2.0], [np.inf, 2.0], [1.0, np.nan], [1.0, np.inf],
                          [1.0, 0.0])),
+        # A number written as text is not a number, in any field.
+        (lambda doc: doc.update(seed="7"), "ValueError: 'seed' must be a whole number, "
+                                           "got '7'\n"),
+        (lambda doc: doc.update(chosen_p="2"), "ValueError: 'chosen_p' must be a whole "
+                                               "number, got '2'\n"),
+        (lambda doc: doc["component_models"][0].update(p="2"),
+         "ValueError: component 0: 'p' must be a whole number, got '2'\n"),
+        (lambda doc: doc["component_models"][1].update(scaler=["1", "2"]),
+         "ValueError: component 1: 'scaler'[0] must be a number, got '1'\n"),
+        (lambda doc: doc["component_models"][0].update(constant_value="0"),
+         "ValueError: component 0: 'constant_value' must be a number, got '0'\n"),
+        (lambda doc: doc.update(train_series=["30.0"] * len(doc["train_series"])),
+         "ValueError: 'train_series'[0] must be a number, got '30.0'\n"),
+        (lambda doc: doc.update(train_series="30.0"),
+         "ValueError: 'train_series' must be a list of numbers, got '30.0'\n"),
+        (lambda doc: doc.update(in_sample_residuals=["0.5"] * len(doc["in_sample_residuals"])),
+         "ValueError: 'in_sample_residuals'[0] must be a number, got '0.5'\n"),
+        (lambda doc: doc.update(calibration_abs_residuals=[0.5, "1.0"]),
+         "ValueError: 'calibration_abs_residuals'[1] must be a number, got '1.0'\n"),
+        # Too large for a float: NumPy's OverflowError escaped the reader.
+        (lambda doc: doc["component_models"][0]["restarts"][0].update(output_bias=10**400),
+         f"ValueError: component 0: restart 0: 'output_bias' must be a number, got "
+         f"{10**400}\n"),
+        # A short scaler raised an IndexError that escaped the reader.
+        (lambda doc: doc["component_models"][0].update(scaler=[1.0]),
+         "ValueError: component 0: not enough values to unpack (expected 2, got 1)\n"),
     ], ids=["wrong-length-hidden-bias", "missing-hidden-bias", "dropped-component",
             "non-integer-seed", "filter-d4", "boundary-reflection", "zero-lag-order",
             "fractional-levels", "bool-levels", "levels-7", "levels-1e300",
             "fractional-chosen-p", "fractional-seed",
             "fractional-component-p", "fractional-component-k", "bool-component-seed",
-            "nan-center", "inf-center", "nan-scale", "inf-scale", "zero-scale"])
+            "nan-center", "inf-center", "nan-scale", "inf-scale", "zero-scale",
+            "text-seed", "text-chosen-p", "text-component-p", "text-scaler",
+            "text-constant-value", "text-train-series", "train-series-not-a-list",
+            "text-in-sample-residuals", "text-calibration-residuals", "huge-int-weight",
+            "short-scaler"])
     def test_malformed_model_is_data_error(self, runner, tmp_path, damage, message):
         model = self._fitted_model(runner, tmp_path, ["--p", "2"])
         doc = json.loads(model.read_text())
@@ -509,6 +541,18 @@ class TestForecast:
         assert "malformed model file" in result.output
         assert message in result.output
         assert not (tmp_path / "forecast.csv").exists()
+
+    @pytest.mark.parametrize("interval", ["Conformal", 3, ["conformal"]])
+    def test_an_unknown_config_interval_is_config_error(self, runner, tmp_path, interval):
+        model = self._fitted_model(runner, tmp_path, ["--p", "2"])
+        cfg = tmp_path / "forecast.json"
+        cfg.write_text(json.dumps({"model": str(model), "interval": interval}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["forecast", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"Error: bad value for 'interval': {interval!r} "
+                                 "(expected 'precontrol' or 'conformal')\n")
+        assert not out.exists()
 
     def test_a_series_shorter_than_the_lag_is_a_malformed_model(self, runner, tmp_path):
         model = self._fitted_model(runner, tmp_path, ["--p", "3", "--levels", "1"])
@@ -530,7 +574,7 @@ class TestForecast:
         result = runner.invoke(main, ["forecast", "--model", str(model), "--out", str(tmp_path)])
         assert result.exit_code == 3, result.output
         assert result.output == ("Error: malformed model file: ValueError: component 0: "
-                                 "restart 1: 'output_bias' is not a number: 'x'\n")
+                                 "restart 1: 'output_bias' must be a number, got 'x'\n")
         assert not (tmp_path / "forecast.csv").exists()
 
 
@@ -1045,24 +1089,29 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("cmd", ["fit", "evaluate"])
     @pytest.mark.parametrize("train,reason", [
-        ({"learnin_rate": 0.5}, "keys must be among learning_rate, epochs"),
-        ({"seed": 3}, "keys must be among learning_rate, epochs"),
+        ({"learnin_rate": 0.5}, "keys must be among learning_rate, epochs, restarts, tolerance, "
+                                "patience"),
+        ({"seed": 3}, "keys must be among learning_rate, epochs, restarts, tolerance, "
+                       "patience"),
         ({"learning_rate": -1}, "learning_rate must be positive and finite, got -1.0"),
-        ({"epochs": "abc"}, "invalid literal for int() with base 10: 'abc'"),
+        ({"epochs": "abc"}, "epochs must be a whole number, got 'abc'"),
         ({"restarts": 0}, "epochs and restarts must be >= 1"),
-        ({"patience": None}, "int() argument must be"),
+        ({"patience": None}, "patience must be a whole number, got None"),
         ({"learning_rate": float("nan")}, "learning_rate must be positive and finite, got nan"),
-        ({"learning_rate": "inf"}, "learning_rate must be positive and finite, got inf"),
-        ({"tolerance": "nan"}, "tolerance must be a number, got nan"),
+        ({"learning_rate": "inf"}, "learning_rate must be a number, got 'inf'"),
+        ({"tolerance": "nan"}, "tolerance must be a number, got 'nan'"),
         ({"patience": 0}, "patience must be >= 1, got 0"),
         ({"patience": -3}, "patience must be >= 1, got -3"),
-        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
-        ({"restarts": True}, "restarts must be an integer, got True"),
-        ({"patience": 1.9}, "patience must be an integer, got 1.9"),
+        ({"epochs": 2.5}, "epochs must be a whole number, got 2.5"),
+        ({"restarts": True}, "restarts must be a whole number, got True"),
+        ({"patience": 1.9}, "patience must be a whole number, got 1.9"),
         ({"learning_rate": True}, "learning_rate must be a number, got True"),
+        ({"learning_rate": float("inf")}, "learning_rate must be positive and finite, got inf"),
+        ({"tolerance": float("nan")}, "tolerance must be a number, got nan"),
     ], ids=["typo", "seed", "negative-rate", "non-numeric-epochs", "zero-restarts", "null",
             "nan-rate", "infinite-rate", "nan-tolerance", "zero-patience", "negative-patience",
-            "fractional-epochs", "bool-restarts", "fractional-patience", "bool-rate"])
+            "fractional-epochs", "bool-restarts", "fractional-patience", "bool-rate",
+            "float-infinite-rate", "float-nan-tolerance"])
     def test_bad_train_keys_are_config_errors(self, runner, tmp_path, cmd, train, reason):
         data = tmp_path / "series.csv"
         write_series_csv(data)
@@ -1074,7 +1123,7 @@ class TestConfigHandling:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert "bad 'train' config" in result.output
-        assert f"}}: {reason}" in result.output
+        assert result.output.endswith(f"}}: {reason}\n")
 
     @pytest.mark.parametrize("cmd,extra", [
         ("fit", ["--levels", "1"]),
@@ -1096,14 +1145,51 @@ class TestConfigHandling:
         data = tmp_path / "series.csv"
         write_series_csv(data)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"train": {"learning_rate": "0.05", "epochs": "3",
-                                             "restarts": 2.0, "patience": 4}}))
+        cfg.write_text(json.dumps({"levels": 2.0, "train": {"learning_rate": 1, "epochs": 3,
+                                                            "restarts": 2.0, "patience": 4}}))
         result = runner.invoke(main, ["fit", "--config", str(cfg), "--data", str(data),
                                       "--seed", "1", "--p", "2", "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         doc = json.loads((tmp_path / "model.json").read_text())
-        assert doc["train_config"] == {"learning_rate": 0.05, "epochs": 3, "restarts": 2,
-                                       "seed": 1, "tolerance": 1e-8, "patience": 4}
+        assert doc["levels"] == 2
+        train_config = doc["train_config"]
+        assert train_config == {"learning_rate": 1.0, "epochs": 3, "restarts": 2,
+                                "seed": 1, "tolerance": 1e-8, "patience": 4}
+        assert {key: type(v) for key, v in train_config.items()} == {
+            key: type(v) for key, v in dataclasses.asdict(neuralnet.TrainConfig()).items()}
+
+    @pytest.mark.parametrize("cmd,key,value,message", [
+        ("fit", "levels", "2", "bad value for 'levels': '2' (expected int)"),
+        ("fit", "seed", "7", "bad value for 'seed': '7' (expected int)"),
+        ("fit", "seasonal_lag", "2", "bad value for 'seasonal_lag': '2' (expected int)"),
+        ("fit", "horizon", "2", "bad value for 'horizon': '2' (expected int)"),
+        ("evaluate", "frequency", "12", "bad value for 'frequency': '12' (expected int)"),
+        ("decompose", "levels", "2", "bad value for 'levels': '2' (expected int)"),
+        ("stats", "alpha", "0.1", "bad value for 'alpha': '0.1' (expected float)"),
+        ("fit", "train", {"epochs": "50"},
+         "bad 'train' config {'epochs': '50'}: epochs must be a whole number, got '50'"),
+        ("evaluate", "train", {"learning_rate": "0.05"},
+         "bad 'train' config {'learning_rate': '0.05'}: learning_rate must be a number, "
+         "got '0.05'"),
+    ])
+    def test_numbers_written_as_text_are_config_errors(self, runner, tmp_path,
+                                                       networks_trained, cmd, key, value,
+                                                       message):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        inputs = {**FAST_TRAIN, "data": str(data), "seed": 1, "p_grid": "1", "levels": 1,
+                  "frequency": 12, "horizons": ["short"]}
+        if cmd == "stats":
+            write_ranks_csv(tmp_path / "ranks.csv", 0)
+            inputs = {"ranks": str(tmp_path / "ranks.csv")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**inputs, key: value}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [cmd, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"Error: {message}\n"
+        assert networks_trained == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("cmd,key", [
         ("fit", "horizon"), ("forecast", "horizon"), ("decompose", "frequency"),

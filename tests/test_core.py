@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -265,6 +266,50 @@ class TestMetricProperties:
             [scale * t for t in train],
         )
         assert scaled == pytest.approx(base, rel=1e-9)
+
+
+# What json.loads can return; the second integer range reaches past the largest float.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**1100, 2**1100)
+    | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8)
+
+
+class TestNumber:
+    @given(json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_json_numbers(self, value):
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        fits = is_number and (isinstance(value, float) or abs(value) <= sys.float_info.max)
+        is_whole = is_number and (isinstance(value, int) or value.is_integer())
+        for whole, accepted in ((False, fits), (True, is_whole)):
+            try:
+                got = core.number(value, "'x'", whole=whole)
+            except ValueError as exc:
+                assert not accepted
+                assert str(exc) == (f"'x' must be a {'whole ' if whole else ''}number, "
+                                    f"got {value!r}")
+                continue
+            assert accepted
+            assert type(got) is (int if whole else float)
+            assert got == (value if whole else float(value)) or math.isnan(value)
+
+    def test_numpy_scalars_are_numbers(self):
+        assert core.number(np.float32(0.5), "x") == 0.5
+        assert core.number(np.int64(3), "x", whole=True) == 3
+        with pytest.raises(ValueError, match="x must be a number, got np.True_"):
+            core.number(np.bool_(True), "x")
+
+    def test_a_list_of_numbers_is_a_float_array(self):
+        np.testing.assert_array_equal(core.numbers([1, 2.5], "x"), [1.0, 2.5])
+        assert core.numbers([], "x").shape == (0,)
+        with pytest.raises(ValueError) as excinfo:
+            core.numbers([1.0, "2"], "'x'")
+        assert str(excinfo.value) == "'x'[1] must be a number, got '2'"
+        with pytest.raises(ValueError) as excinfo:
+            core.numbers("1,2", "'x'")
+        assert str(excinfo.value) == "'x' must be a list of numbers, got '1,2'"
 
 
 class TestSplitSpec:

@@ -338,6 +338,12 @@ class TestDistributions:
         expected = -math.sqrt(2.0) * statistics.NormalDist().inv_cdf(alpha / 2.0)
         assert _studentized_range_q(alpha, 2) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-6, 1e-9])
+    def test_small_alpha_range_of_two_normals_keeps_relative_accuracy(self, alpha):
+        expected = -math.sqrt(2.0) * statistics.NormalDist().inv_cdf(alpha / 2.0)
+        np.testing.assert_allclose(_studentized_range_q(alpha, 2), expected, rtol=1e-11,
+                                   atol=0)
+
     @settings(max_examples=100, deadline=None)
     @given(df=st.integers(1, 60), d2=st.integers(1, 2000))
     def test_a_zero_statistic_has_p_one(self, df, d2):

@@ -68,6 +68,16 @@ class TestEwnetConfig:
         with pytest.raises(ValueError, match="seasonal_lag"):
             EwnetConfig(seasonal_lag=lag)
 
+    @pytest.mark.parametrize("levels", [-1, 2.5, True, "2", np.nan])
+    def test_rejects_levels_that_are_not_a_whole_number_from_zero(self, levels):
+        with pytest.raises(ValueError, match="levels"):
+            EwnetConfig(levels=levels)
+
+    def test_whole_valued_settings_become_ints(self):
+        cfg = EwnetConfig(levels=2.0, p_grid=[np.int64(3), 5.0], seasonal_lag=np.float64(4.0))
+        assert (cfg.levels, cfg.p_grid, cfg.seasonal_lag) == (2, (3, 5), 4)
+        assert {type(v) for v in (cfg.levels, *cfg.p_grid, cfg.seasonal_lag)} == {int}
+
 
 class TestFitForecast:
     def test_model_shape(self):

@@ -56,6 +56,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             dataclasses.replace(cfg, restarts=0)
 
+    def test_whole_valued_and_numpy_numbers_take_their_default_types(self):
+        cfg = TrainConfig(learning_rate=1, epochs=3.0, restarts=np.int64(2),
+                          tolerance=np.float32(0.5), patience=np.float64(4.0))
+        values = (cfg.learning_rate, cfg.epochs, cfg.restarts, cfg.tolerance, cfg.patience)
+        assert values == (1.0, 3, 2, 0.5, 4)
+        assert [type(v) for v in values] == [float, int, int, float, int]
+
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
@@ -66,14 +73,15 @@ class TestTrainConfig:
         ("tolerance", float("nan"), "tolerance must be a number, got nan"),
         ("patience", 0, "patience must be >= 1, got 0"),
         ("patience", -3, "patience must be >= 1, got -3"),
-        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
-        ("epochs", 3.0, "epochs must be an integer, got 3.0"),
-        ("restarts", True, "restarts must be an integer, got True"),
-        ("patience", 1.9, "patience must be an integer, got 1.9"),
+        ("epochs", 2.5, "epochs must be a whole number, got 2.5"),
+        ("restarts", True, "restarts must be a whole number, got True"),
+        ("patience", 1.9, "patience must be a whole number, got 1.9"),
         ("learning_rate", True, "learning_rate must be a number, got True"),
         ("tolerance", False, "tolerance must be a number, got False"),
         ("seed", -1, "seed must be >= 0, got -1"),
-        ("seed", True, "seed must be an integer, got True"),
+        ("seed", True, "seed must be a whole number, got True"),
+        ("epochs", "50", "epochs must be a whole number, got '50'"),
+        ("learning_rate", "0.05", "learning_rate must be a number, got '0.05'"),
     ])
     def test_rejects_settings_that_cannot_train(self, key, value, message):
         with pytest.raises(ValueError) as excinfo:
@@ -294,13 +302,14 @@ class TestSerialization:
         (0, "input_to_hidden", [[0.1, 0.2], [0.3]],
          "restart 0: 'input_to_hidden'[1] has 1 values, expected 2"),
         (0, "hidden_to_output", 0.5, "restart 0: 'hidden_to_output' is not a list of 2 values"),
-        (1, "hidden_bias", [[0.1], [0.2]], "restart 1: 'hidden_bias'[0] is a list, expected a number"),
-        (0, "output_bias", [0.1], "restart 0: 'output_bias' is a list, expected a number"),
-        (1, "output_bias", "x", "restart 1: 'output_bias' is not a number: 'x'"),
-        (0, "output_bias", "0.5", "restart 0: 'output_bias' is not a number: '0.5'"),
-        (1, "hidden_bias", [0.1, True], "restart 1: 'hidden_bias'[1] is not a number: True"),
+        (1, "hidden_bias", [[0.1], [0.2]], "restart 1: 'hidden_bias'[0] must be a number, got [0.1]"),
+        (0, "output_bias", [0.1], "restart 0: 'output_bias' must be a number, got [0.1]"),
+        (1, "output_bias", "x", "restart 1: 'output_bias' must be a number, got 'x'"),
+        (0, "output_bias", "0.5", "restart 0: 'output_bias' must be a number, got '0.5'"),
+        (1, "hidden_bias", [0.1, True],
+         "restart 1: 'hidden_bias'[1] must be a number, got True"),
         (0, "input_to_hidden", [[0.1, 0.2], [None, 0.4]],
-         "restart 0: 'input_to_hidden'[1][0] is not a number: None"),
+         "restart 0: 'input_to_hidden'[1][0] must be a number, got None"),
     ])
     def test_wrong_weight_shape_is_named(self, restart, key, value, message):
         doc = copy.deepcopy(COMPONENT_V1)
