@@ -37,6 +37,7 @@ AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 IN_UNIT_INTERVAL = (lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
 # Checked with isinstance: os.path.isfile() reads an int as a file descriptor.
 PATH = (lambda v: isinstance(v, str), "a path string")
+COLUMN = (lambda v: isinstance(v, str), "a column name")
 INTERVAL = (lambda v: v in ("precontrol", "conformal"), "'precontrol' or 'conformal'")
 
 
@@ -150,7 +151,7 @@ def _parse_grid(spec: str) -> tuple[int, ...]:
 def _read_series(cfg: dict, data, value_column, frequency) -> tuple[TimeSeries, dict]:
     """The input series and its digest keys: the value column and the sha256 of the file."""
     path = _resolve(cfg, "data", data, required=True, check=PATH)
-    value_column = _resolve(cfg, "value_column", value_column, default="value")
+    value_column = _resolve(cfg, "value_column", value_column, default="value", check=COLUMN)
     frequency = _resolve(cfg, "frequency", frequency, default=1, kind=int, check=AT_LEAST_ONE)
     if not (os.path.isfile(path) and os.access(path, os.R_OK)):
         # A wrong path is a configuration mistake, not bad data.

@@ -364,23 +364,32 @@ def _studentized_range_q(alpha: float, m: int) -> float:
     1 - P of the range of m standard normals, P(q) = m * integral of phi(z) [Phi(z) - Phi(z -
     q)]^(m-1) dz, by Newton steps on dP/dq at the same nodes; a step that leaves the root's
     bracket bisects it. For a small alpha's relative accuracy, T is integrated directly, as
-    m * integral of phi(z) Phi(z)^(m-1) (1 - (1 - r)^(m-1)) dz with r = Phi(z - q) / Phi(z)."""
+    m * integral of phi(z) Phi(z)^(m-1) (1 - (1 - r)^(m-1)) dz with r = Phi(z - q) / Phi(z).
+    Above alpha = 0.5 the root is that of log P(q) = log(1 - alpha), the small lower tail."""
     z, weighted_density, cdf = _range_quadrature()
+    upper, target = alpha <= 0.5, math.log(min(alpha, 1.0 - alpha))
+    nodes, weights = np.polynomial.legendre.leggauss(8)
     lo, hi, q = 0.0, 40.0, 3.0
     for _ in range(100):
         shifted = _normal_cdf(z - q)
-        with np.errstate(divide="ignore"):  # r = 1, log1p(-1), where both cdfs round to 1
-            beyond = -np.expm1((m - 1) * np.log1p(-shifted / cdf))
-        tail = float(m * (weighted_density @ (cdf ** (m - 1) * beyond)))
+        if upper:
+            with np.errstate(divide="ignore"):  # r = 1, log1p(-1), where both cdfs round to 1
+                beyond = -np.expm1((m - 1) * np.log1p(-shifted / cdf))
+            tail = float(m * (weighted_density @ (cdf ** (m - 1) * beyond)))
+        else:  # below q = 1, phi integrated over [z - q, z]: Phi(z) - Phi(z - q) loses digits
+            spread = z[:, None] - 0.5 * q * (nodes + 1.0)
+            inner = cdf - shifted if q >= 1.0 else (
+                0.5 * q * np.exp(-0.5 * spread ** 2) @ weights / math.sqrt(2.0 * math.pi))
+            tail = float(m * (weighted_density @ inner ** (m - 1)))
         shifted_density = np.exp(-0.5 * (z - q) ** 2) / math.sqrt(2.0 * math.pi)
-        excess = (math.log(tail) if tail > 0.0 else -math.inf) - math.log(alpha)
+        excess = (math.log(tail) if tail > 0.0 else -math.inf) - target
         slope = float(m * (m - 1) * (weighted_density @ ((cdf - shifted) ** (m - 2)
                                                          * shifted_density)))
-        step = -excess * tail / slope if slope else math.inf  # d log T / dq = -slope / T
-        # Below an excess of 1e-15 the quadrature's rounding, not q, sets log T(q).
+        step = (-excess if upper else excess) * tail / slope if slope else math.inf
+        # Below an excess of 1e-15 the quadrature's rounding, not q, sets the log tail.
         if abs(step) <= 1e-12 * q or abs(excess) <= 1e-15:
             return q - step
-        lo, hi = (q, hi) if excess > 0 else (lo, q)
+        lo, hi = (q, hi) if (excess > 0) == upper else (lo, q)
         q = q - step if lo < q - step < hi else 0.5 * (lo + hi)
     return q
 

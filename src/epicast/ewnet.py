@@ -62,6 +62,12 @@ class EwnetModel:
             raise ValueError("one model required per detail plus the smooth")
         if any(net.p != self.chosen_p for net in self.component_models):
             raise ValueError(f"every component network must have p = chosen_p = {self.chosen_p}")
+        live = [(c, net.weights[0].shape[:2]) for c, net in enumerate(self.component_models)
+                if not net.constant]  # forecast_paths stacks these networks
+        for c, shape in live:
+            if shape != live[0][1]:
+                raise ValueError(f"component {c} has (R, k) = {shape}, component {live[0][0]} "
+                                 f"{live[0][1]}; non-constant components must share R and k")
         if not self.decomposition.n == self.train_series.size >= self.chosen_p:
             raise ValueError(f"train_series has {self.train_series.size} points and its "
                              f"decomposition {self.decomposition.n}; both need one length "
@@ -137,13 +143,9 @@ def fit_ewnet(train, cfg: EwnetConfig, p: int) -> EwnetModel:
 
 
 def forecast_ewnet(model: EwnetModel, h: int) -> np.ndarray:
-    """Sum of the h-step recursive forecasts of every component network."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    total = np.zeros(h)
-    for net, comp in zip(model.component_models, model.decomposition.components()):
-        total += neuralnet.forecast_recursive(net, comp, h)
-    return total
+    """Sum, in component order, of the h-step recursive forecasts of every component network."""
+    paths = neuralnet.forecast_paths(model.component_models, model.decomposition.components(), h)
+    return sum(paths, np.zeros(h))
 
 
 def _score(actual, forecast, train, cfg: EwnetConfig) -> float:

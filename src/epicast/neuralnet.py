@@ -14,7 +14,7 @@ The inputs enter as the negated, transposed design matrix -[x, 1].T
 (``_design``), so the hidden-layer product yields the negated pre-activations and
 the sigmoid (``_sigmoid_neg``) is an exp, an add and a divide, with no negation
 pass. ``predict`` builds its windows the same way; ``_forward`` is the one place
-a network is evaluated.
+a network is evaluated, over any leading axes (``forecast_paths`` stacks networks).
 
 An epoch (``_stacked_loss_and_grad``) writes three buffers made once per fit
 (``_workspace``): the hidden activations s and the hidden-layer error term, both
@@ -215,24 +215,25 @@ def _views(flat: np.ndarray, r: int, k: int, p: int):
     return flat[:size].reshape(r, k, p + 1), flat[size:-r].reshape(r, k), flat[-r:]
 
 
-def _design(windows: np.ndarray, center: float = 0.0, scale: float = 1.0) -> np.ndarray:
-    """The negated, transposed design matrix -[(windows - center) / scale, 1].T, (p+1, m)."""
-    m, p = windows.shape
-    xt = np.empty((p + 1, m))
-    np.subtract(center, windows.T, out=xt[:p])
-    xt[:p] /= scale
-    xt[p] = -1.0
+def _design(windows: np.ndarray, center=0.0, scale=1.0) -> np.ndarray:
+    """The negated, transposed design matrix -[(windows - center) / scale, 1].T, (..., p+1, m)."""
+    *lead, m, p = windows.shape
+    xt = np.empty((*lead, p + 1, m))
+    np.subtract(np.expand_dims(center, (-2, -1)), np.swapaxes(windows, -1, -2), out=xt[..., :p, :])
+    xt[..., :p, :] /= np.expand_dims(scale, (-2, -1))
+    xt[..., p, :] = -1.0
     return xt
 
 
 def _forward(xt, state, hidden=None, out=None):
-    """Hidden activations (R, k, m) and outputs (R, m) of ``state`` on the ``_design``
-    matrix ``xt``, written into ``hidden`` and ``out`` when given."""
+    """Hidden activations (..., R, k, m) and outputs (..., R, m), written into ``hidden`` and
+    ``out`` (..., R, 1, m) when given, of the networks ``state`` stacks on ``...``, from the
+    ``_design`` matrix ``xt`` (..., 1, p+1, m)."""
     w_in, w_out, b2 = state
     hidden = np.matmul(w_in, xt, out=hidden)
     _sigmoid_neg(hidden, out=hidden)
-    out = np.matmul(w_out[:, None, :], hidden, out=None if out is None else out[:, None])[:, 0]
-    out += b2[:, None]
+    out = np.matmul(w_out[..., None, :], hidden, out=out)[..., 0, :]
+    out += b2[..., None]
     return hidden, out
 
 
@@ -260,7 +261,7 @@ def _stacked_loss_and_grad(state, xt, y, buf, grads, step=1.0):
     hidden, d_pre, err = buf
     g_in, g_out, g_b2 = grads
     n = y.size
-    _forward(xt, state, hidden, err)
+    _forward(xt, state, hidden, err[:, None])
     err -= y
     loss = np.einsum("rn,rn->r", err, err)
     loss *= 0.5 / n
@@ -536,21 +537,35 @@ def predict(model: NeuralNetModel, windows) -> np.ndarray:
         return np.full(len(windows), model.constant_value)
     center, scale = model.scaler
     _, out = _forward(_design(windows, center, scale), model.weights)
-    return center + scale * out.mean(axis=0)
+    return center + scale * out.mean(axis=-2)
+
+
+def forecast_paths(models, histories, h: int) -> np.ndarray:
+    """(C, h) recursive forecasts of C networks of one lag order, each step of path c predicted
+    from its trailing p values, from ``histories[c]`` on. The non-constant networks, which must
+    share (R, k), are stacked, so that a step is one forward pass of them all."""
+    if h < 1:
+        raise ValueError("h must be >= 1")
+    p = models[0].p
+    starts = [np.asarray(series, dtype=float)[-p:] for series in histories]
+    if any(start.size < p for start in starts):
+        raise ValueError("series shorter than the lag order")
+    paths = np.empty((len(models), p + h))
+    paths[:, :p] = starts
+    paths[:, p:] = [[model.constant_value] for model in models]
+    live = [c for c, model in enumerate(models) if not model.constant]
+    if live:
+        state = tuple(np.stack(w) for w in zip(*(models[c].weights for c in live)))
+        center, scale = np.array([models[c].scaler for c in live]).T[..., None]
+        for t in range(p, p + h):
+            _, out = _forward(_design(paths[live, None, None, t - p:t], center, scale), state)
+            paths[live, t] = (center + scale * out.mean(axis=-2))[:, 0]
+    return paths[:, p:]
 
 
 def forecast_recursive(model: NeuralNetModel, series, h: int) -> np.ndarray:
     """h-step forecast, each step predicted from the trailing p values of the path."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    history = np.asarray(series, dtype=float)
-    p = model.p
-    if history.size < p:
-        raise ValueError("series shorter than the lag order")
-    path = np.concatenate([history[-p:], np.empty(h)])
-    for t in range(p, p + h):
-        path[t] = predict(model, path[None, t - p:t])[0]
-    return path[p:]
+    return forecast_paths([model], [series], h)[0]
 
 
 def fitted_values(model: NeuralNetModel, series) -> np.ndarray:

@@ -155,15 +155,16 @@ def _pyramid_stage(v: np.ndarray, taps: np.ndarray, shift: int) -> np.ndarray:
     """z_t = sum_l taps[l] * v[(t - shift * l) mod N] along the last axis.
 
     A negative ``shift`` applies the transpose of the stage with shift -shift.
-    Each tap adds its products in two slices, the part that wraps and the part
-    that does not, instead of rolling a copy of ``v``.
+    Each tap forms its products once and adds them in two slices, the part that
+    wraps and the part that does not, instead of rolling a copy of ``v``.
     """
     n = v.shape[-1]
     out = taps[0] * v
     for l in range(1, taps.size):
         s = (shift * l) % n
-        out[..., s:] += taps[l] * v[..., :n - s]
-        out[..., :s] += taps[l] * v[..., n - s:]
+        product = taps[l] * v
+        out[..., s:] += product[..., :n - s]
+        out[..., :s] += product[..., n - s:]
     return out
 
 

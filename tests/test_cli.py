@@ -361,6 +361,16 @@ def zero_lag_order(doc):
             restart["input_to_hidden"] = [[] for _ in restart["input_to_hidden"]]
 
 
+def widen_hidden_layer(doc):
+    """Give component 1 one more hidden unit in every restart."""
+    net = doc["component_models"][1]
+    net["k"] += 1
+    for restart in net["restarts"]:
+        restart["input_to_hidden"].append([0.0] * net["p"])
+        restart["hidden_bias"].append(0.0)
+        restart["hidden_to_output"].append(0.0)
+
+
 class TestForecast:
     def _fitted_model(self, runner, tmp_path, extra=()):
         data = tmp_path / "series.csv"
@@ -521,6 +531,13 @@ class TestForecast:
         # A short scaler raised an IndexError that escaped the reader.
         (lambda doc: doc["component_models"][0].update(scaler=[1.0]),
          "ValueError: component 0: not enough values to unpack (expected 2, got 1)\n"),
+        # The forecast stacks the networks, which needs one (R, k) among them.
+        (lambda doc: doc["component_models"][2]["restarts"].pop(),
+         "ValueError: component 2 has (R, k) = (1, 1), component 0 (2, 1); non-constant "
+         "components must share R and k\n"),
+        (widen_hidden_layer,
+         "ValueError: component 1 has (R, k) = (2, 2), component 0 (2, 1); non-constant "
+         "components must share R and k\n"),
     ], ids=["wrong-length-hidden-bias", "missing-hidden-bias", "dropped-component",
             "non-integer-seed", "filter-d4", "boundary-reflection", "zero-lag-order",
             "fractional-levels", "bool-levels", "levels-7", "levels-1e300",
@@ -530,7 +547,7 @@ class TestForecast:
             "text-seed", "text-chosen-p", "text-component-p", "text-scaler",
             "text-constant-value", "text-train-series", "train-series-not-a-list",
             "text-in-sample-residuals", "text-calibration-residuals", "huge-int-weight",
-            "short-scaler"])
+            "short-scaler", "fewer-restarts", "more-hidden-units"])
     def test_malformed_model_is_data_error(self, runner, tmp_path, damage, message):
         model = self._fitted_model(runner, tmp_path, ["--p", "2"])
         doc = json.loads(model.read_text())
@@ -1189,6 +1206,26 @@ class TestConfigHandling:
         assert result.exit_code == 2, result.output
         assert result.output == f"Error: {message}\n"
         assert networks_trained == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [5, ["value"]], ids=["number", "list"])
+    @pytest.mark.parametrize("cmd", ["fit", "decompose", "profile", "evaluate"])
+    def test_a_value_column_that_is_not_text_is_a_config_error(self, runner, tmp_path,
+                                                              monkeypatch, cmd, value):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        reads = []
+        monkeypatch.setattr(core, "read_table", lambda *args: reads.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST_TRAIN, "data": str(data), "seed": 1, "p_grid": "1",
+                                   "levels": 1, "frequency": 12, "horizons": ["short"],
+                                   "value_column": value}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [cmd, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"Error: bad value for 'value_column': {value!r} "
+                                 "(expected a column name)\n")
+        assert reads == []  # rejected before the CSV is read
         assert not out.exists()
 
     @pytest.mark.parametrize("cmd,key", [

@@ -311,6 +311,25 @@ class TestNumber:
             core.numbers("1,2", "'x'")
         assert str(excinfo.value) == "'x' must be a list of numbers, got '1,2'"
 
+    @given(st.lists(st.floats(), max_size=6)  # the all-float lists json.loads gives
+           | st.lists(json_values | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+                      | st.floats().map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+                      | st.booleans().map(np.bool_), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_a_list_is_read_as_its_items_are(self, values):
+        """The all-float fast path gives the per-item rule's bits, or its exact error."""
+        try:
+            expected = np.array([core.number(value, f"'x'[{i}]")
+                                 for i, value in enumerate(values)])
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                core.numbers(values, "'x'")
+            assert str(excinfo.value) == str(exc)
+            return
+        got = core.numbers(values, "'x'")
+        assert (got.dtype, got.shape) == (np.float64, (len(values),))
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestSplitSpec:
     def test_default_val_is_twice_test(self):

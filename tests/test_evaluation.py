@@ -308,7 +308,7 @@ class TestDistributions:
                                            stats.f.sf(x, d1, d2), rtol=1e-9, atol=1e-300,
                                            err_msg=f"d1={d1}, d2={d2}")
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.6, 0.9])
     def test_range_quantile_matches_scipy(self, alpha):
         m = np.arange(2, 31)
         np.testing.assert_allclose([_studentized_range_q(alpha, int(k)) for k in m],
@@ -340,6 +340,13 @@ class TestDistributions:
 
     @pytest.mark.parametrize("alpha", [1e-4, 1e-6, 1e-9])
     def test_small_alpha_range_of_two_normals_keeps_relative_accuracy(self, alpha):
+        expected = -math.sqrt(2.0) * statistics.NormalDist().inv_cdf(alpha / 2.0)
+        np.testing.assert_allclose(_studentized_range_q(alpha, 2), expected, rtol=1e-11,
+                                   atol=0)
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
+    def test_alpha_near_one_range_of_two_normals_keeps_relative_accuracy(self, alpha):
+        # q shrinks with 1 - alpha, so the solve runs on the lower tail P(q) = 1 - alpha.
         expected = -math.sqrt(2.0) * statistics.NormalDist().inv_cdf(alpha / 2.0)
         np.testing.assert_allclose(_studentized_range_q(alpha, 2), expected, rtol=1e-11,
                                    atol=0)

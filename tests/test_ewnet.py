@@ -99,7 +99,13 @@ class TestFitForecast:
         for net, comp in zip(model.component_models,
                              model.decomposition.components()):
             total += neuralnet.forecast_recursive(net, comp, h)
-        np.testing.assert_allclose(forecast_ewnet(model, h), total)
+        assert forecast_ewnet(model, h).tobytes() == total.tobytes()
+
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_horizon_below_one_is_rejected(self, h):
+        model = fit_ewnet(lag4_series(), EwnetConfig(levels=1, train_cfg=FAST), p=2)
+        with pytest.raises(ValueError, match=r"^h must be >= 1$"):
+            forecast_ewnet(model, h)
 
     def test_determinism(self):
         y = lag4_series()

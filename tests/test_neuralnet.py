@@ -16,6 +16,7 @@ from epicast.neuralnet import (
     _loss_and_grad,
     fit_network,
     fitted_values,
+    forecast_paths,
     forecast_recursive,
     hidden_neurons,
     predict,
@@ -224,6 +225,29 @@ def test_recursive_forecast_iterates_predict(p, h, seed, constant):
     for _ in range(h):
         path.append(predict(model, [path[-p:]])[0])
     assert forecast_recursive(model, y, h).tobytes() == np.array(path[p:]).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 4), r=st.integers(1, 4), k=st.integers(1, 3), h=st.integers(1, 12),
+       constant=st.lists(st.booleans(), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_stacked_paths_iterate_predict_per_network(p, r, k, h, constant, seed):
+    """One forward pass per step for all C networks gives each network's own per-step
+    ``predict`` loop, bit for bit, constant networks among live ones included."""
+    rng = np.random.default_rng(seed)
+    models = [NeuralNetModel(weights=None if const else (
+        rng.normal(size=(r, k, p + 1)), rng.normal(size=(r, k)), rng.normal(size=r)),
+        p=p, k=k, scaler=(rng.normal(scale=10.0), rng.uniform(0.1, 5.0)), seed=0)
+        for const in constant]
+    histories = [rng.normal(10.0, 3.0, size=rng.integers(p, p + 10)) for _ in constant]
+    expected = []
+    for model, history in zip(models, histories):
+        path = list(history[-p:])
+        for _ in range(h):
+            path.append(predict(model, [path[-p:]])[0])
+        expected.append(path[p:])
+    paths = forecast_paths(models, histories, h)
+    assert paths.shape == (len(constant), h)
+    assert paths.tobytes() == np.array(expected).tobytes()
 
 
 # One model.json component, p = 2 lags, k = 2 hidden units, two restarts.
