@@ -35,6 +35,7 @@ EXIT_NUMERIC = 4
 TRAIN_KEYS = ("learning_rate", "epochs", "restarts", "tolerance", "patience")
 AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 IN_UNIT_INTERVAL = (lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
+ALPHA = (lambda v: evaluation.MIN_ALPHA <= v < 1.0, f"a value in [{evaluation.MIN_ALPHA:g}, 1)")
 # Checked with isinstance: os.path.isfile() reads an int as a file descriptor.
 PATH = (lambda v: isinstance(v, str), "a path string")
 COLUMN = (lambda v: isinstance(v, str), "a column name")
@@ -547,7 +548,7 @@ def stats(config, ranks_path, alpha, out):
     """Friedman/Iman and MCB analysis from a per-case rank CSV."""
     cfg = _load_config(config)
     ranks_path = _resolve(cfg, "ranks", ranks_path, required=True, check=PATH)
-    alpha = _resolve(cfg, "alpha", alpha, default=0.05, kind=float, check=IN_UNIT_INTERVAL)
+    alpha = _resolve(cfg, "alpha", alpha, default=0.05, kind=float, check=ALPHA)
     table = _read_rank_csv(ranks_path)
     digest = _config_digest({"cmd": "stats", "ranks_sha256": _file_sha256(ranks_path),
                              "alpha": alpha})

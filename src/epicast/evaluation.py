@@ -359,6 +359,12 @@ def _range_quadrature() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return z, 9.0 * weights * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi), _normal_cdf(z)
 
 
+# The smallest alpha MCB takes; the tests hold q to 1e-11 relative down to it (m = 2). Below
+# it the [-9, 9] quadrature and the q <= 40 bracket lose accuracy: a relative error of 7e-10
+# at alpha = 1e-12, and q = 40 where it is 52.4 at 1e-300.
+MIN_ALPHA = 1e-9
+
+
 def _studentized_range_q(alpha: float, m: int) -> float:
     """Tukey's q at infinite error df: the root of log T(q) = log alpha for the upper tail T =
     1 - P of the range of m standard normals, P(q) = m * integral of phi(z) [Phi(z) - Phi(z -
@@ -405,6 +411,8 @@ def mcb_analysis(table: RankTable, alpha: float = 0.05,
     d, m = table.ranks.shape
     if d < 2 or m < 2:
         raise ValueError("need at least 2 datasets and 2 models")
+    if critical_constant is None and not MIN_ALPHA <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [{MIN_ALPHA:g}, 1), got {alpha!r}")
     q = critical_constant if critical_constant is not None else _studentized_range_q(alpha, m)
     half = (q / math.sqrt(2.0)) * math.sqrt(m * (m + 1) / (12.0 * d))
     means = table.mean_ranks()

@@ -12,20 +12,25 @@ layer one batched (R, 1, k) @ (R, k, m) product.
 
 The inputs enter as the negated, transposed design matrix -[x, 1].T
 (``_design``), so the hidden-layer product yields the negated pre-activations and
-the sigmoid (``_sigmoid_neg``) is an exp, an add and a divide, with no negation
-pass. ``predict`` builds its windows the same way; ``_forward`` is the one place
-a network is evaluated, over any leading axes (``forecast_paths`` stacks networks).
+the sigmoid is an exp, an add and a divide, with no negation pass. ``predict``
+builds its windows the same way; ``_forward`` is the one place a network is
+evaluated, over any leading axes (``forecast_paths`` stacks networks), on the
+arrays ``_layers`` gives it. Its exp overflows to inf in a saturated unit, which
+gives exactly 0, so each caller holds ``np.errstate`` once around its passes.
 
-An epoch (``_stacked_loss_and_grad``) writes three buffers made once per fit
-(``_workspace``): the hidden activations s and the hidden-layer error term, both
-(R, k, n), and the output error (R, n). The backward pass is reassociated:
-s(1 - s) is scaled by the output error broadcast over k, multiplied by the
-design matrix in one batched (R, k, n) @ (n, p+1) product, and only the result is
-scaled by the output weights, so no (R, k, n) outer product is formed. The
-learning rate is folded into the 1/n scaling of the output error, so the
-gradient holds the step and the epoch ends with one ``params -= grad`` on a
-flat vector that holds the weights. The model keeps (w_in, w_out, b2); model.json
-splits the input layer into its weights and biases.
+A fit binds its training epoch once (``_epoch``): the three buffers, the hidden
+activations s and the hidden-layer error term, both (R, k, n), and the output error
+(R, n); every view of them and of the weights and gradient; and the scalars 0.5/n
+and n/step. An epoch is then one ``_forward`` call and eleven NumPy calls on those
+arrays. It makes no view and enters no ``np.errstate``, which ``_train`` holds
+around the whole fit. The backward pass is reassociated: s(1 - s) is scaled by the
+output error broadcast over k, multiplied by the design matrix in one batched
+(R, k, n) @ (n, p+1) product, and only the result is scaled by the output weights,
+so no (R, k, n) outer product is formed. The learning rate is folded into the 1/n
+scaling of the output error, so the gradient holds the step and the epoch ends
+with one ``params -= grad`` on a flat vector that holds the weights. The model
+keeps (w_in, w_out, b2); model.json splits the input layer into its weights and
+biases.
 
 ``fit_network`` trains one network in the calling process. ``fit_networks`` trains
 a batch of (series, p, k, cfg) jobs, one network each: the J+1 components of an
@@ -194,16 +199,6 @@ def hidden_neurons(p: int) -> int:
     return (p + 1) // 2
 
 
-def _sigmoid_neg(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The logistic sigmoid of -t, 1 / (1 + exp(t)), written into ``out`` when given
-    (``out`` may be ``t``)."""
-    # exp(t) overflows to inf above t = 709, which gives exactly 0.
-    with np.errstate(over="ignore"):
-        out = np.exp(t, out=out)
-        out += 1.0
-        return np.divide(1.0, out, out=out)
-
-
 def _stack(w1, b1):
     """(R, k, p+1) input layer from (R, k, p) weights and (R, k) biases."""
     return np.concatenate((w1, b1[:, :, None]), axis=2)
@@ -225,58 +220,76 @@ def _design(windows: np.ndarray, center=0.0, scale=1.0) -> np.ndarray:
     return xt
 
 
-def _forward(xt, state, hidden=None, out=None):
-    """Hidden activations (..., R, k, m) and outputs (..., R, m), written into ``hidden`` and
-    ``out`` (..., R, 1, m) when given, of the networks ``state`` stacks on ``...``, from the
-    ``_design`` matrix ``xt`` (..., 1, p+1, m)."""
+def _layers(state):
+    """The arrays ``_forward`` takes for the networks ``state`` = (w_in, w_out, b2) stacks:
+    w_in, the output weights as (..., R, 1, k) rows and the output biases as (..., R, 1, 1)."""
     w_in, w_out, b2 = state
+    return w_in, w_out[..., None, :], b2[..., None, None]
+
+
+def _forward(xt, layers, hidden=None, out=None):
+    """Hidden activations (..., R, k, m) and outputs (..., R, 1, m), written into ``hidden`` and
+    ``out`` when given, of the networks whose ``_layers`` are ``layers``, from the ``_design``
+    matrix ``xt`` (..., 1, p+1, m).
+
+    The sigmoid of the negated pre-activations t is 1 / (1 + exp(t)). exp(t) overflows to inf
+    above t = 709, which gives exactly 0: callers hold ``np.errstate(over="ignore")``.
+    """
+    w_in, w_row, b2_col = layers
     hidden = np.matmul(w_in, xt, out=hidden)
-    _sigmoid_neg(hidden, out=hidden)
-    out = np.matmul(w_out[..., None, :], hidden, out=out)[..., 0, :]
-    out += b2[..., None]
+    np.exp(hidden, out=hidden)
+    hidden += 1.0
+    np.divide(1.0, hidden, out=hidden)
+    out = np.matmul(w_row, hidden, out=out)
+    out += b2_col
     return hidden, out
 
 
 def _init_weights(rng: np.random.Generator, p: int, k: int):
-    w1 = rng.uniform(-0.5, 0.5, size=(k, p)) / np.sqrt(p)
-    b1 = rng.uniform(-0.5, 0.5, size=k)
-    w2 = rng.uniform(-0.5, 0.5, size=k)
-    b2 = rng.uniform(-0.5, 0.5)
-    return w1, b1, w2, b2
+    """One restart's initial (W1, b1, w2, b2): one draw of k(p + 2) + 1 uniforms on
+    [-0.5, 0.5), the same numbers as a draw per array, split in order; W1 is scaled by
+    1/sqrt(p)."""
+    u = rng.uniform(-0.5, 0.5, k * (p + 2) + 1)
+    return u[:k * p].reshape(k, p) / np.sqrt(p), u[k * p:-k - 1], u[-k - 1:-1], u[-1]
 
 
-def _workspace(n: int, r: int, k: int) -> tuple[np.ndarray, ...]:
-    """Buffers of one fit: hidden and d_pre (R, k, n), err (R, n)."""
-    return np.empty((r, k, n)), np.empty((r, k, n)), np.empty((r, n))
+def _epoch(state, grads, xt, y, step=1.0):
+    """One fit's training epoch: a function of no arguments that returns the per-restart
+    L2 loss 0.5 * mean(err^2) and writes ``step`` times its gradient into ``grads``.
 
-
-def _stacked_loss_and_grad(state, xt, y, buf, grads, step=1.0):
-    """Per-restart L2 loss 0.5 * mean(err^2), with ``step`` times its gradient written
-    into ``grads``.
-
-    ``state`` and ``grads`` are (w_in, w_out, b2), ``xt`` the ``_design`` matrix of the
-    n training windows and ``buf`` a ``_workspace``.
+    ``state`` and ``grads`` are (w_in, w_out, b2), ``xt`` the ``_design`` matrix of the n
+    training windows and ``y`` their targets. The buffers, views and scalars of an epoch
+    are made here, once per fit; the caller holds ``np.errstate(over="ignore")``.
     """
-    _, w_out, _ = state
-    hidden, d_pre, err = buf
+    w_in, w_out, _ = state
     g_in, g_out, g_b2 = grads
+    r, k, _ = w_in.shape
     n = y.size
-    _forward(xt, state, hidden, err[:, None])
-    err -= y
-    loss = np.einsum("rn,rn->r", err, err)
-    loss *= 0.5 / n
+    layers = _layers(state)
+    hidden, d_pre, err = np.empty((r, k, n)), np.empty((r, k, n)), np.empty((r, n))
+    err_rows, err_cols, g_out_cols = err[:, None], err[:, :, None], g_out[:, :, None]
+    x1, w_out_cols = xt.T, w_out[:, :, None]
+    half_by_n, n_by_step = 0.5 / n, n / step
 
-    d_out = np.divide(err, n / step, out=err)
-    np.sum(d_out, axis=1, out=g_b2)
-    np.matmul(hidden, d_out[:, :, None], out=g_out[:, :, None])
-    # The input-layer gradient is w_out * (s(1 - s) d_out @ [x, 1]), formed from the
-    # two negated factors (s - 1) s d_out and the design matrix.
-    np.subtract(hidden, 1.0, out=d_pre)
-    d_pre *= hidden
-    d_pre *= d_out[:, None]
-    np.matmul(d_pre, xt.T, out=g_in)
-    g_in *= w_out[:, :, None]
-    return loss
+    def epoch():
+        _forward(xt, layers, hidden, err_rows)
+        np.subtract(err, y, out=err)
+        loss = np.einsum("rn,rn->r", err, err)
+        loss *= half_by_n
+        # d_out, the output error err / n times the step, overwrites err.
+        np.divide(err, n_by_step, out=err)
+        np.add.reduce(err, axis=1, out=g_b2)
+        np.matmul(hidden, err_cols, out=g_out_cols)
+        # The input-layer gradient is w_out * (s(1 - s) d_out @ [x, 1]), formed from the
+        # two negated factors (s - 1) s d_out and the design matrix.
+        np.subtract(hidden, 1.0, out=d_pre)
+        np.multiply(d_pre, hidden, out=d_pre)
+        np.multiply(d_pre, err_rows, out=d_pre)
+        np.matmul(d_pre, x1, out=g_in)
+        np.multiply(g_in, w_out_cols, out=g_in)
+        return loss
+
+    return epoch
 
 
 def _loss_and_grad(params, x, y):
@@ -285,10 +298,10 @@ def _loss_and_grad(params, x, y):
     ``x`` is the (n, p) design matrix and ``y`` the (n,) target vector.
     """
     w1, b1, w2, b2 = params
-    r, k, _ = w1.shape
     state = (_stack(w1, b1), w2, b2)
     grads = [np.empty_like(w) for w in state]
-    loss = _stacked_loss_and_grad(state, _design(x), y, _workspace(len(y), r, k), grads)
+    with np.errstate(over="ignore"):
+        loss = _epoch(state, grads, _design(x), y)()
     return loss, (grads[0][..., :-1], grads[0][..., -1], *grads[1:])
 
 
@@ -308,20 +321,18 @@ def _train(z, p, k, cfg: TrainConfig):
     """
     r = cfg.restarts
     x_mat, target = _supervised_pairs(z, p)
-    xt = _design(x_mat)
     inits = [_init_weights(np.random.default_rng([cfg.seed, i]), p, k) for i in range(r)]
     w1, b1, w2, b2 = (np.array([w[i] for w in inits]) for i in range(4))
     params = np.concatenate((_stack(w1, b1), w2, b2), axis=None)
     grad = np.empty_like(params)
-    state, grads = _views(params, r, k, p), _views(grad, r, k, p)
-    buf = _workspace(target.size, r, k)
+    state = _views(params, r, k, p)
+    epoch = _epoch(state, _views(grad, r, k, p), _design(x_mat), target, cfg.learning_rate)
     prev_loss, stalled, curve = np.inf, 0, []
     # A diverging fit ends in non-finite weights, which NeuralNetModel rejects; its
     # overflows on the way are not reported.
     with np.errstate(all="ignore"):
         for _ in range(cfg.epochs):
-            total = float(_stacked_loss_and_grad(state, xt, target, buf, grads,
-                                                 cfg.learning_rate).sum()) / r
+            total = float(np.add.reduce(epoch())) / r
             curve.append(total)
             if prev_loss - total < cfg.tolerance:
                 stalled += 1
@@ -536,8 +547,9 @@ def predict(model: NeuralNetModel, windows) -> np.ndarray:
     if model.constant:
         return np.full(len(windows), model.constant_value)
     center, scale = model.scaler
-    _, out = _forward(_design(windows, center, scale), model.weights)
-    return center + scale * out.mean(axis=-2)
+    with np.errstate(over="ignore"):  # a saturated unit (see _forward)
+        _, out = _forward(_design(windows, center, scale), _layers(model.weights))
+    return center + scale * out[..., 0, :].mean(axis=-2)
 
 
 def forecast_paths(models, histories, h: int) -> np.ndarray:
@@ -555,11 +567,13 @@ def forecast_paths(models, histories, h: int) -> np.ndarray:
     paths[:, p:] = [[model.constant_value] for model in models]
     live = [c for c, model in enumerate(models) if not model.constant]
     if live:
-        state = tuple(np.stack(w) for w in zip(*(models[c].weights for c in live)))
+        layers = _layers([np.stack(w) for w in zip(*(models[c].weights for c in live))])
         center, scale = np.array([models[c].scaler for c in live]).T[..., None]
-        for t in range(p, p + h):
-            _, out = _forward(_design(paths[live, None, None, t - p:t], center, scale), state)
-            paths[live, t] = (center + scale * out.mean(axis=-2))[:, 0]
+        with np.errstate(over="ignore"):  # a saturated unit (see _forward)
+            for t in range(p, p + h):
+                _, out = _forward(_design(paths[live, None, None, t - p:t], center, scale),
+                                  layers)
+                paths[live, t] = (center + scale * out[..., 0, :].mean(axis=-2))[:, 0]
     return paths[:, p:]
 
 

@@ -965,6 +965,29 @@ class TestStats:
                                  "with >= 2 models\n")
         assert not (tmp_path / "stats.json").exists()
 
+    @pytest.mark.parametrize("alpha", [9.9e-10, 1e-12, 1e-300])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_an_alpha_below_the_accurate_range_is_config_error(self, runner, tmp_path, alpha,
+                                                               source):
+        write_ranks_csv(tmp_path / "ranks.csv", 0)
+        inputs = {"ranks": str(tmp_path / "ranks.csv")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(inputs if source == "flag" else {**inputs, "alpha": alpha}))
+        flag = ["--alpha", repr(alpha)] if source == "flag" else []
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["stats", "--config", str(cfg), *flag, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"Error: bad value for 'alpha': {alpha!r} "
+                                 f"(expected a value in [1e-09, 1))\n")
+        assert not out.exists()
+
+    def test_an_alpha_at_the_floor_is_accepted(self, runner, tmp_path):
+        write_ranks_csv(tmp_path / "ranks.csv", 0)
+        result = runner.invoke(main, ["stats", "--ranks", str(tmp_path / "ranks.csv"),
+                                      "--alpha", "1e-9", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "stats.json").read_text())["alpha"] == 1e-9
+
     def test_rejects_mean_ranks_only(self, runner, tmp_path):
         ranks = tmp_path / "ranks.csv"
         ranks.write_text("case,a,b\nmean,1.4,1.6\n")

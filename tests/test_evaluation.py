@@ -288,6 +288,20 @@ class TestMcb:
         entries = mcb_analysis(table, critical_constant=50.0)
         assert not any(e.significantly_worse for e in entries)
 
+    @pytest.mark.parametrize("alpha", [9.9e-10, 1e-12, 1e-300, 0.0, -0.05, 1.0, math.nan])
+    def test_alpha_outside_the_accurate_range_is_rejected(self, alpha):
+        # Below 1e-9 the range quantile loses accuracy (1e-300 gave the bracket cap 40).
+        with pytest.raises(ValueError) as excinfo:
+            mcb_analysis(random_rank_table(10, 3, 1), alpha)
+        assert str(excinfo.value) == f"alpha must be in [1e-09, 1), got {alpha!r}"
+
+    def test_alpha_at_the_floor_is_accepted(self):
+        table = random_rank_table(10, 3, 1)
+        q = _studentized_range_q(1e-9, 3)
+        half = (q / math.sqrt(2.0)) * math.sqrt(3 * 4 / (12.0 * 10))
+        entries = mcb_analysis(table, 1e-9)
+        assert [e.upper - e.mean_rank for e in entries] == pytest.approx([half] * 3, rel=1e-12)
+
 
 class TestDistributions:
     """The NumPy/math tail probabilities and range quantile against scipy.stats."""

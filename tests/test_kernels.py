@@ -41,12 +41,12 @@ from epicast.neuralnet import (
     NeuralNetModel,
     TrainConfig,
     _design,
+    _epoch,
+    _forward,
     _init_weights,
-    _sigmoid_neg,
+    _layers,
     _stack,
-    _stacked_loss_and_grad,
     _supervised_pairs,
-    _workspace,
     fit_network,
     fitted_values,
     forecast_recursive,
@@ -131,12 +131,21 @@ def negated_design_loss_and_grad(params, x, y, step=1.0):
     return loss, (g_in[:, :, :p], g_in[:, :, p], g_w2, d_out.sum(axis=1))
 
 
+def reference_init_weights(rng, p, k):
+    """A restart's initial (W1, b1, w2, b2) as four draws, one per array."""
+    w1 = rng.uniform(-0.5, 0.5, size=(k, p)) / np.sqrt(p)
+    b1 = rng.uniform(-0.5, 0.5, size=k)
+    w2 = rng.uniform(-0.5, 0.5, size=k)
+    b2 = rng.uniform(-0.5, 0.5)
+    return w1, b1, w2, b2
+
+
 def reference_fit(series, p, k, cfg, kernel=reference_loss_and_grad):
     """Full-batch descent with the plateau/patience rule, on a reference kernel."""
     y = np.asarray(series, dtype=float)
     z = (y - np.mean(y)) / np.std(y)
     x, target = _supervised_pairs(z, p)
-    inits = [_init_weights(np.random.default_rng([cfg.seed, r]), p, k)
+    inits = [reference_init_weights(np.random.default_rng([cfg.seed, r]), p, k)
              for r in range(cfg.restarts)]
     params = [np.stack([w[i] for w in inits]) for i in range(3)]
     params.append(np.array([w[3] for w in inits]))
@@ -246,12 +255,29 @@ def test_kernel_matches_reference(r, k, p, n, seed):
         rng.normal(scale=0.5, size=(r, k)), rng.normal(scale=0.5, size=r))
     state = (_stack(w1, b1), w2, b2)
     grads = [np.empty_like(w) for w in state]
-    loss = _stacked_loss_and_grad(state, _design(x), y, _workspace(n, r, k), grads)
+    with np.errstate(over="ignore"):
+        epoch = _epoch(state, grads, _design(x), y)
+        loss = epoch()
+        first = [g.copy() for g in grads]
+        again = epoch()  # the bound buffers and views carry nothing from one epoch to the next
     ref_loss, (g_w1, g_b1, g_w2, g_b2) = reference_loss_and_grad(params, x, y)
     assert_close(loss, ref_loss, 1e-12)
     for grad, ref in zip(grads, (_stack(g_w1, g_b1), g_w2, g_b2)):
         assert grad.shape == ref.shape
         assert_close(grad, ref, 1e-12)
+    assert again.tobytes() == loss.tobytes()
+    assert all(g.tobytes() == f.tobytes() for g, f in zip(grads, first))
+
+
+@pytest.mark.parametrize("seed,p,k", [(0, 1, 1), (3, 4, 2), (7, 8, 4), (11, 12, 6),
+                                      (2**32 - 1, 20, 10), (5, 3, 7)])
+def test_init_weights_equal_four_draws(seed, p, k):
+    for restart in range(3):
+        got = _init_weights(np.random.default_rng([seed, restart]), p, k)
+        want = reference_init_weights(np.random.default_rng([seed, restart]), p, k)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -410,7 +436,10 @@ def test_predict_matches_per_restart_loop(r, k, p, m, seed):
 
 def test_sigmoid_saturates_exactly():
     x = np.array([-1e300, -800.0, 800.0, 1e300])
-    np.testing.assert_array_equal(_sigmoid_neg(-x), [0.0, 0.0, 1.0, 1.0])
+    identity = _layers((np.array([[[1.0, 0.0]]]), np.ones((1, 1)), np.zeros(1)))  # s(x)
+    with np.errstate(over="ignore"):
+        hidden, _ = _forward(_design(x[:, None]), identity)
+    np.testing.assert_array_equal(hidden[0, 0], [0.0, 0.0, 1.0, 1.0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from epicast.neuralnet import (
     TrainConfig,
     _design,
     _forward,
+    _layers,
     _loss_and_grad,
     fit_network,
     fitted_values,
@@ -140,11 +142,12 @@ class TestFitNetwork:
         w_in, w_out, b2 = model.weights
         assert w_out.shape == (5, 2)
         xt = _design(np.lib.stride_tricks.sliding_window_view(y, 4), *model.scaler)
-        base = _forward(xt, model.weights)[1].T  # (m, R)
+        base = _forward(xt, _layers(model.weights))[1][:, 0].T  # (m, R)
         for r in range(5):
             bumped = w_out.copy()
             bumped[r] += 0.25
-            changed = np.any(_forward(xt, (w_in, bumped, b2))[1].T != base, axis=0)
+            changed = np.any(_forward(xt, _layers((w_in, bumped, b2)))[1][:, 0].T != base,
+                             axis=0)
             assert changed.tolist() == [i == r for i in range(5)]
 
     def test_loss_curve_mostly_decreasing(self):
@@ -212,6 +215,19 @@ class TestForecasting:
         fitted = fitted_values(model, y)
         assert fitted.size == 58
         assert fitted[-1] == pytest.approx(predict(model, [y[-3:-1]])[0])
+
+    def test_saturated_units_give_exactly_zero_or_one_without_a_warning(self):
+        """A network whose one hidden unit is s(x) and whose output is that unit: inputs of
+        +-800 and +-1e300 overflow exp, which every public path must let saturate quietly."""
+        model = NeuralNetModel(weights=(np.array([[[1.0, 0.0]]]), np.ones((1, 1)), np.zeros(1)),
+                               p=1, k=1, scaler=(0.0, 1.0), seed=0)
+        x = [-1e300, -800.0, 800.0, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [predict(model, np.reshape(x, (4, 1))), fitted_values(model, [*x, 0.0]),
+                   forecast_paths([model] * 4, [[v] for v in x], 1)[:, 0]]
+        for values in got:
+            assert values.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 @settings(max_examples=40, deadline=None)
