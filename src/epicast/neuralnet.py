@@ -18,31 +18,48 @@ evaluated, over any leading axes (``forecast_paths`` stacks networks), on the
 arrays ``_layers`` gives it. Its exp overflows to inf in a saturated unit, which
 gives exactly 0, so each caller holds ``np.errstate`` once around its passes.
 
+Networks train in stacks: C networks of one series length n, lag order p, hidden
+size k and ``TrainConfig`` but the seed, such as the J+1 components of one EWNet
+candidate, train as one program on a leading network axis, (C, R, k, p+1) input
+layers on (C, 1, p+1, n) design matrices. No product mixes networks, and each core
+product keeps the shape, and so the bits, it has for one network: a network trained
+in a stack equals the network ``fit_network`` trains alone, the stack of one. Each
+member keeps its own seeds, scaler and stopping rule; once it stops, its gradient rows
+are zeroed, so its weights freeze exactly and its loss curve ends on its own epoch.
+
 A fit binds its training epoch once (``_epoch``): the three buffers, the hidden
-activations s and the hidden-layer error term, both (R, k, n), and the output error
-(R, n); every view of them and of the weights and gradient; and the scalars 0.5/n
+activations s and the hidden-layer error term, both (C, R, k, n), and the output error
+(C, R, n); every view of them and of the weights and gradient; and the scalars 0.5/n
 and n/step. An epoch is then one ``_forward`` call and eleven NumPy calls on those
 arrays. It makes no view and enters no ``np.errstate``, which ``_train`` holds
-around the whole fit. The backward pass is reassociated: s(1 - s) is scaled by the
-output error broadcast over k, multiplied by the design matrix in one batched
-(R, k, n) @ (n, p+1) product, and only the result is scaled by the output weights,
-so no (R, k, n) outer product is formed. The learning rate is folded into the 1/n
-scaling of the output error, so the gradient holds the step and the epoch ends
-with one ``params -= grad`` on a flat vector that holds the weights. The model
-keeps (w_in, w_out, b2); model.json splits the input layer into its weights and
-biases.
+around the whole fit; its stopping rule runs on Python floats. The backward pass is
+reassociated: s(1 - s) is scaled by the output error broadcast over k, multiplied by
+the design matrix in one batched (k, n) @ (n, p+1) product per restart, and only the
+result is scaled by the output weights, so no (C, R, k, n) outer product is formed.
+The learning rate is folded into the 1/n scaling of the output error, so the
+gradient holds the step and the epoch ends with one ``params -= grad`` on a (C, d)
+array whose rows hold the networks' weights. The model keeps (w_in, w_out, b2);
+model.json splits the input layer into its weights and biases.
 
 ``fit_network`` trains one network in the calling process. ``fit_networks`` trains
 a batch of (series, p, k, cfg) jobs, one network each: the J+1 components of an
-EWNet fit, or every network of a lag search. When the process may use two CPUs or
-more (``_cpus``: its affinity set, cut to its cgroup's CPU quota), a batch of two
-jobs or more whose estimated work (``_work``) reaches ``MIN_WORK`` is shared with
-one worker process (``_serve``), forked on the first batch that needs it, which
-lives as long as the process. Jobs go out largest first; the worker holds at most
-two, and the caller trains the next job itself and collects the worker's results
-between its own jobs (``_fan_out``). A network is a function of its job alone, so
-its bits do not depend on the process that trained it, and ``taskset -c 0`` trains
-every batch in the calling process.
+EWNet fit, or every network of a lag search. A batch whose estimated work
+(``_work``) is below ``MIN_WORK`` trains network by network through
+``fit_network``. A larger one trains in stacks (``_stacks``) of at most
+``MAX_STACK`` hidden activations, C·R·k·(n - p). Stacking pays where an epoch's
+fixed cost is a large share of it, in small networks; a network whose hidden buffer
+alone exceeds the cap trains alone, as larger stacks gained little per epoch and
+made ``weekly_fit``'s batches slower (README, "Performance"). When the
+process may use two CPUs or more (``_cpus``: its affinity set, cut to its cgroup's
+CPU quota), a batch of two stacks or more is shared with one worker process
+(``_serve``), forked on the first batch that needs it, which lives as long as the
+process. The stack is the unit of work: stacks go out largest first, by their
+multiply-adds plus ``RESTART_EPOCH`` for each restart's epoch, the fixed cost that
+makes up most of a small network's epoch; the worker holds at most two, and the
+caller trains the next stack itself and collects the worker's results between its
+own stacks (``_fan_out``). A network is a function of its job alone, so its bits do
+not depend on its stack or on the process that trained it, and ``taskset -c 0``
+trains every batch in the calling process.
 
 The worker is pinned to the last CPU of the caller's affinity set once, when it is
 forked: left unpinned, it was woken on the caller's CPU and kept there. The caller
@@ -55,17 +72,20 @@ fork fails. A forked child never uses its parent's worker.
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import core
 
-MIN_WORK = 1_000_000  # estimated multiply-adds below which a batch trains in process
+MIN_WORK = 1_000_000  # estimated multiply-adds below which a batch trains network by network
+MAX_STACK = 2**15  # float64s of hidden activations, C·R·k·(n - p), that one stack may hold
+RESTART_EPOCH = 5_000  # multiply-adds' worth of the fixed cost of one restart's epoch
 
 
 @dataclass(frozen=True)
@@ -200,14 +220,17 @@ def hidden_neurons(p: int) -> int:
 
 
 def _stack(w1, b1):
-    """(R, k, p+1) input layer from (R, k, p) weights and (R, k) biases."""
-    return np.concatenate((w1, b1[:, :, None]), axis=2)
+    """(..., R, k, p+1) input layer from (..., R, k, p) weights and (..., R, k) biases."""
+    return np.concatenate((w1, b1[..., None]), axis=-1)
 
 
-def _views(flat: np.ndarray, r: int, k: int, p: int):
-    """(w_in, w_out, b2) views of a flat vector that holds a stacked state."""
+def _views(params: np.ndarray, r: int, k: int, p: int):
+    """(w_in, w_out, b2) views, with the leading axes of ``params``, of the flat vectors in its
+    last axis that each hold a stacked state."""
     size = r * k * (p + 1)
-    return flat[:size].reshape(r, k, p + 1), flat[size:-r].reshape(r, k), flat[-r:]
+    lead = params.shape[:-1]
+    return (params[..., :size].reshape(*lead, r, k, p + 1),
+            params[..., size:-r].reshape(*lead, r, k), params[..., -r:])
 
 
 def _design(windows: np.ndarray, center=0.0, scale=1.0) -> np.ndarray:
@@ -245,40 +268,47 @@ def _forward(xt, layers, hidden=None, out=None):
     return hidden, out
 
 
-def _init_weights(rng: np.random.Generator, p: int, k: int):
-    """One restart's initial (W1, b1, w2, b2): one draw of k(p + 2) + 1 uniforms on
-    [-0.5, 0.5), the same numbers as a draw per array, split in order; W1 is scaled by
-    1/sqrt(p)."""
-    u = rng.uniform(-0.5, 0.5, k * (p + 2) + 1)
-    return u[:k * p].reshape(k, p) / np.sqrt(p), u[k * p:-k - 1], u[-k - 1:-1], u[-1]
+def _init_weights(seeds, r: int, p: int, k: int):
+    """Initial (W1, b1, w2, b2) of ``r`` restarts for each of C seeds, (C, r, ...) views of one
+    (C·r, k(p + 2) + 1) array. Restart i of seed s fills its row with one draw of uniforms on
+    [-0.5, 0.5) from ``default_rng([s, i])``, the same numbers as a draw per array, split in
+    order; W1 is scaled by 1/sqrt(p)."""
+    u = np.empty((len(seeds) * r, k * (p + 2) + 1))
+    for row, (seed, i) in zip(u, itertools.product(seeds, range(r))):
+        row[:] = np.random.default_rng([seed, i]).uniform(-0.5, 0.5, row.size)
+    u = u.reshape(len(seeds), r, -1)
+    return (u[..., :k * p].reshape(len(seeds), r, k, p) / np.sqrt(p), u[..., k * p:-k - 1],
+            u[..., -k - 1:-1], u[..., -1])
 
 
 def _epoch(state, grads, xt, y, step=1.0):
     """One fit's training epoch: a function of no arguments that returns the per-restart
     L2 loss 0.5 * mean(err^2) and writes ``step`` times its gradient into ``grads``.
 
-    ``state`` and ``grads`` are (w_in, w_out, b2), ``xt`` the ``_design`` matrix of the n
-    training windows and ``y`` their targets. The buffers, views and scalars of an epoch
-    are made here, once per fit; the caller holds ``np.errstate(over="ignore")``.
+    ``state`` and ``grads`` are (w_in, w_out, b2) with any leading axes, as (C, R, k, p+1),
+    (C, R, k) and (C, R) for C networks; ``xt`` is the ``_design`` matrix of the n training
+    windows and ``y`` their targets, each broadcast over the restarts, as (C, 1, p+1, n) and
+    (C, 1, n). The buffers, views and scalars of an epoch are made here, once per fit; the
+    caller holds ``np.errstate(over="ignore")``.
     """
     w_in, w_out, _ = state
     g_in, g_out, g_b2 = grads
-    r, k, _ = w_in.shape
-    n = y.size
+    *lead, k, _ = w_in.shape
+    n = y.shape[-1]
     layers = _layers(state)
-    hidden, d_pre, err = np.empty((r, k, n)), np.empty((r, k, n)), np.empty((r, n))
-    err_rows, err_cols, g_out_cols = err[:, None], err[:, :, None], g_out[:, :, None]
-    x1, w_out_cols = xt.T, w_out[:, :, None]
+    hidden, d_pre, err = np.empty((*lead, k, n)), np.empty((*lead, k, n)), np.empty((*lead, n))
+    err_rows, err_cols, g_out_cols = err[..., None, :], err[..., None], g_out[..., None]
+    x1, w_out_cols = np.swapaxes(xt, -1, -2), w_out[..., None]
     half_by_n, n_by_step = 0.5 / n, n / step
 
     def epoch():
         _forward(xt, layers, hidden, err_rows)
         np.subtract(err, y, out=err)
-        loss = np.einsum("rn,rn->r", err, err)
+        loss = np.einsum("...n,...n->...", err, err)
         loss *= half_by_n
         # d_out, the output error err / n times the step, overwrites err.
         np.divide(err, n_by_step, out=err)
-        np.add.reduce(err, axis=1, out=g_b2)
+        np.add.reduce(err, axis=-1, out=g_b2)
         np.matmul(hidden, err_cols, out=g_out_cols)
         # The input-layer gradient is w_out * (s(1 - s) d_out @ [x, 1]), formed from the
         # two negated factors (s - 1) s d_out and the design matrix.
@@ -306,48 +336,59 @@ def _loss_and_grad(params, x, y):
 
 
 def _supervised_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    n = z.size
-    x = np.lib.stride_tricks.sliding_window_view(z, p)[: n - p]
-    return x, z[p:]
+    """The (..., n - p, p) lag windows of the series in the last axis of ``z`` and their
+    (..., n - p) targets."""
+    n = z.shape[-1]
+    x = np.lib.stride_tricks.sliding_window_view(z, p, axis=-1)[..., : n - p, :]
+    return x, z[..., p:]
 
 
-def _train(z, p, k, cfg: TrainConfig):
-    """Train the restarts of ``cfg`` on the z-scored series; (w_in, w_out, b2) and the
-    mean loss of each epoch.
+def _train(z, p, k, cfg: TrainConfig, seeds):
+    """Train the restarts of ``cfg`` for each of C seeds on the matching row of the (C, n)
+    z-scored series ``z``, as one program; the (C, ...) stacked (w_in, w_out, b2) and each
+    network's mean loss per epoch.
 
-    Each restart draws its initial weights from an RNG stream derived from
-    (seed, restart index). The stopping rule looks after every epoch, and the
-    stopping epoch takes no step.
+    Restart i of seed s draws its initial weights from an RNG stream derived from (s, i).
+    Each network keeps its own stopping rule, which looks after every epoch: the epoch on
+    which it stops and every later one leave its weights as they are (its gradient rows are
+    zeroed), and the program ends when every network has stopped.
     """
-    r = cfg.restarts
+    c, r = len(seeds), cfg.restarts
     x_mat, target = _supervised_pairs(z, p)
-    inits = [_init_weights(np.random.default_rng([cfg.seed, i]), p, k) for i in range(r)]
-    w1, b1, w2, b2 = (np.array([w[i] for w in inits]) for i in range(4))
-    params = np.concatenate((_stack(w1, b1), w2, b2), axis=None)
+    w1, b1, w2, b2 = _init_weights(seeds, r, p, k)
+    params = np.concatenate([w.reshape(c, -1) for w in (_stack(w1, b1), w2, b2)], axis=1)
     grad = np.empty_like(params)
     state = _views(params, r, k, p)
-    epoch = _epoch(state, _views(grad, r, k, p), _design(x_mat), target, cfg.learning_rate)
-    prev_loss, stalled, curve = np.inf, 0, []
+    epoch = _epoch(state, _views(grad, r, k, p), _design(x_mat)[:, None],
+                   target[:, None], cfg.learning_rate)
+    tolerance, patience = cfg.tolerance, cfg.patience
+    prev_loss, stalled, curves = [np.inf] * c, [0] * c, [[] for _ in range(c)]
+    live = range(c)
     # A diverging fit ends in non-finite weights, which NeuralNetModel rejects; its
     # overflows on the way are not reported.
     with np.errstate(all="ignore"):
         for _ in range(cfg.epochs):
-            total = float(np.add.reduce(epoch())) / r
-            curve.append(total)
-            if prev_loss - total < cfg.tolerance:
-                stalled += 1
-                if stalled >= cfg.patience:
+            totals = np.add.reduce(epoch(), axis=1).tolist()
+            for i in live:
+                total = totals[i] / r
+                curves[i].append(total)
+                if prev_loss[i] - total < tolerance:
+                    stalled[i] += 1
+                else:
+                    stalled[i] = 0
+                prev_loss[i] = total
+            if patience in stalled:  # a network stopped, on this epoch or an earlier one
+                live = [i for i in live if stalled[i] < patience]
+                if not live:
                     break
-            else:
-                stalled = 0
-            prev_loss = total
+                grad[[i for i in range(c) if stalled[i] >= patience]] = 0.0
             params -= grad
-    return state, curve
+    return state, curves
 
 
-def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
-    """Train ``cfg.restarts`` networks on lagged pairs from the z-scored series, in this
-    process."""
+def _scaled(series, p: int, k: int, cfg: TrainConfig):
+    """A job's z-scored series and its (center, scale), or the constant network of a series
+    without variance; a ValueError for a job that cannot train."""
     y = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite values in training series")
@@ -360,11 +401,43 @@ def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
     scale = float(np.std(y))
     if scale <= 1e-12 * max(1.0, abs(center)):
         return NeuralNetModel(weights=None, p=p, k=k, scaler=(center, 1.0), seed=cfg.seed)
+    return (y - center) / scale, (center, scale)
 
-    weights, loss_curve = _train((y - center) / scale, p, k, cfg)
-    model = NeuralNetModel(weights=weights, p=p, k=k, scaler=(center, scale), seed=cfg.seed)
-    model.training_loss = loss_curve  # mean full-batch loss per epoch, for diagnostics
-    return model
+
+def _fit_stack(jobs) -> list:
+    """The ``NeuralNetModel`` of each (series, p, k, cfg) job of a stack, or the ValueError it
+    raised alone. The jobs share the series length, p, k and every setting of cfg but the
+    seed, and the networks among them train as one program (``_train``)."""
+    results = []
+    for job in jobs:
+        try:
+            results.append(_scaled(*job))
+        except ValueError as exc:
+            results.append(exc)
+    live = [i for i, result in enumerate(results) if isinstance(result, tuple)]
+    if live:
+        _, p, k, cfg = jobs[live[0]]
+        seeds = [jobs[i][3].seed for i in live]
+        (w_in, w_out, b2), curves = _train(np.array([results[i][0] for i in live]), p, k, cfg,
+                                           seeds)
+        for c, (i, seed, curve) in enumerate(zip(live, seeds, curves)):
+            try:
+                results[i] = NeuralNetModel(weights=(w_in[c], w_out[c], b2[c]), p=p, k=k,
+                                            scaler=results[i][1], seed=seed)
+            except ValueError as exc:
+                results[i] = exc
+            else:
+                results[i].training_loss = curve  # mean full-batch loss per epoch, for diagnostics
+    return results
+
+
+def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
+    """Train ``cfg.restarts`` networks on lagged pairs from the z-scored series, in this
+    process."""
+    (result,) = _fit_stack([(series, p, k, cfg)])
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
 def _attempt(job):
@@ -375,18 +448,31 @@ def _attempt(job):
         return exc
 
 
-def _work(job) -> int:
+def _work(job, fixed=0) -> int:
     """A job's estimated training cost: multiply-adds of its forward and backward
-    passes, if it runs every epoch."""
+    passes, if it runs every epoch, plus ``fixed`` for each restart's epoch."""
     series, p, k, cfg = job
-    return cfg.epochs * cfg.restarts * max(np.size(series) - p, 0) * k * (p + 2)
+    return cfg.epochs * cfg.restarts * (max(np.size(series) - p, 0) * k * (p + 2) + fixed)
+
+
+def _stacks(jobs) -> list:
+    """The indices of ``jobs`` in stacks: jobs of one series length, p, k and ``TrainConfig``
+    but the seed, in job order, as many to a stack as ``MAX_STACK`` allows (at least one)."""
+    groups = {}
+    for i, (series, p, k, cfg) in enumerate(jobs):
+        groups.setdefault((np.size(series), p, k, replace(cfg, seed=0)), []).append(i)
+    stacks = []
+    for (n, p, k, cfg), members in groups.items():
+        size = max(1, MAX_STACK // max(cfg.restarts * k * (n - p), 1))
+        stacks += [members[i:i + size] for i in range(0, len(members), size)]
+    return stacks
 
 
 def _serve(conn, parent_end, cpu):
-    """Worker process: on ``cpu``, train the jobs the caller sends until its pipe closes.
+    """Worker process: on ``cpu``, train the stacks the caller sends until its pipe closes.
 
-    Each (index, job) pair is answered with (index, network or ValueError); any other
-    exception is sent in place of the answer.
+    Each (index, stack of jobs) pair is answered with (index, ``_fit_stack`` of the stack);
+    any other exception is sent in place of the answer.
     """
     parent_end.close()  # a copy inherited from the caller would keep the pipe open
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
@@ -396,11 +482,11 @@ def _serve(conn, parent_end, cpu):
         pass
     while True:
         try:
-            index, job = conn.recv()
+            index, stack = conn.recv()
         except EOFError:
             return
         try:
-            conn.send((index, _attempt(job)))
+            conn.send((index, _fit_stack(stack)))
         except Exception as exc:
             conn.send(exc)
 
@@ -484,17 +570,17 @@ def _close_worker() -> None:
         _worker = None
 
 
-def _fan_out(jobs, work, conn) -> list:
-    """Train ``jobs`` in this process and in the worker at ``conn``; their results in
-    job order.
+def _fan_out(stacks, work, conn) -> list:
+    """Train ``stacks`` of jobs in this process and in the worker at ``conn``; each stack's
+    ``_fit_stack`` results, in stack order.
 
-    Jobs go out largest ``work`` first. The worker holds at most two; this thread
-    trains the next job itself and, between its jobs, collects what the worker
+    Stacks go out largest ``work`` first. The worker holds at most two; this thread
+    trains the next stack itself and, between its stacks, collects what the worker
     finished.
     """
-    results = [None] * len(jobs)
-    todo = sorted(range(len(jobs)), key=lambda i: (work[i], -i))  # popped largest first
-    held = set()  # indices of the jobs the worker holds
+    results = [None] * len(stacks)
+    todo = sorted(range(len(stacks)), key=lambda i: (work[i], -i))  # popped largest first
+    held = set()  # indices of the stacks the worker holds
     try:
         while todo or held:
             # Collect what the worker finished; wait for it once nothing is left here.
@@ -506,13 +592,13 @@ def _fan_out(jobs, work, conn) -> list:
                 held.remove(index)
             while todo and len(held) < 2:
                 index = todo.pop()
-                conn.send((index, jobs[index]))
+                conn.send((index, stacks[index]))
                 held.add(index)
             if todo:
                 index = todo.pop()
-                results[index] = _attempt(jobs[index])
+                results[index] = _fit_stack(stacks[index])
     except BaseException:
-        _close_worker()  # the worker may hold jobs; never reuse it
+        _close_worker()  # the worker may hold stacks; never reuse it
         raise
     return results
 
@@ -521,22 +607,34 @@ def fit_networks(jobs) -> list:
     """Train the network of each (series, p, k, cfg) job; each job's ``NeuralNetModel``,
     or the ``ValueError`` it raised, in job order.
 
-    A batch of two jobs or more whose estimated work reaches ``MIN_WORK`` is shared
-    with the worker process when this process may use two CPUs (see the module
-    docstring); a network's bits do not depend on where it trained.
+    A batch whose estimated work is below ``MIN_WORK`` trains network by network. A
+    larger one trains in stacks (``_stacks``), each one program, and two stacks or more
+    are shared with the worker process when this process may use two CPUs (see the
+    module docstring); a network's bits depend neither on its stack nor on where it
+    trained.
     """
     jobs = list(jobs)
-    work = [_work(job) for job in jobs]
+    if sum(map(_work, jobs)) < MIN_WORK:
+        return [_attempt(job) for job in jobs]
+    stacks = _stacks(jobs)
+    units = [[jobs[i] for i in stack] for stack in stacks]
+    done = None
     # A batch in another thread that holds the worker leaves this one in this thread.
-    if (len(jobs) > 1 and sum(work) >= MIN_WORK and _cpus() > 1
-            and _worker_busy.acquire(blocking=False)):
+    if len(units) > 1 and _cpus() > 1 and _worker_busy.acquire(blocking=False):
         try:
             conn = _connection()
             if conn is not None:
-                return _fan_out(jobs, work, conn)
+                done = _fan_out(units, [sum(_work(job, RESTART_EPOCH) for job in unit)
+                                        for unit in units], conn)
         finally:
             _worker_busy.release()
-    return [_attempt(job) for job in jobs]
+    if done is None:
+        done = [_fit_stack(unit) for unit in units]
+    results = [None] * len(jobs)
+    for stack, stack_results in zip(stacks, done):
+        for i, result in zip(stack, stack_results):
+            results[i] = result
+    return results
 
 
 def predict(model: NeuralNetModel, windows) -> np.ndarray:

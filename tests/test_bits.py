@@ -80,10 +80,11 @@ def test_a_diverging_fit_is_still_rejected():
 
 
 def in_worker(job):
-    """The result of one job trained in the worker process."""
+    """The result of one job trained in the worker process, as a stack of one."""
     conn = neuralnet._connection()
-    conn.send((0, job))
-    return conn.recv()[1]
+    conn.send((0, [job]))
+    (result,) = conn.recv()[1]
+    return result
 
 
 @pytest.mark.parametrize("cfg,epochs_run,sha", PINNED, ids=IDS)

@@ -1,13 +1,16 @@
-"""Whole networks fanned out to the worker: a network's bits do not depend on where
+"""Stacks of networks fanned out to the worker: a network's bits do not depend on where
 it trained.
 
-``neuralnet.fit_networks`` shares a batch of (series, p, k, cfg) jobs between this
-process and one worker process. The property below compares a fanned-out batch
-with the same jobs trained here one after another; other tests cover the worker's
-error path, the worker's CPU, the dispatch rule, and the cases where
-a batch trains in its own process because forking is unsafe or fails.
+``neuralnet.fit_networks`` shares a batch of (series, p, k, cfg) jobs, in stacks of
+jobs that train as one program, between this process and one worker process. The
+property below compares a fanned-out batch with the same jobs trained here one after
+another; other tests cover the worker's error path, the worker's CPU, the dispatch
+rule, and the cases where a batch trains in its own process because forking is
+unsafe or fails. Jobs whose series lengths differ never share a stack, so most
+batches below are one job to a stack; tests/test_stacks.py covers larger stacks.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import threading
@@ -42,14 +45,20 @@ def in_process(jobs):
     return [neuralnet._attempt(job) for job in jobs]
 
 
+def stack_count(jobs):
+    """The number of stacks a batch trains in: one per series length, p, k and TrainConfig
+    but the seed, as none of the batches here reaches MAX_STACK."""
+    return len({(np.size(y), p, k, dataclasses.replace(cfg, seed=0)) for y, p, k, cfg in jobs})
+
+
 @pytest.fixture
 def fan_out(monkeypatch):
-    """Every batch of two jobs or more goes to the worker, whatever its size and the
-    load; the size of each batch shared is recorded in the returned list."""
+    """Every batch of two stacks or more goes to the worker, whatever its size and the
+    load; the number of stacks in each batch shared is recorded in the returned list."""
     fanned = []
     shared = neuralnet._fan_out
     monkeypatch.setattr(neuralnet, "_fan_out",
-                        lambda jobs, *args: fanned.append(len(jobs)) or shared(jobs, *args))
+                        lambda stacks, *args: fanned.append(len(stacks)) or shared(stacks, *args))
     monkeypatch.setattr(neuralnet, "MIN_WORK", 0)
     monkeypatch.setattr(neuralnet, "_cpus", lambda: 2)
     return fanned
@@ -77,11 +86,12 @@ def test_a_fanned_out_batch_gives_the_in_process_bits(fan_out, batch):
     got = fit_networks(batch)
     assert len(got) == len(batch)
     assert all(same_bits(g, w) for g, w in zip(got, in_process(batch)))
-    assert fan_out == ([len(batch)] if len(batch) > 1 else [])
+    stacks = stack_count(batch)
+    assert fan_out == ([stacks] if stacks > 1 else [])
 
 
 def test_the_worker_is_reused_across_batches(fan_out):
-    batch = [(series(seed, 120), 3, 2, TrainConfig(epochs=30, restarts=3, seed=seed))
+    batch = [(series(seed, 120 + seed), 3, 2, TrainConfig(epochs=30, restarts=3, seed=seed))
              for seed in range(4)]
     want = in_process(batch)
     assert all(map(same_bits, fit_networks(batch), want))
@@ -92,7 +102,7 @@ def test_the_worker_is_reused_across_batches(fan_out):
 
 def test_the_worker_holds_at_most_two_jobs(fan_out, monkeypatch):
     # The caller trains a share of the batch itself and never queues more than two
-    # jobs on the worker.
+    # stacks on the worker. The batch is eight stacks of two networks each.
     class Counting:
         def __init__(self, conn):
             self.conn, self.held, self.most = conn, 0, 0
@@ -109,30 +119,32 @@ def test_the_worker_holds_at_most_two_jobs(fan_out, monkeypatch):
         def poll(self):
             return self.conn.poll()
 
-    batch = [(series(seed, 100), 3, 2, TrainConfig(epochs=40, restarts=3, seed=seed))
-             for seed in range(8)]
+    batch = [(series(seed, 100 + seed // 2), 3, 2, TrainConfig(epochs=40, restarts=3, seed=seed))
+             for seed in range(16)]
     want = in_process(batch)
     neuralnet._connection()  # forked before the patch: the worker does not record
     counting, here = None, []
-    shared, attempt = neuralnet._fan_out, neuralnet._attempt
+    shared, fit_stack = neuralnet._fan_out, neuralnet._fit_stack
 
-    def fan_out_counting(jobs, work, conn):
+    def fan_out_counting(stacks, work, conn):
         nonlocal counting
         counting = Counting(conn)
-        return shared(jobs, work, counting)
+        return shared(stacks, work, counting)
 
     monkeypatch.setattr(neuralnet, "_fan_out", fan_out_counting)
-    monkeypatch.setattr(neuralnet, "_attempt", lambda job: here.append(1) or attempt(job))
+    monkeypatch.setattr(neuralnet, "_fit_stack",
+                        lambda stack: here.append(len(stack)) or fit_stack(stack))
     assert all(map(same_bits, fit_networks(batch), want))
     assert counting.most == 2 and counting.held == 0
-    assert 0 < len(here) < len(batch)
+    assert 0 < len(here) < stack_count(batch) == 8
+    assert set(here) == {2}
 
 
 def test_a_fan_out_pins_the_worker_and_leaves_the_caller_alone(fan_out, monkeypatch):
     # The worker runs on the last CPU of the caller's affinity set from its fork on;
     # the caller keeps its whole set while it trains its share of a batch, and after.
     mask = os.sched_getaffinity(0)
-    batch = [(series(seed, 90), 2, 1, TrainConfig(epochs=20, restarts=4, seed=seed))
+    batch = [(series(seed, 90 + seed), 2, 1, TrainConfig(epochs=20, restarts=4, seed=seed))
              for seed in range(4)]
     want = in_process(batch)
     neuralnet._close_worker()
@@ -163,7 +175,7 @@ def test_an_error_in_the_worker_reaches_the_caller(fan_out, monkeypatch):
             raise ArithmeticError("the worker's job failed")
         return train(*args)
 
-    batch = [(series(seed, 100), 3, 2, TrainConfig(epochs=25, restarts=4, seed=seed))
+    batch = [(series(seed, 100 + seed), 3, 2, TrainConfig(epochs=25, restarts=4, seed=seed))
              for seed in range(3)]
     want = in_process(batch)
     neuralnet._close_worker()
@@ -181,17 +193,19 @@ def test_an_error_in_the_worker_reaches_the_caller(fan_out, monkeypatch):
 
 def test_fit_networks_uses_the_cpus_it_may_run_on(monkeypatch):
     fanned = []
-    monkeypatch.setattr(neuralnet, "_fan_out",
-                        lambda jobs, work, conn: fanned.append(len(jobs)) or in_process(jobs))
+    monkeypatch.setattr(neuralnet, "_fan_out", lambda stacks, work, conn: fanned.append(
+        len(stacks)) or [neuralnet._fit_stack(stack) for stack in stacks])
     y = series(2, 80)
     large = (y, 2, 1, TrainConfig(epochs=200, restarts=10))
+    other = (y[1:], 2, 1, TrainConfig(epochs=200, restarts=10))  # a stack of its own
     small = (y, 2, 1, TrainConfig(epochs=100, restarts=10))
     assert 2 * neuralnet._work(large) >= neuralnet.MIN_WORK > 2 * neuralnet._work(small)
-    for cpus, batch in [(2, [large, large]), (2, [large]), (2, [small, small]),
-                        (1, [large, large]), (4, [large, small, large])]:
+    assert neuralnet._work(large) + neuralnet._work(other) >= neuralnet.MIN_WORK
+    for cpus, batch in [(2, [large, other]), (2, [large]), (2, [small, small]),
+                        (1, [large, other]), (2, [large, large]), (4, [large, small, other])]:
         monkeypatch.setattr(neuralnet, "_cpus", lambda: cpus)
         fit_networks(batch)
-    # One job, a batch below MIN_WORK, or one CPU stays in this process.
+    # One job, a batch below MIN_WORK, one CPU or one stack stays in this process.
     assert fanned == [2, 3]
 
 
@@ -221,7 +235,7 @@ def test_a_cpu_quota_below_two_keeps_fits_in_process(monkeypatch):
 
 
 def batch_of(seed):
-    return [(series(seed + i, 100), 3, 2, TrainConfig(epochs=30, restarts=4, seed=seed + i))
+    return [(series(seed + i, 100 + i), 3, 2, TrainConfig(epochs=30, restarts=4, seed=seed + i))
             for i in range(3)]
 
 

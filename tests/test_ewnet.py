@@ -193,16 +193,17 @@ class TestLagSelection:
         # candidate; in process, the candidate fails with the same message.
         train = neuralnet._train
 
-        def diverging(z, p, k, cfg):
-            state, curve = train(z, p, k, cfg)
+        def diverging(z, p, k, cfg, seeds):
+            state, curves = train(z, p, k, cfg, seeds)
             if p == 8:
                 state[2][:] = np.nan
-            return state, curve
+            return state, curves
 
         fanned = []
         fan_out = neuralnet._fan_out
         monkeypatch.setattr(neuralnet, "_fan_out", lambda *a: fanned.append(1) or fan_out(*a))
         monkeypatch.setattr(neuralnet, "MIN_WORK", 0)
+        monkeypatch.setattr(neuralnet, "MAX_STACK", 0)  # a stack for each network
         monkeypatch.setattr(neuralnet, "_train", diverging)
         y = lag4_series()
         cfg = EwnetConfig(levels=1, p_grid=(2, 8), train_cfg=FAST)

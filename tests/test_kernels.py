@@ -28,6 +28,7 @@ windows, taken from a MODWT of the p + 2r points each step depends on, against
 a full MODWT of the growing history at every step.
 """
 
+import itertools
 import math
 import warnings
 
@@ -272,9 +273,12 @@ def test_kernel_matches_reference(r, k, p, n, seed):
 @pytest.mark.parametrize("seed,p,k", [(0, 1, 1), (3, 4, 2), (7, 8, 4), (11, 12, 6),
                                       (2**32 - 1, 20, 10), (5, 3, 7)])
 def test_init_weights_equal_four_draws(seed, p, k):
-    for restart in range(3):
-        got = _init_weights(np.random.default_rng([seed, restart]), p, k)
-        want = reference_init_weights(np.random.default_rng([seed, restart]), p, k)
+    # A stack of two seeds: each restart of each seed draws its own four arrays.
+    seeds = [seed, seed + 1]
+    stacked = _init_weights(seeds, 3, p, k)
+    for (c, s), restart in itertools.product(enumerate(seeds), range(3)):
+        got = [w[c, restart] for w in stacked]
+        want = reference_init_weights(np.random.default_rng([s, restart]), p, k)
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w)
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
