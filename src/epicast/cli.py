@@ -10,7 +10,6 @@ Exit codes: 2 config error, 3 data error, 4 numeric failure.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -18,7 +17,6 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -80,18 +78,31 @@ def _write_json(path: Path, payload: dict, seed: int, digest: str) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _cell(cell) -> str:
+    """``cell`` as ``csv.writer`` writes it: ``str`` of a number, and text as it is,
+    or quoted with its quotes doubled when it holds a comma, a quote, a CR or an LF.
+
+    A NUL character is a ValueError on every Python (3.10's ``csv`` cannot write one).
+    """
+    if not isinstance(cell, str):
+        return str(cell)
+    if "\x00" in cell:
+        raise ValueError(f"a CSV cell cannot hold a NUL character: {cell!r}")
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _write_csv(path: Path, header: list[str], rows, seed: int, digest: str) -> None:
     """A provenance line, then CSV-quoted rows that ``core.read_table`` reads back.
 
-    Cells are ``str``, ``int`` or Python ``float`` (written with ``repr``; a NumPy
-    float would be written as ``np.float64(...)``, so callers pass ``tolist()``).
+    Cells are ``str``, ``int`` or ``float``, written by ``_cell``: the bytes of
+    ``csv.writer``, with LF in place of its CR LF row terminator.
     """
-    # Under its default CR LF terminator csv quotes a cell holding a bare CR (under LF
-    # alone it would not); each row's CR LF is then cut to LF.
-    lines = []
-    csv.writer(SimpleNamespace(write=lines.append)).writerows([header, *rows])
-    _atomic_write(path, "".join([f"# seed={seed} config_digest={digest}\n",
-                                 *(line[:-2] + "\n" for line in lines)]))
+    # As csv.writer does, a row of one empty cell is quoted, so it does not read as blank.
+    lines = ['""' if len(row) == 1 and row[0] == "" else ",".join(map(_cell, row))
+             for row in [header, *rows]]
+    _atomic_write(path, "\n".join([f"# seed={seed} config_digest={digest}", *lines, ""]))
 
 
 def _read_json(path, error: type[click.ClickException]):
@@ -391,6 +402,13 @@ def forecast(config, model_path, horizon, interval, level, out):
     click.echo(f"wrote {out_dir / 'forecast.csv'}")
 
 
+def _csv_name(name, what: str):
+    """``name``, which the rank CSVs hold; a NUL character in it is a config error."""
+    if "\x00" in str(name):
+        raise ConfigError(f"{what} {name!r} holds a NUL character, which a CSV cell cannot hold")
+    return name
+
+
 def _parse_external(pairs) -> dict[str, str]:
     mapping = {}
     for pair in pairs:
@@ -433,6 +451,7 @@ def evaluate(config, data, value_column, frequency, out, seed,
     for name in external_map:
         if name in evaluation.BUILTIN_FORECASTERS:
             raise ConfigError(f"external forecast name {name!r} is a built-in forecaster's")
+        _csv_name(name, "external forecast name")
 
     entries = cfg.get("datasets")
     if entries is None:
@@ -446,7 +465,7 @@ def evaluate(config, data, value_column, frequency, out, seed,
     for entry in entries:
         series, keys = _read_series(entry, None, None, None)
         _bounded_levels(e_cfg.levels, len(series), ConfigError)
-        name = entry.get("name") or Path(entry["data"]).stem
+        name = _csv_name(entry.get("name") or Path(entry["data"]).stem, "dataset name")
         if any(name == other["name"] for _, other in datasets):
             raise ConfigError(f"two datasets are named {name!r}; give each a distinct 'name'")
         datasets.append((series, {"name": name, "frequency": series.frequency, **keys}))

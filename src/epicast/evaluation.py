@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baselines, core, ewnet
+from . import baselines, core, ewnet, wavelet
 from .core import MetricSet, SplitSpec, TimeSeries
 from .ewnet import EwnetConfig
 
@@ -431,8 +431,9 @@ def mcb_analysis(table: RankTable, alpha: float = 0.05,
 
 def hurst_exponent(series) -> float:
     """Rescaled-range Hurst estimate: slope of log(R/S) on log(window size)
-    over dyadic windows from 32 points; zero-variance blocks are skipped."""
-    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
+    over dyadic windows from 32 points; zero-variance blocks are skipped, and a
+    non-finite value is a ValueError that names its position."""
+    values = wavelet._as_values(series)
     n = values.size
     if n < 32:
         raise ValueError("need at least 32 observations")
@@ -444,18 +445,15 @@ def hurst_exponent(series) -> float:
         w *= 2
     log_w, log_rs = [], []
     for w in sizes:
-        ratios = []
-        for start in range(0, n - w + 1, w):
-            block = values[start:start + w]
-            dev = block - block.mean()
-            spread = float(np.std(block))
-            if spread == 0.0:
-                continue
-            walk = np.cumsum(dev)
-            ratios.append((walk.max() - walk.min()) / spread)
-        if ratios:
+        # One row per whole block; each row reduces the block's values in their order.
+        blocks = values[:n - n % w].reshape(-1, w)
+        spread = np.std(blocks, axis=1)
+        walk = np.cumsum(blocks - blocks.mean(axis=1, keepdims=True), axis=1)
+        kept = spread != 0.0
+        if kept.any():
+            ratios = (walk.max(axis=1) - walk.min(axis=1))[kept] / spread[kept]
             log_w.append(math.log(w))
-            log_rs.append(math.log(np.mean(ratios)))
+            log_rs.append(math.log(ratios.mean()))
     if len(log_w) < 2:
         raise ValueError("not enough usable windows (constant series?)")
     slope = np.polyfit(log_w, log_rs, 1)[0]

@@ -173,7 +173,8 @@ def _as_values(series) -> np.ndarray:
         return series.values
     values = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite input")
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(f"non-finite input {values.flat[bad]} at position {bad}")
     return values
 
 

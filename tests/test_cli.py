@@ -1,5 +1,8 @@
+import csv
 import dataclasses
+import io
 import json
+import math
 import os
 
 import numpy as np
@@ -889,6 +892,27 @@ class TestEvaluate:
         assert networks_trained == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["dataset", "external-config", "external-flag"])
+    def test_a_name_holding_nul_is_config_error(self, runner, tmp_path, networks_trained,
+                                                source):
+        data = tmp_path / "cases.csv"
+        write_series_csv(data, n=100, seed=5)
+        ext = tmp_path / "ext.csv"
+        ext.write_text("step,point\n" + "".join(f"{i},30.0\n" for i in range(1, 13)))
+        cfg = {**FAST_TRAIN, "seed": 1, "p_grid": "1", "horizons": ["short"],
+               "datasets": [{"data": str(data), "frequency": 12,
+                             **({"name": "a\x00b"} if source == "dataset" else {})}]}
+        if source == "external-config":
+            cfg["external_forecasts"] = {"e\x00x": str(ext)}
+        flags = ["--external", f"e\x00x={ext}"] if source == "external-flag" else []
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["evaluate", "--config", str(tmp_path / "cfg.json"),
+                                      *flags, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "holds a NUL character" in result.output
+        assert networks_trained == []
+        assert not (tmp_path / "out").exists()
+
     def test_single_series_is_a_one_entry_dataset_list(self, runner, tmp_path):
         data = tmp_path / "cases.csv"
         write_series_csv(data, n=90, seed=4)
@@ -1519,5 +1543,34 @@ tables = st.integers(1, 5).flatmap(lambda width: st.tuples(
 def test_written_csv_reads_back_cell_for_cell(tmp_path_factory, table):
     header, rows = table
     path = tmp_path_factory.mktemp("csv") / "t.csv"
+    if any("\x00" in cell for row in [header, *rows] for cell in row):
+        # Python 3.10's csv can neither write nor read a NUL, so no epicast CSV holds one.
+        with pytest.raises(ValueError, match="cannot hold a NUL character"):
+            _write_csv(path, header, rows, seed=1, digest="0" * 16)
+        assert not path.exists()
+        return
     _write_csv(path, header, rows, seed=1, digest="0" * 16)
     assert core.read_table(path) == (header, rows)
+
+
+# Every cell kind epicast writes, and the rows csv.writer writes specially.
+csv_cells = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.inf, math.nan]),
+    table_cells.filter(lambda cell: "\x00" not in cell),
+)
+csv_rows = st.one_of(st.lists(csv_cells, min_size=1, max_size=5), st.just([""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(csv_rows, min_size=1, max_size=7))
+def test_written_csv_is_csv_writers_bytes(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    _write_csv(path, rows[0], rows[1:], seed=1, digest="0" * 16)
+    expected = ["# seed=1 config_digest=" + "0" * 16]
+    for row in rows:
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow(row)
+        expected.append(buffer.getvalue().removesuffix("\r\n"))  # each row ends in LF
+    assert path.read_bytes() == "".join(line + "\n" for line in expected).encode("utf-8")

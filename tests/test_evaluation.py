@@ -389,6 +389,59 @@ class TestDistributions:
         assert result.p_value == 1.0
 
 
+def hurst_loop(values):
+    """The rescaled-range estimate block by block: the reference for ``hurst_exponent``."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    if n < 32:
+        raise ValueError("need at least 32 observations")
+    sizes = []
+    w = min(32, max(8, n // 4))
+    while w <= n // 2:
+        sizes.append(w)
+        w *= 2
+    log_w, log_rs = [], []
+    for w in sizes:
+        ratios = []
+        for start in range(0, n - w + 1, w):
+            block = values[start:start + w]
+            dev = block - block.mean()
+            spread = float(np.std(block))
+            if spread == 0.0:
+                continue
+            walk = np.cumsum(dev)
+            ratios.append((walk.max() - walk.min()) / spread)
+        if ratios:
+            log_w.append(math.log(w))
+            log_rs.append(math.log(np.mean(ratios)))
+    if len(log_w) < 2:
+        raise ValueError("not enough usable windows (constant series?)")
+    return float(np.polyfit(log_w, log_rs, 1)[0])
+
+
+@st.composite
+def hurst_series(draw):
+    """Noise at scales from 1e-3 to 1e6, with constant stretches (blocks of zero spread)
+    or constant steps of a power-of-two length (window sizes that lose every block)."""
+    n = draw(st.integers(32, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3, 6))
+    kind = draw(st.sampled_from(["noise", "stretches", "steps"]))
+    if kind == "steps":
+        step = 2 ** draw(st.integers(3, 10))
+        values = np.repeat(rng.normal(size=n // step + 1), step)[:n] * scale
+        # A short noisy tail, which no block or only the last blocks hold.
+        tail = draw(st.integers(0, 31))
+        values[n - tail:] += rng.normal(size=tail) * scale
+        return values
+    values = rng.normal(size=n) * scale
+    if kind == "stretches":
+        for _ in range(draw(st.integers(1, 4))):
+            start = draw(st.integers(0, n - 1))
+            values[start:start + draw(st.integers(1, n))] = values[start]
+    return values
+
+
 class TestHurst:
     def test_white_noise_near_half(self):
         estimates = [hurst_exponent(np.random.default_rng(s).normal(size=4096))
@@ -420,6 +473,26 @@ class TestHurst:
     def test_accepts_time_series(self):
         ts = TimeSeries(values=np.random.default_rng(2).normal(size=256))
         assert 0.0 < hurst_exponent(ts) < 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_named(self, bad):
+        values = np.random.default_rng(3).normal(size=200)
+        values[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite input .* at position 7$"):
+                hurst_exponent(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=hurst_series())
+    def test_equals_the_per_block_loop_bit_for_bit(self, values):
+        expected, got = [], []
+        for estimate, out in ((hurst_loop, expected), (hurst_exponent, got)):
+            try:
+                out.append(estimate(values))
+            except ValueError as exc:
+                out.append(str(exc))
+        assert got == expected
 
 
 @pytest.fixture(scope="module")
