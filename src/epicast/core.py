@@ -29,7 +29,7 @@ class TimeSeries:
     frequency: int = 1
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a copy: the caller's array stays writeable
         if values.ndim != 1 or values.size == 0:
             raise DataError("series must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(values)):

@@ -55,11 +55,11 @@ CPU quota), a batch of two stacks or more is shared with one worker process
 (``_serve``), forked on the first batch that needs it, which lives as long as the
 process. The stack is the unit of work: stacks go out largest first, by their
 multiply-adds plus ``RESTART_EPOCH`` for each restart's epoch, the fixed cost that
-makes up most of a small network's epoch; the worker holds at most two, and the
-caller trains the next stack itself and collects the worker's results between its
-own stacks (``_fan_out``). A network is a function of its job alone, so its bits do
-not depend on its stack or on the process that trained it, and ``taskset -c 0``
-trains every batch in the calling process.
+makes up most of a small network's epoch. Each round the caller takes the largest
+stack left, tops the worker up to two held stacks, and trains its own, collecting the
+worker's results between its stacks (``_fan_out``). A network is a function of its job
+alone, so its bits do not depend on its stack or on the process that trained it, and
+``taskset -c 0`` trains every batch in the calling process.
 
 The worker is pinned to the last CPU of the caller's affinity set once, when it is
 forked: left unpinned, it was woken on the caller's CPU and kept there. The caller
@@ -574,9 +574,10 @@ def _fan_out(stacks, work, conn) -> list:
     """Train ``stacks`` of jobs in this process and in the worker at ``conn``; each stack's
     ``_fit_stack`` results, in stack order.
 
-    Stacks go out largest ``work`` first. The worker holds at most two; this thread
-    trains the next stack itself and, between its stacks, collects what the worker
-    finished.
+    Stacks go out largest ``work`` first. Each round this thread takes the largest stack
+    left for itself, tops the worker up to two held stacks from the rest, and trains its
+    own; between its stacks it collects what the worker finished. So this thread trains the
+    largest stack first: of two stacks the larger, of three only the largest.
     """
     results = [None] * len(stacks)
     todo = sorted(range(len(stacks)), key=lambda i: (work[i], -i))  # popped largest first
@@ -590,13 +591,13 @@ def _fan_out(stacks, work, conn) -> list:
                     raise message
                 index, results[index] = message
                 held.remove(index)
+            mine = todo.pop() if todo else None
             while todo and len(held) < 2:
                 index = todo.pop()
                 conn.send((index, stacks[index]))
                 held.add(index)
-            if todo:
-                index = todo.pop()
-                results[index] = _fit_stack(stacks[index])
+            if mine is not None:
+                results[mine] = _fit_stack(stacks[mine])
     except BaseException:
         _close_worker()  # the worker may hold stacks; never reuse it
         raise

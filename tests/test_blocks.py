@@ -4,10 +4,11 @@ it trained.
 ``neuralnet.fit_networks`` shares a batch of (series, p, k, cfg) jobs, in stacks of
 jobs that train as one program, between this process and one worker process. The
 property below compares a fanned-out batch with the same jobs trained here one after
-another; other tests cover the worker's error path, the worker's CPU, the dispatch
-rule, and the cases where a batch trains in its own process because forking is
-unsafe or fails. Jobs whose series lengths differ never share a stack, so most
-batches below are one job to a stack; tests/test_stacks.py covers larger stacks.
+another; other tests cover the worker's error path, the worker's CPU, the hand-out
+order, the dispatch rule, and the cases where a batch trains in its own process
+because forking is unsafe or fails. Jobs whose series lengths differ never share a
+stack, so most batches below are one job to a stack; tests/test_stacks.py covers
+larger stacks.
 """
 
 import dataclasses
@@ -138,6 +139,28 @@ def test_the_worker_holds_at_most_two_jobs(fan_out, monkeypatch):
     assert counting.most == 2 and counting.held == 0
     assert 0 < len(here) < stack_count(batch) == 8
     assert set(here) == {2}
+
+
+@pytest.mark.parametrize("lengths, caller", [
+    ((120, 100), {120}),
+    ((130, 110, 90), {130}),
+    ((150, 140, 130, 120, 110), None),
+])
+def test_the_caller_claims_the_largest_stack_first(fan_out, monkeypatch, lengths, caller):
+    # Each round the caller takes the largest stack left before it tops the worker up to
+    # two held stacks, so its first stack is the largest, whatever the timing. Of two
+    # stacks it trains the larger and of three the largest, and only those; how a longer
+    # batch is shared after the first round depends on when the worker finishes.
+    batch = [(series(n, n), 3, 2, TrainConfig(epochs=30, restarts=3, seed=n)) for n in lengths]
+    want = in_process(batch)
+    neuralnet._connection()  # forked before the patch: the worker does not record
+    here, fit_stack = [], neuralnet._fit_stack
+    monkeypatch.setattr(neuralnet, "_fit_stack",
+                        lambda stack: here.append(np.size(stack[0][0])) or fit_stack(stack))
+    assert all(map(same_bits, fit_networks(batch), want))
+    assert fan_out == [len(lengths)]
+    assert here[0] == max(lengths)
+    assert caller is None or set(here) == caller
 
 
 def test_a_fan_out_pins_the_worker_and_leaves_the_caller_alone(fan_out, monkeypatch):

@@ -44,6 +44,13 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             ts.values[0] = 9.0
 
+    def test_the_callers_array_stays_writeable(self):
+        a = np.arange(3.0)
+        ts = TimeSeries(values=a)
+        assert a.flags.writeable and not ts.values.flags.writeable
+        a[0] = 9.0
+        assert ts.values.tolist() == [0.0, 1.0, 2.0]
+
 
 class TestLoadCsv:
     def test_passthrough(self, tmp_path):
