@@ -46,28 +46,27 @@ a batch of (series, p, k, cfg) jobs, one network each: the J+1 components of an
 EWNet fit, or every network of a lag search. A batch whose estimated work
 (``_work``) is below ``MIN_WORK`` trains network by network through
 ``fit_network``. A larger one trains in stacks (``_stacks``) of at most
-``MAX_STACK`` hidden activations, C·R·k·(n - p). Stacking pays where an epoch's
-fixed cost is a large share of it, in small networks; a network whose hidden buffer
-alone exceeds the cap trains alone, as larger stacks gained little per epoch and
-made ``weekly_fit``'s batches slower (README, "Performance"). When the
+``MAX_STACK`` hidden activations, C·R·k·(n - p); a network whose hidden buffer alone
+exceeds the cap trains alone (README, "Performance", has the measurements). When the
 process may use two CPUs or more (``_cpus``: its affinity set, cut to its cgroup's
 CPU quota), a batch of two stacks or more is shared with one worker process
 (``_serve``), forked on the first batch that needs it, which lives as long as the
-process. The stack is the unit of work: stacks go out largest first, by their
-multiply-adds plus ``RESTART_EPOCH`` for each restart's epoch, the fixed cost that
-makes up most of a small network's epoch. Each round the caller takes the largest
-stack left, tops the worker up to two held stacks, and trains its own, collecting the
-worker's results between its stacks (``_fan_out``). A network is a function of its job
-alone, so its bits do not depend on its stack or on the process that trained it, and
-``taskset -c 0`` trains every batch in the calling process.
+process. Stacks go out largest first, by their multiply-adds plus ``RESTART_EPOCH``
+for each restart's epoch. Each round the caller takes the largest stack left, tops the
+worker up to two held stacks, and trains its own, collecting the worker's results
+between its stacks (``_fan_out``).
+
+Every stack the worker does not return trains in the calling process. That is every
+stack of a batch without the worker: under ``taskset -c 0``, while a batch in another
+thread holds it, and where forking is unsafe or not allowed (in a daemonic process such
+as a ``multiprocessing.Pool`` worker, in a process running other threads, or when the
+fork fails). It is also the rest of a batch whose worker dies: the broken pipe closes
+it, and the next batch forks a new one. An exception the worker sends, any but a job's
+ValueError, closes it and is raised. A network is a function of its job alone, so its
+bits depend neither on its stack nor on the process that trained it.
 
 The worker is pinned to the last CPU of the caller's affinity set once, when it is
-forked: left unpinned, it was woken on the caller's CPU and kept there. The caller
-is not pinned: it stays runnable through a batch, and pinning it measured level. A
-batch stays in the calling process when a batch in another thread holds the worker,
-and where forking is unsafe or not allowed: in a daemonic process (a
-``multiprocessing.Pool`` worker), in a process running other threads, or when the
-fork fails. A forked child never uses its parent's worker.
+forked; the caller is not pinned. A forked child never uses its parent's worker.
 """
 
 from __future__ import annotations
@@ -408,12 +407,7 @@ def _fit_stack(jobs) -> list:
     """The ``NeuralNetModel`` of each (series, p, k, cfg) job of a stack, or the ValueError it
     raised alone. The jobs share the series length, p, k and every setting of cfg but the
     seed, and the networks among them train as one program (``_train``)."""
-    results = []
-    for job in jobs:
-        try:
-            results.append(_scaled(*job))
-        except ValueError as exc:
-            results.append(exc)
+    results = [core.attempt(_scaled, *job) for job in jobs]
     live = [i for i, result in enumerate(results) if isinstance(result, tuple)]
     if live:
         _, p, k, cfg = jobs[live[0]]
@@ -421,31 +415,17 @@ def _fit_stack(jobs) -> list:
         (w_in, w_out, b2), curves = _train(np.array([results[i][0] for i in live]), p, k, cfg,
                                            seeds)
         for c, (i, seed, curve) in enumerate(zip(live, seeds, curves)):
-            try:
-                results[i] = NeuralNetModel(weights=(w_in[c], w_out[c], b2[c]), p=p, k=k,
-                                            scaler=results[i][1], seed=seed)
-            except ValueError as exc:
-                results[i] = exc
-            else:
-                results[i].training_loss = curve  # mean full-batch loss per epoch, for diagnostics
+            model = results[i] = core.attempt(NeuralNetModel, (w_in[c], w_out[c], b2[c]), p, k,
+                                              results[i][1], seed)
+            if isinstance(model, NeuralNetModel):
+                model.training_loss = curve  # mean full-batch loss per epoch, for diagnostics
     return results
 
 
 def fit_network(series, p: int, k: int, cfg: TrainConfig) -> NeuralNetModel:
     """Train ``cfg.restarts`` networks on lagged pairs from the z-scored series, in this
     process."""
-    (result,) = _fit_stack([(series, p, k, cfg)])
-    if isinstance(result, ValueError):
-        raise result
-    return result
-
-
-def _attempt(job):
-    """The network of one (series, p, k, cfg) job, or the ValueError it raised."""
-    try:
-        return fit_network(*job)
-    except ValueError as exc:
-        return exc
+    return core.unwrap(_fit_stack([(series, p, k, cfg)])[0])
 
 
 def _work(job, fixed=0) -> int:
@@ -572,30 +552,38 @@ def _close_worker() -> None:
 
 def _fan_out(stacks, work, conn) -> list:
     """Train ``stacks`` of jobs in this process and in the worker at ``conn``; each stack's
-    ``_fit_stack`` results, in stack order.
+    ``_fit_stack`` results, in stack order, or None for a stack the worker did not return.
 
     Stacks go out largest ``work`` first. Each round this thread takes the largest stack
     left for itself, tops the worker up to two held stacks from the rest, and trains its
-    own; between its stacks it collects what the worker finished. So this thread trains the
-    largest stack first: of two stacks the larger, of three only the largest.
+    own; between its stacks it collects what the worker finished. On a broken pipe (the
+    worker died) it closes the worker and returns what it has, for the caller to train the
+    rest; an exception the worker sends closes it and is raised.
     """
     results = [None] * len(stacks)
     todo = sorted(range(len(stacks)), key=lambda i: (work[i], -i))  # popped largest first
     held = set()  # indices of the stacks the worker holds
+    message = None
     try:
         while todo or held:
-            # Collect what the worker finished; wait for it once nothing is left here.
-            while held and (not todo or conn.poll()):
-                message = conn.recv()
-                if isinstance(message, Exception):
-                    raise message
-                index, results[index] = message
-                held.remove(index)
-            mine = todo.pop() if todo else None
-            while todo and len(held) < 2:
-                index = todo.pop()
-                conn.send((index, stacks[index]))
-                held.add(index)
+            try:
+                # Collect what the worker finished; wait for it once nothing is left here.
+                while held and (not todo or conn.poll()):
+                    message = conn.recv()
+                    if isinstance(message, Exception):
+                        raise message
+                    index, results[index] = message
+                    held.remove(index)
+                mine = todo.pop() if todo else None
+                while todo and len(held) < 2:
+                    index = todo.pop()
+                    conn.send((index, stacks[index]))
+                    held.add(index)
+            except (EOFError, OSError) as exc:
+                if exc is message:  # the worker's own failure, not a broken pipe
+                    raise
+                _close_worker()
+                return results
             if mine is not None:
                 results[mine] = _fit_stack(stacks[mine])
     except BaseException:
@@ -611,15 +599,15 @@ def fit_networks(jobs) -> list:
     A batch whose estimated work is below ``MIN_WORK`` trains network by network. A
     larger one trains in stacks (``_stacks``), each one program, and two stacks or more
     are shared with the worker process when this process may use two CPUs (see the
-    module docstring); a network's bits depend neither on its stack nor on where it
-    trained.
+    module docstring). Every stack the worker does not return trains in this process:
+    all of them when there is no worker, the rest of the batch when it dies.
     """
     jobs = list(jobs)
     if sum(map(_work, jobs)) < MIN_WORK:
-        return [_attempt(job) for job in jobs]
+        return [core.attempt(fit_network, *job) for job in jobs]
     stacks = _stacks(jobs)
     units = [[jobs[i] for i in stack] for stack in stacks]
-    done = None
+    done = [None] * len(units)
     # A batch in another thread that holds the worker leaves this one in this thread.
     if len(units) > 1 and _cpus() > 1 and _worker_busy.acquire(blocking=False):
         try:
@@ -629,11 +617,9 @@ def fit_networks(jobs) -> list:
                                         for unit in units], conn)
         finally:
             _worker_busy.release()
-    if done is None:
-        done = [_fit_stack(unit) for unit in units]
     results = [None] * len(jobs)
-    for stack, stack_results in zip(stacks, done):
-        for i, result in zip(stack, stack_results):
+    for stack, unit, stack_results in zip(stacks, units, done):
+        for i, result in zip(stack, _fit_stack(unit) if stack_results is None else stack_results):
             results[i] = result
     return results
 

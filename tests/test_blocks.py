@@ -4,16 +4,17 @@ it trained.
 ``neuralnet.fit_networks`` shares a batch of (series, p, k, cfg) jobs, in stacks of
 jobs that train as one program, between this process and one worker process. The
 property below compares a fanned-out batch with the same jobs trained here one after
-another; other tests cover the worker's error path, the worker's CPU, the hand-out
-order, the dispatch rule, and the cases where a batch trains in its own process
-because forking is unsafe or fails. Jobs whose series lengths differ never share a
-stack, so most batches below are one job to a stack; tests/test_stacks.py covers
-larger stacks.
+another; other tests cover the worker's error path, a worker that dies, the worker's
+CPU, the hand-out order, the dispatch rule, and the cases where a batch trains in its
+own process because forking is unsafe or fails. Jobs whose series lengths differ never
+share a stack, so most batches below are one job to a stack; tests/test_stacks.py
+covers larger stacks.
 """
 
 import dataclasses
 import multiprocessing
 import os
+import signal
 import threading
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from epicast import neuralnet
+from epicast import core, neuralnet
 from epicast.neuralnet import TrainConfig, fit_network, fit_networks, forecast_recursive
 
 
@@ -43,7 +44,7 @@ def same_bits(got, want):
 
 
 def in_process(jobs):
-    return [neuralnet._attempt(job) for job in jobs]
+    return [core.attempt(fit_network, *job) for job in jobs]
 
 
 def stack_count(jobs):
@@ -161,6 +162,67 @@ def test_the_caller_claims_the_largest_stack_first(fan_out, monkeypatch, lengths
     assert fan_out == [len(lengths)]
     assert here[0] == max(lengths)
     assert caller is None or set(here) == caller
+
+
+def test_a_batch_after_the_worker_died_trains_in_the_caller(fan_out):
+    # A worker killed while idle (the OOM killer, a stray kill) leaves a broken pipe;
+    # the next batch trains every stack here and the one after forks a new worker.
+    batch = [(series(seed, 110 + seed), 3, 2, TrainConfig(epochs=30, restarts=3, seed=seed))
+             for seed in range(4)]
+    want = in_process(batch)
+    assert all(map(same_bits, fit_networks(batch), want))
+    worker = neuralnet._worker[0]
+    os.kill(worker.pid, signal.SIGKILL)
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert all(map(same_bits, fit_networks(batch), want))
+    assert neuralnet._worker is None
+    assert all(map(same_bits, fit_networks(batch), want))
+    assert neuralnet._worker[0] is not worker and neuralnet._worker[0].is_alive()
+
+
+def test_the_caller_trains_what_a_dying_worker_held(fan_out, monkeypatch):
+    # The caller's first stack is trained once the worker holds two; killing the worker
+    # then loses both, and the caller trains them and every stack left.
+    batch = [(series(seed, 100 + seed), 3, 2, TrainConfig(epochs=30, restarts=3, seed=seed))
+             for seed in range(6)]
+    want = in_process(batch)
+    neuralnet._connection()  # forked before the patch: the worker trains as before
+    worker = neuralnet._worker[0]
+    here, fit_stack = [], neuralnet._fit_stack
+
+    def killing(stack):
+        if not here:
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=10)
+        here.append(np.size(stack[0][0]))
+        return fit_stack(stack)
+
+    monkeypatch.setattr(neuralnet, "_fit_stack", killing)
+    assert all(map(same_bits, fit_networks(batch), want))
+    assert not worker.is_alive() and neuralnet._worker is None
+    assert len(here) >= 4 and len(set(here)) == len(here)
+
+
+def test_an_os_error_the_worker_sends_is_not_a_broken_pipe(fan_out, monkeypatch):
+    # An OSError raised in the worker's job reaches the caller like any other failure;
+    # only an error of the pipe itself leaves the worker's stacks to the caller.
+    caller = os.getpid()
+    train = neuralnet._train
+
+    def failing(*args):
+        if os.getpid() != caller:
+            raise OSError("the worker's job failed")
+        return train(*args)
+
+    neuralnet._close_worker()
+    monkeypatch.setattr(neuralnet, "_train", failing)
+    neuralnet._connection()
+    worker = neuralnet._worker[0]
+    with pytest.raises(OSError, match="the worker's job failed"):
+        fit_networks(batch_of(5))
+    worker.join(timeout=10)
+    assert not worker.is_alive() and neuralnet._worker is None
 
 
 def test_a_fan_out_pins_the_worker_and_leaves_the_caller_alone(fan_out, monkeypatch):
