@@ -83,7 +83,7 @@ import numpy as np
 from . import core
 
 MIN_WORK = 1_000_000  # estimated multiply-adds below which a batch trains network by network
-MAX_STACK = 2**15  # float64s of hidden activations, C·R·k·(n - p), that one stack may hold
+MAX_STACK = 2**16  # float64s of hidden activations, C·R·k·(n - p), that one stack may hold
 RESTART_EPOCH = 5_000  # multiply-adds' worth of the fixed cost of one restart's epoch
 
 

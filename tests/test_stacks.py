@@ -166,7 +166,7 @@ def test_a_batch_below_min_work_trains_network_by_network(monkeypatch):
 def test_a_network_whose_hidden_buffer_exceeds_the_cap_trains_alone(stacked, monkeypatch):
     # R k (n - p) with R = 4 is half of MAX_STACK, two networks to a stack; with 8 restarts
     # one network fills the cap, and with 9 it exceeds it, so each trains alone.
-    assert 8 * 4 * (1031 - 7) == neuralnet.MAX_STACK
+    assert 8 * 4 * (2055 - 7) == neuralnet.MAX_STACK
     sizes = []
     train = neuralnet._train
     monkeypatch.setattr(neuralnet, "_train",
@@ -174,12 +174,41 @@ def test_a_network_whose_hidden_buffer_exceeds_the_cap_trains_alone(stacked, mon
     monkeypatch.setattr(neuralnet, "_cpus", lambda: 1)
     for restarts, want in [(4, [2, 1]), (8, [1, 1, 1]), (9, [1, 1, 1])]:
         cfg = TrainConfig(epochs=1, restarts=restarts)
-        batch = [(series(seed, 1031), 7, 4, dataclasses.replace(cfg, seed=seed))
+        batch = [(series(seed, 2055), 7, 4, dataclasses.replace(cfg, seed=seed))
                  for seed in range(3)]
         sizes.clear()
         got = fit_networks(batch)
         assert sizes == want
         assert all(same_result(g, alone(job)) for g, job in zip(got, batch))
+
+
+def workload_shapes(epochs=500):
+    """(n, p, count, want) for the benchmark's networks at R = 20: weekly_fit's five p = 8
+    calibration-head and refit networks, monthly_backtest's four p = 12 components, and
+    five p = 20 networks of the default search, each 50 800 hidden floats."""
+    cfg = TrainConfig(epochs=epochs)
+    shapes = [(273, 8, 5, [3, 2]), (299, 8, 5, [2, 2, 1]), (135, 12, 4, [4]),
+              (274, 20, 5, [1] * 5)]
+    return [([(series(seed, n), p, neuralnet.hidden_neurons(p),
+               dataclasses.replace(cfg, seed=seed)) for seed in range(count)], want)
+            for n, p, count, want in shapes]
+
+
+@pytest.mark.parametrize("jobs,want", workload_shapes(), ids=["weekly-head", "weekly-refit",
+                                                              "monthly", "p20"])
+def test_the_workloads_networks_stack_as_the_cap_allows(jobs, want):
+    assert [len(stack) for stack in neuralnet._stacks(jobs)] == want
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "worker"])
+def test_a_batch_of_the_workloads_shapes_keeps_the_bits_of_fit_network(stacked, monkeypatch,
+                                                                       cpus):
+    monkeypatch.setattr(neuralnet, "_cpus", lambda: cpus)
+    batch = [job for jobs, _ in workload_shapes(epochs=2) for job in jobs]
+    batch = [batch[i] for i in np.random.default_rng(0).permutation(len(batch))]
+    assert sorted(map(len, neuralnet._stacks(batch))) == [1] * 6 + [2] * 3 + [3, 4]
+    got = fit_networks(batch)
+    assert all(same_result(g, alone(job)) for g, job in zip(got, batch))
 
 
 def test_stacks_go_out_by_multiply_adds_and_a_fixed_cost_per_restart_epoch(stacked,
