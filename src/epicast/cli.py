@@ -404,7 +404,7 @@ def forecast(config, model_path, horizon, interval, level, out):
 
 def _csv_name(name, what: str):
     """``name``, which the rank CSVs hold; a NUL character in it is a config error."""
-    if "\x00" in str(name):
+    if "\x00" in name:
         raise ConfigError(f"{what} {name!r} holds a NUL character, which a CSV cell cannot hold")
     return name
 
@@ -465,7 +465,8 @@ def evaluate(config, data, value_column, frequency, out, seed,
     for entry in entries:
         series, keys = _read_series(entry, None, None, None)
         _bounded_levels(e_cfg.levels, len(series), ConfigError)
-        name = _csv_name(entry.get("name") or Path(entry["data"]).stem, "dataset name")
+        name = _resolve(entry, "name", None, check=(lambda v: isinstance(v, str), "text"))
+        name = _csv_name(name or Path(entry["data"]).stem, "dataset name")
         if any(name == other["name"] for _, other in datasets):
             raise ConfigError(f"two datasets are named {name!r}; give each a distinct 'name'")
         datasets.append((series, {"name": name, "frequency": series.frequency, **keys}))

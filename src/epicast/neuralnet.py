@@ -49,24 +49,29 @@ EWNet fit, or every network of a lag search. A batch whose estimated work
 ``MAX_STACK`` hidden activations, C·R·k·(n - p); a network whose hidden buffer alone
 exceeds the cap trains alone (README, "Performance", has the measurements). When the
 process may use two CPUs or more (``_cpus``: its affinity set, cut to its cgroup's
-CPU quota), a batch of two stacks or more is shared with one worker process
-(``_serve``), forked on the first batch that needs it, which lives as long as the
-process. Stacks go out largest first, by their multiply-adds plus ``RESTART_EPOCH``
-for each restart's epoch. Each round the caller takes the largest stack left, tops the
-worker up to two held stacks, and trains its own, collecting the worker's results
-between its stacks (``_fan_out``).
+CPU quota) and runs no other thread, a batch of two stacks or more is shared with one
+worker process (``_serve``), forked on the first batch that needs it. The worker lives
+as long as the process that forked it, which alone uses it: a forked child drops its
+parent's worker (``_connection``). With one thread, one batch at a time uses it, and a
+fork copies no lock that another thread holds inside NumPy or OpenBLAS.
+
+A shared batch is split once (``_fan_out``). Stacks are taken largest first, by their
+multiply-adds plus ``RESTART_EPOCH`` for each restart's epoch, and each goes to the side
+with less of that work so far, ties to the caller, so the caller's share holds the
+largest stack. The worker gets its share in one message and answers with one list,
+which the caller takes after training its own share.
 
 Every stack the worker does not return trains in the calling process. That is every
-stack of a batch without the worker: under ``taskset -c 0``, while a batch in another
-thread holds it, and where forking is unsafe or not allowed (in a daemonic process such
-as a ``multiprocessing.Pool`` worker, in a process running other threads, or when the
-fork fails). It is also the rest of a batch whose worker dies: the broken pipe closes
-it, and the next batch forks a new one. An exception the worker sends, any but a job's
-ValueError, closes it and is raised. A network is a function of its job alone, so its
-bits depend neither on its stack nor on the process that trained it.
+stack of a batch without the worker: under ``taskset -c 0``, while other threads run,
+and where forking is not allowed (in a daemonic process such as a
+``multiprocessing.Pool`` worker) or fails. It is also the worker's share of a batch
+whose worker dies: the broken pipe closes it, and the next batch forks a new one. An
+exception the worker sends, any but a job's ValueError, closes it and is raised, as does
+one raised in the caller. A network is a function of its job alone, so its bits depend
+neither on its stack nor on the process that trained it.
 
 The worker is pinned to the last CPU of the caller's affinity set once, when it is
-forked; the caller is not pinned. A forked child never uses its parent's worker.
+forked; the caller is not pinned.
 """
 
 from __future__ import annotations
@@ -449,9 +454,9 @@ def _stacks(jobs) -> list:
 
 
 def _serve(conn, parent_end, cpu):
-    """Worker process: on ``cpu``, train the stacks the caller sends until its pipe closes.
+    """Worker process: on ``cpu``, train the shares the caller sends until its pipe closes.
 
-    Each (index, stack of jobs) pair is answered with (index, ``_fit_stack`` of the stack);
+    Each list of stacks of jobs is answered with the list of their ``_fit_stack`` results;
     any other exception is sent in place of the answer.
     """
     parent_end.close()  # a copy inherited from the caller would keep the pipe open
@@ -462,30 +467,16 @@ def _serve(conn, parent_end, cpu):
         pass
     while True:
         try:
-            index, stack = conn.recv()
+            stacks = conn.recv()
         except EOFError:
             return
         try:
-            conn.send((index, _fit_stack(stack)))
+            conn.send([_fit_stack(stack) for stack in stacks])
         except Exception as exc:
             conn.send(exc)
 
 
-_worker = None  # (process, connection) of the worker, forked on first use
-_worker_busy = threading.Lock()  # held by the one batch at a time that uses the worker
-
-
-def _forget_worker() -> None:
-    """In a forked child: drop the parent's worker, which only the parent may use."""
-    global _worker, _worker_busy
-    if _worker is not None:
-        _worker[1].close()
-    _worker = None
-    _worker_busy = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+_worker = None  # (process, connection, pid of the process that forked it), forked on first use
 
 
 def _cpu_quota(root: Path = Path("/sys/fs/cgroup")) -> float:
@@ -511,15 +502,15 @@ def _cpus() -> int:
 
 
 def _connection():
-    """The connection to the worker process, forking it if it is not running; None
-    when it cannot be forked safely, so that the batch trains in this process."""
+    """The connection to the worker process, forking it if this process has none; None
+    when it cannot be forked, so that the batch trains in this process."""
     global _worker
     import multiprocessing  # here, so that a process that never fans out never loads it
 
+    if _worker is not None and _worker[2] != os.getpid():
+        _worker = None  # a forked child's copy of its parent's worker
     if _worker is None:
-        # A daemonic process may not have children. A fork copies only the calling
-        # thread, with any lock another thread holds inside NumPy or OpenBLAS.
-        if multiprocessing.current_process().daemon or threading.active_count() > 1:
+        if multiprocessing.current_process().daemon:  # a daemonic process may not have children
             return None
         # Fork, not spawn: a spawned worker imports the caller's __main__ again, which
         # reruns the top level of an unguarded script such as the README's library
@@ -536,14 +527,14 @@ def _connection():
             return None
         finally:
             theirs.close()
-        _worker = (worker, ours)
+        _worker = (worker, ours, os.getpid())
     return _worker[1]
 
 
 def _close_worker() -> None:
     global _worker
     if _worker is not None:
-        worker, conn = _worker
+        worker, conn, _ = _worker
         conn.close()
         worker.terminate()
         worker.join()
@@ -554,41 +545,39 @@ def _fan_out(stacks, work, conn) -> list:
     """Train ``stacks`` of jobs in this process and in the worker at ``conn``; each stack's
     ``_fit_stack`` results, in stack order, or None for a stack the worker did not return.
 
-    Stacks go out largest ``work`` first. Each round this thread takes the largest stack
-    left for itself, tops the worker up to two held stacks from the rest, and trains its
-    own; between its stacks it collects what the worker finished. On a broken pipe (the
-    worker died) it closes the worker and returns what it has, for the caller to train the
-    rest; an exception the worker sends closes it and is raised.
+    The stacks are split once: largest ``work`` first, each to the side with less work so
+    far, ties to this process. The worker's share goes out in one message; this process
+    trains its own share, then takes the worker's results in one reply. A broken pipe (the
+    worker died) closes the worker and leaves its share to the caller; an exception the
+    worker sends, or one raised here, closes it and is raised.
     """
+    shares, load = ([], []), [0, 0]  # this process's and the worker's
+    for i in sorted(range(len(stacks)), key=lambda i: -work[i]):  # ties in stack order
+        side = load[1] < load[0]
+        shares[side].append(i)
+        load[side] += work[i]
+    mine, theirs = shares
     results = [None] * len(stacks)
-    todo = sorted(range(len(stacks)), key=lambda i: (work[i], -i))  # popped largest first
-    held = set()  # indices of the stacks the worker holds
-    message = None
     try:
-        while todo or held:
-            try:
-                # Collect what the worker finished; wait for it once nothing is left here.
-                while held and (not todo or conn.poll()):
-                    message = conn.recv()
-                    if isinstance(message, Exception):
-                        raise message
-                    index, results[index] = message
-                    held.remove(index)
-                mine = todo.pop() if todo else None
-                while todo and len(held) < 2:
-                    index = todo.pop()
-                    conn.send((index, stacks[index]))
-                    held.add(index)
-            except (EOFError, OSError) as exc:
-                if exc is message:  # the worker's own failure, not a broken pipe
-                    raise
-                _close_worker()
-                return results
-            if mine is not None:
-                results[mine] = _fit_stack(stacks[mine])
+        try:
+            conn.send([stacks[i] for i in theirs])
+        except OSError:  # a broken pipe
+            _close_worker()
+            return results
+        for i in mine:
+            results[i] = _fit_stack(stacks[i])
+        try:
+            reply = conn.recv()
+        except (EOFError, OSError):  # a broken pipe
+            _close_worker()
+            return results
+        if isinstance(reply, Exception):
+            raise reply
     except BaseException:
-        _close_worker()  # the worker may hold stacks; never reuse it
+        _close_worker()  # the worker may hold its share; never reuse it
         raise
+    for i, result in zip(theirs, reply):
+        results[i] = result
     return results
 
 
@@ -597,10 +586,11 @@ def fit_networks(jobs) -> list:
     or the ``ValueError`` it raised, in job order.
 
     A batch whose estimated work is below ``MIN_WORK`` trains network by network. A
-    larger one trains in stacks (``_stacks``), each one program, and two stacks or more
-    are shared with the worker process when this process may use two CPUs (see the
-    module docstring). Every stack the worker does not return trains in this process:
-    all of them when there is no worker, the rest of the batch when it dies.
+    larger one trains in stacks (``_stacks``), each one program. Two stacks or more are
+    split with the worker process (``_fan_out``) when this process may use two CPUs and
+    runs no other thread (see the module docstring). Every stack the worker does not
+    return trains in this process: all of them when there is no worker, its share when
+    it dies.
     """
     jobs = list(jobs)
     if sum(map(_work, jobs)) < MIN_WORK:
@@ -608,15 +598,11 @@ def fit_networks(jobs) -> list:
     stacks = _stacks(jobs)
     units = [[jobs[i] for i in stack] for stack in stacks]
     done = [None] * len(units)
-    # A batch in another thread that holds the worker leaves this one in this thread.
-    if len(units) > 1 and _cpus() > 1 and _worker_busy.acquire(blocking=False):
-        try:
-            conn = _connection()
-            if conn is not None:
-                done = _fan_out(units, [sum(_work(job, RESTART_EPOCH) for job in unit)
-                                        for unit in units], conn)
-        finally:
-            _worker_busy.release()
+    if len(units) > 1 and _cpus() > 1 and threading.active_count() == 1:
+        conn = _connection()
+        if conn is not None:
+            done = _fan_out(units, [sum(_work(job, RESTART_EPOCH) for job in unit)
+                                    for unit in units], conn)
     results = [None] * len(jobs)
     for stack, unit, stack_results in zip(stacks, units, done):
         for i, result in zip(stack, _fit_stack(unit) if stack_results is None else stack_results):

@@ -80,10 +80,10 @@ def test_a_diverging_fit_is_still_rejected():
 
 
 def in_worker(job):
-    """The result of one job trained in the worker process, as a stack of one."""
+    """The result of one job trained in the worker process, as a share of one stack of one."""
     conn = neuralnet._connection()
-    conn.send((0, [job]))
-    (result,) = conn.recv()[1]
+    conn.send([[job]])
+    ((result,),) = conn.recv()
     return result
 
 

@@ -5,10 +5,10 @@ it trained.
 jobs that train as one program, between this process and one worker process. The
 property below compares a fanned-out batch with the same jobs trained here one after
 another; other tests cover the worker's error path, a worker that dies, the worker's
-CPU, the hand-out order, the dispatch rule, and the cases where a batch trains in its
-own process because forking is unsafe or fails. Jobs whose series lengths differ never
-share a stack, so most batches below are one job to a stack; tests/test_stacks.py
-covers larger stacks.
+CPU, the split of a batch between the two processes, the dispatch rule, and the cases
+where a batch trains in its own process because other threads run or forking is not
+allowed or fails. Jobs whose series lengths differ never share a stack, so most
+batches below are one job to a stack; tests/test_stacks.py covers larger stacks.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -102,66 +103,76 @@ def test_the_worker_is_reused_across_batches(fan_out):
     assert neuralnet._worker[0] is worker and worker.is_alive()
 
 
-def test_the_worker_holds_at_most_two_jobs(fan_out, monkeypatch):
-    # The caller trains a share of the batch itself and never queues more than two
-    # stacks on the worker. The batch is eight stacks of two networks each.
-    class Counting:
-        def __init__(self, conn):
-            self.conn, self.held, self.most = conn, 0, 0
+class Recording:
+    """A stand-in for the worker's connection, which records each message and answers
+    each share with one ("worker", stack) pair per stack."""
 
-        def send(self, message):
-            self.held += 1
-            self.most = max(self.most, self.held)
-            self.conn.send(message)
+    def __init__(self):
+        self.sent, self.replies = [], 0
 
-        def recv(self):
-            self.held -= 1
-            return self.conn.recv()
+    def send(self, share):
+        self.sent.append(share)
 
-        def poll(self):
-            return self.conn.poll()
+    def recv(self):
+        self.replies += 1
+        return [("worker", stack) for stack in self.sent[-1]]
 
-    batch = [(series(seed, 100 + seed // 2), 3, 2, TrainConfig(epochs=40, restarts=3, seed=seed))
-             for seed in range(16)]
-    want = in_process(batch)
-    neuralnet._connection()  # forked before the patch: the worker does not record
-    counting, here = None, []
-    shared, fit_stack = neuralnet._fan_out, neuralnet._fit_stack
 
-    def fan_out_counting(stacks, work, conn):
-        nonlocal counting
-        counting = Counting(conn)
-        return shared(stacks, work, counting)
+@settings(max_examples=200, deadline=None)
+@given(work=st.lists(st.integers(1, 10**9), min_size=2, max_size=40))
+def test_one_split_shares_the_stacks_by_their_work(work):
+    # Each stack goes to exactly one side, in one message each way; the caller's share
+    # holds the largest stack, and the two shares' work differs by at most one stack's.
+    conn, mine = Recording(), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(neuralnet, "_fit_stack",
+                      lambda stack: mine.append(stack) or ("caller", stack))
+        results = neuralnet._fan_out(list(range(len(work))), work, conn)
+    assert (len(conn.sent), conn.replies) == (1, 1)
+    theirs = conn.sent[0]
+    assert sorted(mine + theirs) == list(range(len(work)))
+    assert results == [("caller" if i in mine else "worker", i) for i in range(len(work))]
+    assert work.index(max(work)) in mine
+    assert abs(sum(work[i] for i in mine) - sum(work[i] for i in theirs)) <= max(work)
 
-    monkeypatch.setattr(neuralnet, "_fan_out", fan_out_counting)
-    monkeypatch.setattr(neuralnet, "_fit_stack",
-                        lambda stack: here.append(len(stack)) or fit_stack(stack))
-    assert all(map(same_bits, fit_networks(batch), want))
-    assert counting.most == 2 and counting.held == 0
-    assert 0 < len(here) < stack_count(batch) == 8
-    assert set(here) == {2}
+
+class Counting:
+    """The worker's connection, with each call to it recorded."""
+
+    def __init__(self, conn):
+        self.conn, self.calls = conn, []
+
+    def send(self, message):
+        self.calls.append("send")
+        self.conn.send(message)
+
+    def recv(self):
+        self.calls.append("recv")
+        return self.conn.recv()
 
 
 @pytest.mark.parametrize("lengths, caller", [
     ((120, 100), {120}),
     ((130, 110, 90), {130}),
-    ((150, 140, 130, 120, 110), None),
+    ((150, 140, 130, 120, 110), {150, 120, 110}),
 ])
-def test_the_caller_claims_the_largest_stack_first(fan_out, monkeypatch, lengths, caller):
-    # Each round the caller takes the largest stack left before it tops the worker up to
-    # two held stacks, so its first stack is the largest, whatever the timing. Of two
-    # stacks it trains the larger and of three the largest, and only those; how a longer
-    # batch is shared after the first round depends on when the worker finishes.
+def test_the_caller_trains_its_share_of_one_split(fan_out, monkeypatch, lengths, caller):
+    # A stack's work grows with its series length. Largest first, each stack goes to the
+    # side with less work so far: of five stacks the caller takes the first, the worker
+    # the next two, the caller the fourth and, on a tie, the fifth. The worker's share
+    # goes out in one message and comes back in one.
     batch = [(series(n, n), 3, 2, TrainConfig(epochs=30, restarts=3, seed=n)) for n in lengths]
     want = in_process(batch)
     neuralnet._connection()  # forked before the patch: the worker does not record
-    here, fit_stack = [], neuralnet._fit_stack
+    here, fit_stack, shared, counting = [], neuralnet._fit_stack, neuralnet._fan_out, []
     monkeypatch.setattr(neuralnet, "_fit_stack",
                         lambda stack: here.append(np.size(stack[0][0])) or fit_stack(stack))
+    monkeypatch.setattr(neuralnet, "_fan_out", lambda stacks, work, conn: counting.append(
+        Counting(conn)) or shared(stacks, work, counting[-1]))
     assert all(map(same_bits, fit_networks(batch), want))
     assert fan_out == [len(lengths)]
-    assert here[0] == max(lengths)
-    assert caller is None or set(here) == caller
+    assert [c.calls for c in counting] == [["send", "recv"]]
+    assert here[0] == max(lengths) and set(here) == caller
 
 
 def test_a_batch_after_the_worker_died_trains_in_the_caller(fan_out):
@@ -182,14 +193,17 @@ def test_a_batch_after_the_worker_died_trains_in_the_caller(fan_out):
 
 
 def test_the_caller_trains_what_a_dying_worker_held(fan_out, monkeypatch):
-    # The caller's first stack is trained once the worker holds two; killing the worker
-    # then loses both, and the caller trains them and every stack left.
+    # The worker is forked with a _fit_stack that sleeps for a minute, and the caller's
+    # first stack kills it while it holds its share: the caller trains that share too.
     batch = [(series(seed, 100 + seed), 3, 2, TrainConfig(epochs=30, restarts=3, seed=seed))
              for seed in range(6)]
     want = in_process(batch)
-    neuralnet._connection()  # forked before the patch: the worker trains as before
+    fit_stack = neuralnet._fit_stack
+    neuralnet._close_worker()
+    monkeypatch.setattr(neuralnet, "_fit_stack", lambda stack: time.sleep(60))
+    neuralnet._connection()
     worker = neuralnet._worker[0]
-    here, fit_stack = [], neuralnet._fit_stack
+    here = []
 
     def killing(stack):
         if not here:
@@ -201,7 +215,7 @@ def test_the_caller_trains_what_a_dying_worker_held(fan_out, monkeypatch):
     monkeypatch.setattr(neuralnet, "_fit_stack", killing)
     assert all(map(same_bits, fit_networks(batch), want))
     assert not worker.is_alive() and neuralnet._worker is None
-    assert len(here) >= 4 and len(set(here)) == len(here)
+    assert sorted(here) == [100 + seed for seed in range(6)]
 
 
 def test_an_os_error_the_worker_sends_is_not_a_broken_pipe(fan_out, monkeypatch):
@@ -324,23 +338,30 @@ def batch_of(seed):
             for i in range(3)]
 
 
+def owns_worker():
+    """Whether this process has a worker it forked itself."""
+    return neuralnet._worker is not None and neuralnet._worker[2] == os.getpid()
+
+
 def fit_in_this_process(batch):
-    """A batch's results, with whether this process had a worker before it and has one
-    after it."""
-    before = neuralnet._worker is not None
+    """A batch's results, with whether this process had a worker of its own before it and
+    has one after it."""
+    before = owns_worker()
     got = fit_networks(batch)
-    return before, neuralnet._worker is not None, got
+    return before, owns_worker(), got
 
 
 def test_a_fit_in_a_pool_worker_trains_in_that_worker(fan_out):
     # A Pool worker is daemonic and may not fork; it also inherits this process's
-    # worker, which it must not use.
+    # worker, which it must not use, and which this process keeps.
     batch = batch_of(2)
     assert neuralnet._connection() is not None
+    worker = neuralnet._worker[0]
     with multiprocessing.get_context("fork").Pool(1) as pool:
         before, after, got = pool.apply(fit_in_this_process, (batch,))
     assert (before, after) == (False, False)
     assert all(map(same_bits, got, in_process(batch)))
+    assert neuralnet._worker[0] is worker and worker.is_alive()
 
 
 def test_a_fit_with_other_threads_running_does_not_fork(fan_out, monkeypatch):
@@ -350,8 +371,9 @@ def test_a_fit_with_other_threads_running_does_not_fork(fan_out, monkeypatch):
     thread = threading.Thread(target=lambda: got.append(fit_in_this_process(batch)))
     thread.start()
     thread.join(timeout=120)
+    assert not thread.is_alive()
     before, after, results = got[0]
-    assert (before, after) == (False, False)
+    assert (before, after, fan_out) == (False, False, [])
     assert all(map(same_bits, results, in_process(batch)))
 
 
@@ -367,8 +389,8 @@ def test_a_fork_that_fails_leaves_the_fit_in_process(fan_out, monkeypatch):
     assert all(map(same_bits, got, in_process(batch)))
 
 
-def test_fits_in_several_threads_share_the_workers_safely(fan_out):
-    # One thread at a time holds the worker; the others train in their own thread.
+def test_fits_in_several_threads_train_in_their_own_threads(fan_out):
+    # While other threads run, no batch uses the worker, so no two batches share it.
     # Every network must have the bits of one trained alone.
     batches = [batch_of(seed) for seed in range(0, 18, 3)]
     alone = [in_process(batch) for batch in batches]
@@ -384,6 +406,7 @@ def test_fits_in_several_threads_share_the_workers_safely(fan_out):
     for thread in threads:
         thread.join(timeout=120)
         assert not thread.is_alive()
+    assert fan_out == []
     for results, want in zip(got, alone):
         assert all(map(same_bits, results, want))
 

@@ -892,6 +892,23 @@ class TestEvaluate:
         assert networks_trained == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", [5, True, [1]], ids=["number", "bool", "list"])
+    def test_a_dataset_name_that_is_not_text_is_config_error(self, runner, tmp_path,
+                                                             networks_trained, name):
+        # Beside it, a dataset whose name is the same text would make the same case name.
+        data = tmp_path / "x.csv"
+        write_series_csv(data, n=100, seed=5)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST_TRAIN, "seed": 1, "p_grid": "1", "horizons": ["short"],
+                                   "datasets": [{"data": str(data), "frequency": 12, "name": n}
+                                                for n in (name, str(name))]}))
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"Error: bad value for 'name': {name!r} (expected text)\n"
+        assert networks_trained == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("source", ["dataset", "external-config", "external-flag"])
     def test_a_name_holding_nul_is_config_error(self, runner, tmp_path, networks_trained,
                                                 source):

@@ -188,9 +188,9 @@ class TestLagSelection:
         assert model.train_series.size == y.size
 
     def test_a_candidate_that_failed_in_the_worker_is_skipped_as_in_process(self, monkeypatch):
-        # Lag 8 stands in for a fit that diverged. Its networks are the largest of the
-        # batch, so the worker trains its first component, whose error names the
-        # candidate; in process, the candidate fails with the same message.
+        # Lag 8 stands in for a fit that diverged. Its two networks are the largest of the
+        # batch, so the split gives one to each process, and the candidate's error names
+        # it; in process, the candidate fails with the same message.
         train = neuralnet._train
 
         def diverging(z, p, k, cfg, seeds):
