@@ -63,7 +63,7 @@ class EwnetModel:
         if any(net.p != self.chosen_p for net in self.component_models):
             raise ValueError(f"every component network must have p = chosen_p = {self.chosen_p}")
         live = [(c, net.weights[0].shape[:2]) for c, net in enumerate(self.component_models)
-                if not net.constant]  # forecast_paths stacks these networks
+                if not net.constant]  # predictions stack these networks
         for c, shape in live:
             if shape != live[0][1]:
                 raise ValueError(f"component {c} has (R, k) = {shape}, component {live[0][0]} "
@@ -280,12 +280,11 @@ def conformal_interval(point, calibration_abs_residuals, level: float) -> Interv
 def _lag_windows(model: EwnetModel, val: np.ndarray) -> np.ndarray:
     """(J+1, len(val), p) lag windows of the one-step forecasts over ``val``.
 
-    Step i forecasts val[i] from the last p values of each MRA component of
-    the history train + val[:i], of length n. An MRA value at t depends only
-    on history[t - r .. t + r] (mod n), with reach r = (2^J - 1)(L - 1) for the
-    L-tap filter (``wavelet`` module docstring), so one MODWT of the circular
-    window history[n - p - r .. n + r) gives those p values in its middle,
-    bitwise equal to the full transform's; this holds also when n < p + 2r.
+    Step i forecasts val[i] from the last p values of each MRA component of the
+    history train + val[:i], of length n. By the MODWT's reach r (``wavelet`` module
+    docstring), one MODWT of the circular window history[n - p - r .. n + r) gives
+    those p values in its middle, bitwise equal to the full transform's, also when
+    n < p + 2r.
     """
     base = haar_filter()
     levels = model.decomposition.levels
@@ -304,16 +303,13 @@ def _lag_windows(model: EwnetModel, val: np.ndarray) -> np.ndarray:
 
 
 def validation_abs_residuals(model: EwnetModel, val) -> np.ndarray:
-    """Absolute one-step-ahead errors over a validation window for conformal calibration.
-
-    The fitted component models roll forward through the validation span one
-    observation at a time, each step forecasting from the MODWT of the true
-    history so far. A step transforms only the p + 2r points its lag windows
-    depend on, with reach r = 2^J - 1 for Haar (``_lag_windows``), and each
-    component network then predicts all steps in one pass.
-    """
+    """Absolute one-step-ahead errors over a validation window for conformal calibration:
+    each step forecasts from the MODWT of the true history so far (``_lag_windows``), and
+    the stacked component networks predict every step in one pass, summed in component
+    order."""
     val = _finite_validation(val)
-    pred = np.zeros(val.size)
-    for net, lags in zip(model.component_models, _lag_windows(model, val)):
-        pred += neuralnet.predict(net, lags)
-    return np.abs(pred - val)
+    windows = _lag_windows(model, val)[:, None]
+    pred = np.array([np.full(val.size, net.constant_value) for net in model.component_models])
+    with np.errstate(over="ignore"):  # a saturated unit (neuralnet module docstring)
+        neuralnet._predictor(model.component_models)(windows, pred)
+    return np.abs(sum(pred, np.zeros(val.size)) - val)

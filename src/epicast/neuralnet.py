@@ -1,81 +1,44 @@
 """Single-hidden-layer autoregressive feedforward network.
 
-Sigmoid hidden units, linear output, full-batch gradient descent on the L2
-loss, trained on z-scored data. Several independently seeded restarts are
-trained and their predictions averaged.
+Sigmoid hidden units, linear output, full-batch gradient descent on the L2 loss,
+trained on z-scored data; several independently seeded restarts are trained and
+their predictions averaged.
 
-Restarts are stacked on a leading axis: the input layers with their biases form
-one (R, k, p+1) array, the output weights one (R, k) array. Activations are
-feature-major, (R, k, m), so every per-restart operation runs along contiguous
-rows. The hidden layer is one batched (R, k, p+1) @ (p+1, m) product, the output
-layer one batched (R, 1, k) @ (R, k, m) product.
+Stacked layout. A network's R restarts lie on a leading axis, as (R, k, p+1) input
+layers with their biases and (R, k) output weights, and activations are
+feature-major, (R, k, m). C networks of one series length, p, k and ``TrainConfig``
+but the seed train as one program on a further leading axis, and the non-constant
+networks of one p and (R, k) predict as one (``_predictor``).
 
-The inputs enter as the negated, transposed design matrix -[x, 1].T
-(``_design``), so the hidden-layer product yields the negated pre-activations and
-the sigmoid is an exp, an add and a divide, with no negation pass. ``predict``
-builds its windows the same way; ``_forward`` is the one place a network is
-evaluated, over any leading axes (``forecast_paths`` stacks networks), on the
-arrays ``_layers`` gives it. Its exp overflows to inf in a saturated unit, which
-gives exactly 0, so each caller holds ``np.errstate`` once around its passes.
+Negated design. The inputs enter as -[x, 1].T (``_design``), so the hidden-layer
+product yields the negated pre-activations t and the sigmoid 1 / (1 + exp(t)) is an
+exp, an add and a divide. exp(t) overflows to inf in a saturated unit, which gives
+exactly 0, so each fit and prediction holds ``np.errstate(over="ignore")`` once.
 
-Networks train in stacks: C networks of one series length n, lag order p, hidden
-size k and ``TrainConfig`` but the seed, such as the J+1 components of one EWNet
-candidate, train as one program on a leading network axis, (C, R, k, p+1) input
-layers on (C, 1, p+1, n) design matrices. No product mixes networks, and each core
-product keeps the shape, and so the bits, it has for one network: a network trained
-in a stack equals the network ``fit_network`` trains alone, the stack of one. Each
-member keeps its own seeds, scaler and stopping rule; once it stops, its gradient rows
-are zeroed, so its weights freeze exactly and its loss curve ends on its own epoch.
+Stack bit-invariance. No product mixes networks, and each keeps the shape, and so
+the bits, it has for one network alone. Each member keeps its own seeds, scaler and
+stopping rule; a stopped member's gradient rows are zeroed, so its weights freeze
+exactly. A network is thus a function of its job alone, whatever its stack and
+whichever process trained it.
 
-A fit binds its training epoch once (``_epoch``): the three buffers, the hidden
-activations s and the hidden-layer error term, both (C, R, k, n), and the output error
-(C, R, n); every view of them and of the weights and gradient; and the scalars 0.5/n
-and n/step. An epoch is then one ``_forward`` call and eleven NumPy calls on those
-arrays. It makes no view and enters no ``np.errstate``, which ``_train`` holds
-around the whole fit; its stopping rule runs on Python floats. The backward pass is
-reassociated: s(1 - s) is scaled by the output error broadcast over k, multiplied by
-the design matrix in one batched (k, n) @ (n, p+1) product per restart, and only the
-result is scaled by the output weights, so no (C, R, k, n) outer product is formed.
-The learning rate is folded into the 1/n scaling of the output error, so the
-gradient holds the step and the epoch ends with one ``params -= grad`` on a (C, d)
-array whose rows hold the networks' weights. The model keeps (w_in, w_out, b2);
-model.json splits the input layer into its weights and biases.
+Split rule. ``fit_networks`` trains a batch below ``MIN_WORK`` network by network,
+and a larger one in stacks of at most ``MAX_STACK`` hidden activations. When the
+process may use two CPUs and runs no other thread, whose locks inside NumPy or
+OpenBLAS a fork would copy, a batch of two stacks or more is split once with one
+forked worker process: largest estimated work first, each stack to the side with
+less so far, ties to the caller; one message each way.
 
-``fit_network`` trains one network in the calling process. ``fit_networks`` trains
-a batch of (series, p, k, cfg) jobs, one network each: the J+1 components of an
-EWNet fit, or every network of a lag search. A batch whose estimated work
-(``_work``) is below ``MIN_WORK`` trains network by network through
-``fit_network``. A larger one trains in stacks (``_stacks``) of at most
-``MAX_STACK`` hidden activations, C·R·k·(n - p); a network whose hidden buffer alone
-exceeds the cap trains alone (README, "Performance", has the measurements). When the
-process may use two CPUs or more (``_cpus``: its affinity set, cut to its cgroup's
-CPU quota) and runs no other thread, a batch of two stacks or more is shared with one
-worker process (``_serve``), forked on the first batch that needs it. The worker lives
-as long as the process that forked it, which alone uses it: a forked child drops its
-parent's worker (``_connection``). With one thread, one batch at a time uses it, and a
-fork copies no lock that another thread holds inside NumPy or OpenBLAS.
-
-A shared batch is split once (``_fan_out``). Stacks are taken largest first, by their
-multiply-adds plus ``RESTART_EPOCH`` for each restart's epoch, and each goes to the side
-with less of that work so far, ties to the caller, so the caller's share holds the
-largest stack. The worker gets its share in one message and answers with one list,
-which the caller takes after training its own share.
-
-Every stack the worker does not return trains in the calling process. That is every
-stack of a batch without the worker: under ``taskset -c 0``, while other threads run,
-and where forking is not allowed (in a daemonic process such as a
-``multiprocessing.Pool`` worker) or fails. It is also the worker's share of a batch
-whose worker dies: the broken pipe closes it, and the next batch forks a new one. An
-exception the worker sends, any but a job's ValueError, closes it and is raised, as does
-one raised in the caller. A network is a function of its job alone, so its bits depend
-neither on its stack nor on the process that trained it.
-
-The worker is pinned to the last CPU of the caller's affinity set once, when it is
-forked; the caller is not pinned.
+Failure rule. Every stack the worker does not return trains in the calling process:
+a whole batch without the worker (one CPU, other threads, a daemonic process, a
+failed fork) and the worker's share when it dies, which closes it for the next batch
+to fork anew. An exception the worker sends, any but a job's ValueError, closes it
+and is raised, as does one raised in the caller. Only the process that forked the
+worker uses or ends it.
 """
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import os
 import signal
@@ -194,12 +157,9 @@ class NeuralNetModel:
 
 
 def _restart_weights(restarts: list, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The ``key`` weights of every restart as one (R, *shape) array.
-
-    A list of the wrong length, or anything but a JSON number where a number
-    belongs, is reported by restart index and key, e.g. "restart 0: 'hidden_bias'
-    has 3 values, expected 2" or "restart 1: 'output_bias' must be a number, got 'x'".
-    """
+    """The ``key`` weights of every restart as one (R, *shape) array; a list of the wrong
+    length, or anything but a JSON number where a number belongs, is reported by restart
+    index and key, e.g. "restart 0: 'hidden_bias' has 3 values, expected 2"."""
     def check(values, shape, where):
         if not shape:
             core.number(values, where)
@@ -257,11 +217,7 @@ def _layers(state):
 def _forward(xt, layers, hidden=None, out=None):
     """Hidden activations (..., R, k, m) and outputs (..., R, 1, m), written into ``hidden`` and
     ``out`` when given, of the networks whose ``_layers`` are ``layers``, from the ``_design``
-    matrix ``xt`` (..., 1, p+1, m).
-
-    The sigmoid of the negated pre-activations t is 1 / (1 + exp(t)). exp(t) overflows to inf
-    above t = 709, which gives exactly 0: callers hold ``np.errstate(over="ignore")``.
-    """
+    matrix ``xt`` (..., 1, p+1, m)."""
     w_in, w_row, b2_col = layers
     hidden = np.matmul(w_in, xt, out=hidden)
     np.exp(hidden, out=hidden)
@@ -289,11 +245,9 @@ def _epoch(state, grads, xt, y, step=1.0):
     """One fit's training epoch: a function of no arguments that returns the per-restart
     L2 loss 0.5 * mean(err^2) and writes ``step`` times its gradient into ``grads``.
 
-    ``state`` and ``grads`` are (w_in, w_out, b2) with any leading axes, as (C, R, k, p+1),
-    (C, R, k) and (C, R) for C networks; ``xt`` is the ``_design`` matrix of the n training
-    windows and ``y`` their targets, each broadcast over the restarts, as (C, 1, p+1, n) and
-    (C, 1, n). The buffers, views and scalars of an epoch are made here, once per fit; the
-    caller holds ``np.errstate(over="ignore")``.
+    ``state`` and ``grads`` are (w_in, w_out, b2) with leading axes, as (C, R, k, p+1),
+    (C, R, k) and (C, R); ``xt`` is the ``_design`` matrix of the n training windows and
+    ``y`` their targets, as (C, 1, p+1, n) and (C, 1, n). Buffers and views are made once.
     """
     w_in, w_out, _ = state
     g_in, g_out, g_b2 = grads
@@ -327,10 +281,8 @@ def _epoch(state, grads, xt, y, step=1.0):
 
 
 def _loss_and_grad(params, x, y):
-    """Loss and (W1, b1, w2, b2) gradients for restart-axis weights ``params``.
-
-    ``x`` is the (n, p) design matrix and ``y`` the (n,) target vector.
-    """
+    """Loss and (W1, b1, w2, b2) gradients for restart-axis weights ``params``, on the (n, p)
+    design matrix ``x`` and the (n,) targets ``y``."""
     w1, b1, w2, b2 = params
     state = (_stack(w1, b1), w2, b2)
     grads = [np.empty_like(w) for w in state]
@@ -350,13 +302,8 @@ def _supervised_pairs(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 def _train(z, p, k, cfg: TrainConfig, seeds):
     """Train the restarts of ``cfg`` for each of C seeds on the matching row of the (C, n)
     z-scored series ``z``, as one program; the (C, ...) stacked (w_in, w_out, b2) and each
-    network's mean loss per epoch.
-
-    Restart i of seed s draws its initial weights from an RNG stream derived from (s, i).
-    Each network keeps its own stopping rule, which looks after every epoch: the epoch on
-    which it stops and every later one leave its weights as they are (its gradient rows are
-    zeroed), and the program ends when every network has stopped.
-    """
+    network's mean loss per epoch. A network's stopping rule looks after every epoch, and
+    the program ends when every network has stopped."""
     c, r = len(seeds), cfg.restarts
     x_mat, target = _supervised_pairs(z, p)
     w1, b1, w2, b2 = _init_weights(seeds, r, p, k)
@@ -454,11 +401,8 @@ def _stacks(jobs) -> list:
 
 
 def _serve(conn, parent_end, cpu):
-    """Worker process: on ``cpu``, train the shares the caller sends until its pipe closes.
-
-    Each list of stacks of jobs is answered with the list of their ``_fit_stack`` results;
-    any other exception is sent in place of the answer.
-    """
+    """Worker process: on ``cpu``, answer each list of stacks the caller sends with their
+    ``_fit_stack`` results, or with the exception raised, until its pipe closes."""
     parent_end.close()  # a copy inherited from the caller would keep the pipe open
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     try:
@@ -492,8 +436,7 @@ def _cpu_quota(root: Path = Path("/sys/fs/cgroup")) -> float:
 
 
 def _cpus() -> int:
-    """The number of CPUs this process may keep busy: its affinity set, cut to its
-    cgroup's CPU quota."""
+    """CPUs this process may keep busy: its affinity set, cut to its cgroup's CPU quota."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity outside Linux: train in this process
@@ -527,30 +470,31 @@ def _connection():
             return None
         finally:
             theirs.close()
+        # multiprocessing ends the children it lists when a process exits, and a child made
+        # by os.fork inherits the list; the worker is ended by _close_worker alone.
+        multiprocessing.process._children.discard(worker)
         _worker = (worker, ours, os.getpid())
     return _worker[1]
 
 
 def _close_worker() -> None:
+    """End the worker if this process forked it, and forget it."""
     global _worker
-    if _worker is not None:
+    if _worker is not None and _worker[2] == os.getpid():
         worker, conn, _ = _worker
         conn.close()
         worker.terminate()
         worker.join()
-        _worker = None
+    _worker = None
+
+
+atexit.register(_close_worker)
 
 
 def _fan_out(stacks, work, conn) -> list:
-    """Train ``stacks`` of jobs in this process and in the worker at ``conn``; each stack's
-    ``_fit_stack`` results, in stack order, or None for a stack the worker did not return.
-
-    The stacks are split once: largest ``work`` first, each to the side with less work so
-    far, ties to this process. The worker's share goes out in one message; this process
-    trains its own share, then takes the worker's results in one reply. A broken pipe (the
-    worker died) closes the worker and leaves its share to the caller; an exception the
-    worker sends, or one raised here, closes it and is raised.
-    """
+    """Train ``stacks`` of jobs, split once by ``work``, in this process and in the worker at
+    ``conn``; each stack's ``_fit_stack`` results, in stack order, or None for a stack the
+    worker did not return."""
     shares, load = ([], []), [0, 0]  # this process's and the worker's
     for i in sorted(range(len(stacks)), key=lambda i: -work[i]):  # ties in stack order
         side = load[1] < load[0]
@@ -583,15 +527,7 @@ def _fan_out(stacks, work, conn) -> list:
 
 def fit_networks(jobs) -> list:
     """Train the network of each (series, p, k, cfg) job; each job's ``NeuralNetModel``,
-    or the ``ValueError`` it raised, in job order.
-
-    A batch whose estimated work is below ``MIN_WORK`` trains network by network. A
-    larger one trains in stacks (``_stacks``), each one program. Two stacks or more are
-    split with the worker process (``_fan_out``) when this process may use two CPUs and
-    runs no other thread (see the module docstring). Every stack the worker does not
-    return trains in this process: all of them when there is no worker, its share when
-    it dies.
-    """
+    or the ``ValueError`` it raised, in job order."""
     jobs = list(jobs)
     if sum(map(_work, jobs)) < MIN_WORK:
         return [core.attempt(fit_network, *job) for job in jobs]
@@ -610,17 +546,32 @@ def fit_networks(jobs) -> list:
     return results
 
 
+def _predictor(models):
+    """A function ``predict_into(windows, out)`` that writes into row c of ``out`` the
+    predictions of each non-constant network c of ``models`` for its (1, m, p) lag windows
+    ``windows[c]``. Those networks, of one p and (R, k), are stacked here, once."""
+    live = [c for c, model in enumerate(models) if not model.constant]
+    if not live:
+        return lambda windows, out: None
+    layers = _layers([np.stack(w) for w in zip(*(models[c].weights for c in live))])
+    center, scale = np.array([models[c].scaler for c in live]).T[..., None]
+
+    def predict_into(windows, out):
+        _, net_out = _forward(_design(windows[live], center, scale), layers)
+        out[live] = center + scale * net_out[..., 0, :].mean(axis=-2)
+
+    return predict_into
+
+
 def predict(model: NeuralNetModel, windows) -> np.ndarray:
     """Restart-averaged one-step predictions for (m, p) lag windows, most recent last."""
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2 or windows.shape[1] != model.p:
         raise ValueError(f"expected (m, {model.p}) lag windows, got shape {windows.shape}")
-    if model.constant:
-        return np.full(len(windows), model.constant_value)
-    center, scale = model.scaler
-    with np.errstate(over="ignore"):  # a saturated unit (see _forward)
-        _, out = _forward(_design(windows, center, scale), _layers(model.weights))
-    return center + scale * out[..., 0, :].mean(axis=-2)
+    out = np.full((1, len(windows)), model.constant_value)
+    with np.errstate(over="ignore"):  # a saturated unit (see the module docstring)
+        _predictor([model])(windows[None, None], out)
+    return out[0]
 
 
 def forecast_paths(models, histories, h: int) -> np.ndarray:
@@ -636,15 +587,10 @@ def forecast_paths(models, histories, h: int) -> np.ndarray:
     paths = np.empty((len(models), p + h))
     paths[:, :p] = starts
     paths[:, p:] = [[model.constant_value] for model in models]
-    live = [c for c, model in enumerate(models) if not model.constant]
-    if live:
-        layers = _layers([np.stack(w) for w in zip(*(models[c].weights for c in live))])
-        center, scale = np.array([models[c].scaler for c in live]).T[..., None]
-        with np.errstate(over="ignore"):  # a saturated unit (see _forward)
-            for t in range(p, p + h):
-                _, out = _forward(_design(paths[live, None, None, t - p:t], center, scale),
-                                  layers)
-                paths[live, t] = (center + scale * out[..., 0, :].mean(axis=-2))[:, 0]
+    predict_into = _predictor(models)
+    with np.errstate(over="ignore"):  # a saturated unit (see the module docstring)
+        for t in range(p, p + h):
+            predict_into(paths[:, None, None, t - p:t], paths[:, t:t + 1])
     return paths[:, p:]
 
 

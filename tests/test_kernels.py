@@ -21,11 +21,12 @@ weights and 1e-12 in the loss curve.
 Every reference kernel returns its gradient times a ``step`` (1 by default),
 which the reference fit subtracts as it is.
 
-Two more fast paths do the same operations on the same operands as their
+Three more fast paths do the same operations on the same operands as their
 references and must agree bit for bit: a pyramid stage that adds two slices
-per tap against the ``np.roll`` form, and the conformal calibration's lag
+per tap against the ``np.roll`` form; the conformal calibration's lag
 windows, taken from a MODWT of the p + 2r points each step depends on, against
-a full MODWT of the growing history at every step.
+a full MODWT of the growing history at every step; and the stacked predictor,
+against each network evaluated alone and the per-component calibration loop.
 """
 
 import itertools
@@ -46,6 +47,7 @@ from epicast.neuralnet import (
     _forward,
     _init_weights,
     _layers,
+    _predictor,
     _stack,
     _supervised_pairs,
     fit_network,
@@ -214,20 +216,38 @@ def reference_calibration(model, val):
     return windows, residuals
 
 
-def random_ewnet(rng, train, levels, p, constant):
-    """An EWNet of random 3-restart networks; component ``constant`` is a constant model."""
+def random_ewnet(rng, train, levels, p, constants, r=3):
+    """An EWNet of random r-restart networks, each with its own scaler; the components
+    numbered in ``constants`` are constant models."""
     k = hidden_neurons(p)
     nets = []
     for c in range(levels + 1):
-        if c == constant:
+        if c in constants:
             nets.append(NeuralNetModel(weights=None, p=p, k=k, scaler=(rng.normal(), 1.0), seed=0))
             continue
-        w1, b1, w2 = (rng.normal(size=shape) for shape in ((3, k, p), (3, k), (3, k)))
-        nets.append(NeuralNetModel(weights=(_stack(w1, b1), w2, rng.normal(size=3)),
-                                   p=p, k=k, scaler=(float(train.mean()), 1.0 + train.std()),
-                                   seed=0))
+        w1, b1, w2 = (rng.normal(size=shape) for shape in ((r, k, p), (r, k), (r, k)))
+        scaler = (float(train.mean()) + rng.normal(), 1.0 + train.std() * rng.uniform())
+        nets.append(NeuralNetModel(weights=(_stack(w1, b1), w2, rng.normal(size=r)),
+                                   p=p, k=k, scaler=scaler, seed=0))
     return ewnet.EwnetModel(decomposition=modwt_forward(train, levels, haar_filter()),
                             component_models=nets, chosen_p=p, train_series=train)
+
+
+def one_network_predict(net, windows):
+    """One network's prediction unstacked: its (p+1, m) design matrix and (R, ...) layers."""
+    center, scale = net.scaler
+    with np.errstate(over="ignore"):
+        _, out = _forward(_design(windows, center, scale), _layers(net.weights))
+    return center + scale * out[..., 0, :].mean(axis=-2)
+
+
+def reference_validation_abs_residuals(model, val):
+    """The per-component loop: each network's own ``predict`` of its lag windows, added in
+    component order."""
+    pred = np.zeros(val.size)
+    for net, lags in zip(model.component_models, ewnet._lag_windows(model, val)):
+        pred += predict(net, lags)
+    return np.abs(pred - val)
 
 
 def d4_filter():
@@ -354,10 +374,37 @@ def test_calibration_windows_bitwise_equal_full_transform(levels, n, p, steps, c
     event("window wraps the history" if n < p + 2 * (2**levels - 1) else "window inside")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # levels beyond log2 n wrap around
-        model = random_ewnet(rng, y[:n], levels, p, constant)
+        model = random_ewnet(rng, y[:n], levels, p, {constant})
         windows, residuals = reference_calibration(model, y[n:])
     assert ewnet._lag_windows(model, y[n:]).tobytes() == windows.tobytes()
     assert_close(ewnet.validation_abs_residuals(model, y[n:]), residuals, 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=st.integers(0, 5), r=st.integers(1, 20), p=st.integers(1, 20),
+       m=st.integers(1, 40), constants=st.sets(st.integers(0, 5)),
+       seed=st.integers(0, 2**32 - 1))
+@example(levels=4, r=20, p=8, m=1, constants=set(), seed=7)  # one window, as a forecast step
+@example(levels=2, r=3, p=2, m=5, constants={0, 1, 2}, seed=8)  # no network to stack
+def test_one_stacked_prediction_gives_each_networks_own_bits(levels, r, p, m, constants, seed):
+    rng = np.random.default_rng(seed)
+    n = 2**levels + p + 10
+    y = 5.0 + np.cumsum(rng.normal(size=n + m))
+    model = random_ewnet(rng, y[:n], levels, p, constants, r)
+    nets = model.component_models
+    windows = y.mean() + 2 * y.std() * rng.normal(size=(len(nets), m, p))
+    event(f"{sum(net.constant for net in nets)} of {len(nets)} networks constant")
+    out = np.full((len(nets), m), np.nan)
+    with np.errstate(over="ignore"):
+        _predictor(nets)(windows[:, None], out)
+    for net, got, lags in zip(nets, out, windows):
+        if net.constant:
+            assert np.isnan(got).all()  # a constant network's row is left as it was
+        else:
+            assert (got.tobytes() == predict(net, lags).tobytes()
+                    == one_network_predict(net, lags).tobytes())
+    assert (ewnet.validation_abs_residuals(model, y[n:]).tobytes()
+            == reference_validation_abs_residuals(model, y[n:]).tobytes())
 
 
 FIXED_SEED_CONFIGS = pytest.mark.parametrize("cfg,stops_early", [

@@ -1,9 +1,10 @@
 """Start-up cost and process lifetime.
 
 No command loads scipy, which is a test dependency only; importing the CLI
-loads no process-pool machinery, and a finished ``epicast fit`` leaves no worker
-process behind. Each check runs in a fresh interpreter, since this test process
-has already imported scipy through other test modules.
+loads no process-pool machinery, a finished ``epicast fit`` leaves no worker
+process behind, and a forked child leaves its parent's worker running. Each
+check runs in a fresh interpreter, since this test process has already
+imported scipy through other test modules.
 """
 
 import json
@@ -79,6 +80,38 @@ def test_a_finished_fit_leaves_no_worker_running(tmp_path):
     for pid in workers:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_a_forked_child_leaves_its_parents_worker_running(tmp_path):
+    # A child made by os.fork, not by multiprocessing, ends through the interpreter's exit.
+    # Afterwards the worker runs on, and the next batch fans out to it without a new fork.
+    result = run_python("""
+        import json, os, sys, time
+        import numpy as np
+        from epicast import neuralnet
+        from epicast.neuralnet import TrainConfig
+
+        neuralnet.MIN_WORK = 0
+        neuralnet._cpus = lambda: 2
+        fanned, fan_out = [], neuralnet._fan_out
+        neuralnet._fan_out = lambda stacks, *args: fanned.append(len(stacks)) or fan_out(
+            stacks, *args)
+        neuralnet._connection()
+        worker = neuralnet._worker[0]
+        child = os.fork()
+        if child == 0:
+            sys.exit(0)
+        os.waitpid(child, 0)
+        time.sleep(0.3)
+        alive = worker.is_alive()
+        rng = np.random.default_rng(4)
+        neuralnet.fit_networks([(rng.normal(size=40 + i), 2, 1,
+                                 TrainConfig(epochs=5, restarts=2, seed=i)) for i in range(2)])
+        print(json.dumps({"alive": [alive, worker.is_alive()], "fanned": fanned,
+                          "same worker": neuralnet._worker is not None
+                          and neuralnet._worker[0] is worker}))
+    """, tmp_path)
+    assert result == {"alive": [True, True], "fanned": [2], "same worker": True}
 
 
 def test_no_command_loads_scipy(tmp_path):
