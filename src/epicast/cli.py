@@ -24,7 +24,7 @@ import numpy as np
 from . import core, evaluation, ewnet, neuralnet, wavelet
 from .core import DataError, TimeSeries, UndefinedMetricError
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -264,7 +264,7 @@ def decompose(config, data, value_column, frequency, out, levels):
 
 
 def _model_to_json(model: ewnet.EwnetModel, train_cfg: neuralnet.TrainConfig,
-                   residuals: np.ndarray, cal_abs_residuals: np.ndarray | None) -> dict:
+                   cal_abs_residuals: np.ndarray | None) -> dict:
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "chosen_p": model.chosen_p,
@@ -274,7 +274,6 @@ def _model_to_json(model: ewnet.EwnetModel, train_cfg: neuralnet.TrainConfig,
         "boundary": model.decomposition.boundary,
         "train_series": model.train_series.tolist(),
         "component_models": [m.to_dict() for m in model.component_models],
-        "in_sample_residuals": residuals.tolist(),
         "calibration_abs_residuals":
             None if cal_abs_residuals is None else cal_abs_residuals.tolist(),
         "train_config": dataclasses.asdict(train_cfg),
@@ -289,10 +288,11 @@ def _component_from_dict(c: int, d: dict) -> neuralnet.NeuralNetModel:
         raise ValueError(f"component {c}: {exc}") from None
 
 
-def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarray | None, int]:
-    """The model, its in-sample and calibration residuals, and the seed it was fitted with."""
+def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray | None, int]:
+    """The model, its calibration residuals, and the seed it was fitted with. A schema 1
+    file's in-sample residuals are not read: the model alone determines them."""
     version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != MODEL_SCHEMA_VERSION:
+    if version not in (1, MODEL_SCHEMA_VERSION):
         raise CliDataError(f"unsupported model schema version {version!r}")
     try:
         train = core.numbers(doc["train_series"], "'train_series'")
@@ -309,13 +309,12 @@ def _model_from_json(doc: dict) -> tuple[ewnet.EwnetModel, np.ndarray, np.ndarra
             chosen_p=core.number(doc["chosen_p"], "'chosen_p'", whole=True),
             train_series=train,
         )
-        residuals = core.numbers(doc["in_sample_residuals"], "'in_sample_residuals'")
         cal = doc.get("calibration_abs_residuals")
         cal_arr = None if cal is None else core.numbers(cal, "'calibration_abs_residuals'")
         seed = core.number(doc.get("seed", 0), "'seed'", whole=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliDataError(f"malformed model file: {type(exc).__name__}: {exc}")
-    return model, residuals, cal_arr, seed
+    return model, cal_arr, seed
 
 
 @main.command()
@@ -353,12 +352,11 @@ def fit(config, data, value_column, frequency, out, seed,
             model, head = map(core.unwrap, ewnet.fit_ewnets([(values, e_cfg, p),
                                                              (train, e_cfg, p)]))
             cal = ewnet.validation_abs_residuals(head, val)
-        residuals = ewnet.in_sample_residuals(model)
     except ValueError as exc:
         raise NumericError(str(exc))
 
     _write_json(out_dir / "model.json",
-                _model_to_json(model, e_cfg.train_cfg, residuals, cal), seed=seed, digest=digest)
+                _model_to_json(model, e_cfg.train_cfg, cal), seed=seed, digest=digest)
     click.echo(f"wrote {out_dir / 'model.json'} (p={model.chosen_p}, k={model.chosen_k})")
 
 
@@ -376,7 +374,7 @@ def forecast(config, model_path, horizon, interval, level, out):
     horizon = _resolve(cfg, "horizon", horizon, default=1, kind=int, check=AT_LEAST_ONE)
     interval = _resolve(cfg, "interval", interval, default="precontrol", check=INTERVAL)
     level = _resolve(cfg, "level", level, default=0.9, kind=float, check=IN_UNIT_INTERVAL)
-    model, residuals, cal, seed = _model_from_json(_read_json(model_path, CliDataError))
+    model, cal, seed = _model_from_json(_read_json(model_path, CliDataError))
     # Identify the model by content, not path, so identical models yield
     # identical outputs wherever they live on disk.
     model_sha = _file_sha256(model_path)[:16]
@@ -390,7 +388,7 @@ def forecast(config, model_path, horizon, interval, level, out):
                                    "or use --interval precontrol")
             band = ewnet.conformal_interval(point, cal, level)
         else:
-            band = ewnet.precontrol_interval(point, residuals)
+            band = ewnet.precontrol_interval(point, ewnet.in_sample_residuals(model))
     except ValueError as exc:
         raise NumericError(str(exc))
 

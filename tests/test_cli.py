@@ -4,17 +4,19 @@ import io
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epicast import core, ewnet, neuralnet
-from epicast.cli import _write_csv, main
+from epicast.cli import _model_from_json, _write_csv, main
 
 FAST_TRAIN = {"train": {"learning_rate": 0.05, "epochs": 60, "restarts": 2}}
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -263,7 +265,8 @@ class TestFit:
         result = self._fit(runner, tmp_path, ["--p", "3"])
         assert result.exit_code == 0, result.output
         doc = json.loads((tmp_path / "model.json").read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
+        assert "in_sample_residuals" not in doc
         assert doc["chosen_p"] == 3
         assert doc["chosen_k"] == 2
         assert doc["seed"] == 7
@@ -425,15 +428,35 @@ class TestForecast:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 4
 
-    def test_a_nan_in_sample_residual_fails_numeric(self, runner, tmp_path):
-        model = self._fitted_model(runner, tmp_path, ["--p", "2"])
-        doc = json.loads(model.read_text())
-        doc["in_sample_residuals"][3] = float("nan")
+    @pytest.mark.parametrize("stored", [[float("nan")] * 2, ["0.5"], None],
+                             ids=["nan", "text", "dropped"])
+    def test_a_v1_files_stored_residuals_are_not_read(self, runner, tmp_path, stored):
+        doc = json.loads((DATA / "model_v1.json").read_text())
+        if stored is None:
+            del doc["in_sample_residuals"]
+        else:
+            doc["in_sample_residuals"] = stored
+        model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["forecast", "--model", str(model), "--out", str(tmp_path)])
-        assert result.exit_code == 4, result.output
-        assert "in-sample residuals must be finite" in result.output
-        assert not (tmp_path / "forecast.csv").exists()
+        result = runner.invoke(main, ["forecast", "--model", str(model), "--horizon", "6",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        # The rows schema 1 wrote for the intact file; the provenance line digests the file.
+        intact = (DATA / "forecast_v1_precontrol.csv").read_text().splitlines()
+        assert (tmp_path / "forecast.csv").read_text().splitlines()[1:] == intact[1:]
+
+    @pytest.mark.parametrize("interval", ["precontrol", "conformal"])
+    def test_a_v1_file_forecasts_the_bytes_schema_1_wrote(self, runner, tmp_path, interval):
+        """The fixture and its forecasts were written at schema 1, by ``epicast fit --levels 2
+        --p-grid 2 --horizon 4 --seed 11`` (5 epochs, 2 restarts) on a 48-point AR(1)
+        series, then ``epicast forecast --horizon 6`` (``--level 0.8`` for conformal)."""
+        level = ["--level", "0.8"] if interval == "conformal" else []
+        result = runner.invoke(main, ["forecast", "--model", str(DATA / "model_v1.json"),
+                                      "--horizon", "6", "--interval", interval, *level,
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert ((tmp_path / "forecast.csv").read_bytes()
+                == (DATA / f"forecast_v1_{interval}.csv").read_bytes())
 
     def test_missing_model_file(self, runner, tmp_path):
         result = runner.invoke(main, ["forecast", "--model", str(tmp_path / "nope.json")])
@@ -523,8 +546,6 @@ class TestForecast:
          "ValueError: 'train_series'[0] must be a number, got '30.0'\n"),
         (lambda doc: doc.update(train_series="30.0"),
          "ValueError: 'train_series' must be a list of numbers, got '30.0'\n"),
-        (lambda doc: doc.update(in_sample_residuals=["0.5"] * len(doc["in_sample_residuals"])),
-         "ValueError: 'in_sample_residuals'[0] must be a number, got '0.5'\n"),
         (lambda doc: doc.update(calibration_abs_residuals=[0.5, "1.0"]),
          "ValueError: 'calibration_abs_residuals'[1] must be a number, got '1.0'\n"),
         # Too large for a float: NumPy's OverflowError escaped the reader.
@@ -549,7 +570,7 @@ class TestForecast:
             "nan-center", "inf-center", "nan-scale", "inf-scale", "zero-scale",
             "text-seed", "text-chosen-p", "text-component-p", "text-scaler",
             "text-constant-value", "text-train-series", "train-series-not-a-list",
-            "text-in-sample-residuals", "text-calibration-residuals", "huge-int-weight",
+            "text-calibration-residuals", "huge-int-weight",
             "short-scaler", "fewer-restarts", "more-hidden-units"])
     def test_malformed_model_is_data_error(self, runner, tmp_path, damage, message):
         model = self._fitted_model(runner, tmp_path, ["--p", "2"])
@@ -596,6 +617,42 @@ class TestForecast:
         assert result.output == ("Error: malformed model file: ValueError: component 0: "
                                  "restart 1: 'output_bias' must be a number, got 'x'\n")
         assert not (tmp_path / "forecast.csv").exists()
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=st.sampled_from(["ar", "alternating", "constant"]), levels=st.sampled_from([0, None]),
+       p=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(shape="alternating", levels=None, p=2, seed=0)  # D1 trains; D2 and S2 are constant
+@example(shape="constant", levels=0, p=1, seed=0)
+@example(shape="ar", levels=None, p=3, seed=0)
+def test_a_rebuilt_model_has_the_fitted_models_in_sample_residuals(tmp_path_factory, shape,
+                                                                    levels, p, seed):
+    """A forecast rebuilds the pre-control residuals from model.json, so the model that
+    ``_model_from_json`` rebuilds after ``epicast fit`` gives the fitted model's bytes."""
+    tmp = tmp_path_factory.mktemp("fit")
+    rng = np.random.default_rng(seed)
+    y = {"ar": lambda: 30.0 + np.cumsum(rng.normal(size=48)),
+         "alternating": lambda: np.tile(rng.normal(30.0, 5.0, size=2), 24),
+         "constant": lambda: np.full(48, rng.normal(30.0, 5.0))}[shape]()
+    (tmp / "series.csv").write_text("value\n" + "".join(f"{v!r}\n" for v in y.tolist()))
+    (tmp / "cfg.json").write_text(json.dumps({"train": {"epochs": 5, "restarts": 2}}))
+    fitted = []
+    fit_ewnet = ewnet.fit_ewnet
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ewnet, "fit_ewnet", lambda *a: fitted.append(fit_ewnet(*a)) or fitted[-1])
+        result = CliRunner().invoke(main, [
+            "fit", "--config", str(tmp / "cfg.json"), "--data", str(tmp / "series.csv"),
+            "--seed", str(seed), "--p", str(p), "--out", str(tmp),
+            *([] if levels is None else ["--levels", str(levels)])])
+    assert result.exit_code == 0, result.output
+    model, _, _ = _model_from_json(json.loads((tmp / "model.json").read_text()))
+    constant = [net.constant for net in model.component_models]
+    if shape == "constant":
+        assert all(constant)
+    elif shape == "alternating" and levels is None:
+        assert constant == [False] + [True] * (len(constant) - 1)
+    expected = ewnet.in_sample_residuals(fitted[0])
+    assert ewnet.in_sample_residuals(model).tobytes() == expected.tobytes()
 
 
 class TestEvaluate:
