@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import click
@@ -63,13 +62,15 @@ def _file_sha256(path) -> str:
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
+    # A new file of a fresh name gets open()'s mode, 0o666 less the umask (mkstemp's is 0o600).
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}")
+    handle = open(tmp, "x", encoding="utf-8")
     try:
-        Path(tmp).write_text(text, encoding="utf-8")
+        with handle:
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        Path(tmp).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -347,10 +348,8 @@ def fit(config, data, value_column, frequency, out, seed,
             cal = None
         else:
             val_len = core.validation_len(values.size, horizon)
-            train, val = values[:-val_len], values[-val_len:]
-            p = ewnet.select_p(train, val, e_cfg)
-            model, head = map(core.unwrap, ewnet.fit_ewnets([(values, e_cfg, p),
-                                                             (train, e_cfg, p)]))
+            val = values[-val_len:]
+            model, head = ewnet.fit_calibrated(values[:-val_len], val, e_cfg)
             cal = ewnet.validation_abs_residuals(head, val)
     except ValueError as exc:
         raise NumericError(str(exc))

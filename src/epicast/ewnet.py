@@ -226,6 +226,25 @@ def fit_ewnet_selected(train, val, cfg: EwnetConfig) -> EwnetModel:
     return core.unwrap(fit_selected([(train, val, cfg)])[0])
 
 
+def fit_calibrated(train, val, cfg: EwnetConfig) -> tuple[EwnetModel, EwnetModel]:
+    """The ``fit_ewnet_selected`` model and its calibration head, the selected lag's model
+    on ``train``; the first ValueError of the search, the refit and the head is raised.
+
+    A one-lag grid's only candidate is bitwise the head, so it trains once, in one batch
+    with the refit, and is scored as the search scores it. Reusing the winner as the head
+    for every grid (ROADMAP.md, "`cli fit` onto the one pipeline") deletes this branch.
+    """
+    if len(cfg.p_grid) > 1:
+        p = select_p(train, val, cfg)
+        return tuple(map(core.unwrap, fit_ewnets([(np.concatenate([train, val]), cfg, p),
+                                                  (train, cfg, p)])))
+    search = _search_plan(train, val, cfg)
+    refit = core.attempt(lambda: _fit_plan(np.concatenate([train, val]), cfg, cfg.p_grid[0]))
+    refit, head = _fit_all([refit, *search[3]])
+    _best_p(*search, iter([head]))
+    return core.unwrap(refit), core.unwrap(head)
+
+
 def in_sample_residuals(model: EwnetModel) -> np.ndarray:
     """One-step residuals (fitted - actual) of the ensemble on its training window."""
     p = model.chosen_p

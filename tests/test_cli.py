@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -298,14 +299,50 @@ class TestFit:
         data.write_text("value\n" + "5.0\n" * 60)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(FAST_TRAIN))
-        result = runner.invoke(main, ["fit", "--config", str(cfg), "--data", str(data),
-                                      "--seed", "1", "--p-grid", "1,2",
-                                      "--out", str(tmp_path / "out")])
-        assert result.exit_code == 4, result.output
         undefined = "MASE undefined: constant training series"
-        assert result.output == ("Error: no feasible lag order in the grid: "
-                                 f"p=1: {undefined}; p=2: {undefined}\n")
-        assert not (tmp_path / "out").exists()
+        # A one-lag grid scores its candidate, the calibration head, as a wider grid does.
+        for grid, errors in {"1,2": f"p=1: {undefined}; p=2: {undefined}",
+                             "1": f"p=1: {undefined}"}.items():
+            result = runner.invoke(main, ["fit", "--config", str(cfg), "--data", str(data),
+                                          "--seed", "1", "--p-grid", grid,
+                                          "--out", str(tmp_path / "out")])
+            assert result.exit_code == 4, result.output
+            assert result.output == f"Error: no feasible lag order in the grid: {errors}\n"
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid,batches", [("2", [6]), ("1,2", [6, 6])],
+                             ids=["one-lag", "two-lag"])
+    def test_a_one_lag_grid_trains_its_candidate_once_as_the_head(self, runner, tmp_path,
+                                                                  monkeypatch, grid, batches):
+        # J + 1 = 3 networks a fit. A one-lag grid trains the refit and its one candidate,
+        # the calibration head, in one batch; a wider grid is searched first.
+        sizes = []
+        fit_networks = neuralnet.fit_networks
+        monkeypatch.setattr(neuralnet, "fit_networks",
+                            lambda jobs: sizes.append(len(jobs)) or fit_networks(jobs))
+        result = self._fit(runner, tmp_path, ["--p-grid", grid])
+        assert result.exit_code == 0, result.output
+        assert sizes == batches
+
+    @pytest.mark.parametrize("failing,message", [
+        (118, "no feasible lag order in the grid: p=1: diverged"),  # the candidate: train
+        (120, "diverged"),  # the refit: train + validation
+    ], ids=["candidate", "refit"])
+    def test_a_one_lag_fit_whose_networks_raise_names_the_failed_stage(
+            self, runner, tmp_path, monkeypatch, failing, message):
+        fit_network = neuralnet.fit_network
+
+        def raising(series, *args):
+            if len(series) == failing:
+                raise ValueError("diverged")
+            return fit_network(series, *args)
+
+        monkeypatch.setattr(neuralnet, "fit_network", raising)
+        monkeypatch.setattr(neuralnet, "_cpus", lambda: 1)  # so that every fit is patched
+        result = self._fit(runner, tmp_path, ["--p-grid", "1"])
+        assert result.exit_code == 4, result.output
+        assert result.output == f"Error: {message}\n"
+        assert not (tmp_path / "model.json").exists()
 
     def test_selection_stores_calibration_residuals(self, runner, tmp_path):
         result = self._fit(runner, tmp_path, ["--p-grid", "1-2", "--horizon", "4"])
@@ -653,6 +690,68 @@ def test_a_rebuilt_model_has_the_fitted_models_in_sample_residuals(tmp_path_fact
         assert constant == [False] + [True] * (len(constant) - 1)
     expected = ewnet.in_sample_residuals(fitted[0])
     assert ewnet.in_sample_residuals(model).tobytes() == expected.tobytes()
+
+
+def fit_two_step(train, val, cfg):
+    """``cli fit``'s sequence before ``ewnet.fit_calibrated``: ``select_p``, then the refit
+    and the calibration head as one ``fit_ewnets`` batch."""
+    p = ewnet.select_p(train, val, cfg)
+    return tuple(map(core.unwrap, ewnet.fit_ewnets([(np.concatenate([train, val]), cfg, p),
+                                                    (train, cfg, p)])))
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=st.sampled_from(["ar", "alternating", "constant"]), levels=st.sampled_from([0, None]),
+       p=st.integers(1, 3), metric=st.sampled_from(["mase", "smape"]),
+       seed=st.integers(0, 2**16))
+@example(shape="alternating", levels=None, p=2, metric="mase", seed=0)  # D2 and S2 constant
+@example(shape="constant", levels=None, p=1, metric="smape", seed=0)  # every network constant
+@example(shape="constant", levels=0, p=1, metric="mase", seed=0)  # no feasible lag order
+@example(shape="ar", levels=0, p=3, metric="mase", seed=0)
+def test_a_one_lag_fit_writes_the_bytes_of_the_two_step_fit(tmp_path_factory, shape, levels, p,
+                                                             metric, seed):
+    """A one-lag grid trains its candidate once, as the head; ``epicast fit`` writes the
+    model file, or the error, of the search followed by the refit and the head."""
+    tmp = tmp_path_factory.mktemp("fit")
+    rng = np.random.default_rng(seed)
+    y = {"ar": lambda: 30.0 + np.cumsum(rng.normal(size=48)),
+         "alternating": lambda: np.tile(rng.normal(30.0, 5.0, size=2), 24),
+         "constant": lambda: np.full(48, rng.normal(30.0, 5.0))}[shape]()
+    (tmp / "series.csv").write_text("value\n" + "".join(f"{v!r}\n" for v in y.tolist()))
+    (tmp / "cfg.json").write_text(json.dumps({"train": {"epochs": 5, "restarts": 2}}))
+    argv = ["fit", "--config", str(tmp / "cfg.json"), "--data", str(tmp / "series.csv"),
+            "--seed", str(seed), "--p-grid", str(p), "--metric", metric, "--horizon", "4",
+            "--out", str(tmp), *([] if levels is None else ["--levels", str(levels)])]
+    runs = []
+    for fit in (ewnet.fit_calibrated, fit_two_step):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ewnet, "fit_calibrated", fit)
+            result = CliRunner().invoke(main, argv)
+        model = tmp / "model.json"
+        runs.append((result.exit_code, result.output,
+                     model.read_bytes() if model.exists() else None))
+        model.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (4 if shape == "constant" and metric == "mase" else 0), runs[0][1]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_get_the_mode_open_gives_a_new_file(runner, tmp_path, umask):
+    write_series_csv(tmp_path / "series.csv")
+    (tmp_path / "cfg.json").write_text(json.dumps(FAST_TRAIN))
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        for argv in (["fit", "--config", str(tmp_path / "cfg.json"), "--seed", "1",
+                      "--data", str(tmp_path / "series.csv"), "--p", "2"],
+                     ["forecast", "--model", str(out / "model.json")]):
+            result = runner.invoke(main, [*argv, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+    finally:
+        os.umask(previous)
+    assert sorted(path.name for path in out.iterdir()) == ["forecast.csv", "model.json"]
+    for name in ("model.json", "forecast.csv"):
+        assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~umask, name
 
 
 class TestEvaluate:

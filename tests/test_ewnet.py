@@ -11,6 +11,7 @@ from epicast.ewnet import (
     IntervalForecast,
     conformal_interval,
     default_levels,
+    fit_calibrated,
     fit_ewnet,
     fit_ewnet_selected,
     fit_selected,
@@ -32,6 +33,13 @@ def lag4_series(n=280, seed=100):
     for t in range(4, n):
         y[t] = 0.95 * y[t - 4] + rng.normal(scale=0.2)
     return y + 10.0
+
+
+def state(model):
+    """What a model's bits decide: its lag, training series, networks and a forecast."""
+    return (model.chosen_p, model.train_series.tobytes(),
+            [net.to_dict() for net in model.component_models],
+            forecast_ewnet(model, 7).tobytes())
 
 
 class TestDefaultLevels:
@@ -241,11 +249,6 @@ class TestFitSelected:
         # 2 lags x 3 components and 3 lags x 2 components, then 3 + 2 components.
         assert batches == [12, 5]
 
-        def state(model):
-            return (model.chosen_p, model.train_series.tobytes(),
-                    [net.to_dict() for net in model.component_models],
-                    forecast_ewnet(model, 7).tobytes())
-
         for model, *expected in zip(got, spelled_out, one_by_one):
             assert [state(model)] * 2 == [state(e) for e in expected]
 
@@ -268,6 +271,42 @@ class TestFitSelected:
         alone = fit_ewnet_selected(*searches[2])
         assert [net.to_dict() for net in got[2].component_models] == [
             net.to_dict() for net in alone.component_models]
+
+
+class TestFitCalibrated:
+    @pytest.mark.parametrize("grid,batches", [((2,), [6]), ((2, 4), [6, 6])],
+                             ids=["one-lag", "two-lag"])
+    def test_the_refit_and_the_head_are_the_models_of_separate_fits(self, monkeypatch, grid,
+                                                                     batches):
+        y = lag4_series()
+        train, val = y[:-10], y[-10:]
+        cfg = EwnetConfig(levels=2, p_grid=grid, train_cfg=FAST)
+        p = select_p(train, val, cfg)
+        expected = [fit_ewnet_selected(train, val, cfg), fit_ewnet(train, cfg, p)]
+        sizes = []
+        fit_networks = neuralnet.fit_networks
+        monkeypatch.setattr(neuralnet, "fit_networks",
+                            lambda jobs: sizes.append(len(jobs)) or fit_networks(jobs))
+        got = fit_calibrated(train, val, cfg)
+        # J + 1 = 3 networks a fit. A one-lag grid's candidate is the head, so the refit
+        # and the head are one batch; two lags are searched first, then refit with the head.
+        assert sizes == batches
+        assert [state(model) for model in got] == [state(model) for model in expected]
+
+    @pytest.mark.parametrize("grid", [(1,), (1, 2)], ids=["one-lag", "two-lag"])
+    @pytest.mark.parametrize("train,val", [
+        (lag4_series()[:7], lag4_series()[7:12]),
+        (np.full(30, 5.0), np.full(5, 5.0)),
+        (lag4_series()[:30], 5.0),  # a validation scalar, which train + validation cannot join
+        (lag4_series()[:30], [1.0, np.nan]),
+    ], ids=["short", "constant", "scalar", "non-finite"])
+    def test_a_failing_fit_raises_the_selected_fits_error(self, grid, train, val):
+        cfg = EwnetConfig(p_grid=grid, train_cfg=FAST)
+        with pytest.raises(ValueError) as expected:
+            fit_ewnet_selected(train, val, cfg)
+        with pytest.raises(ValueError) as got:
+            fit_calibrated(train, val, cfg)
+        assert str(got.value) == str(expected.value)
 
 
 class TestPrecontrolInterval:
